@@ -574,17 +574,15 @@ def _run_peel(args) -> dict:
     s, family, inputs = _build_shift(args)
     if family != "t2":
         raise ValueError("the layer-coefficient experiment is defined for the t2 family")
-    alpha = s.weights.lam[s.tree.vertex_with_label("(2,1)")]
+    ids = {label: v for v, label in enumerate(s.tree.labels)}
+    v21 = ids["(2,1)"]
+    alpha = s.weights.lam[v21]
     depth = s.max_depth
     if depth < 3:
         raise ValueError("need depth >= 3 to see at least one exact layer")
     tol = args.tol if args.tol is not None else 1e-10
-    f = TreeVector(
-        s.tree,
-        {s.tree.vertex_with_label(f"(2,{j})"): 1.0 / j for j in range(1, depth + 1)},
-    )
+    f = TreeVector(s.tree, {ids[f"(2,{j})"]: 1.0 / j for j in range(1, depth + 1)})
     comp = peel(s, f, depth)
-    v21 = s.tree.vertex_with_label("(2,1)")
     rows = []
     ok = True
     checked_up_to = min(10, depth - 2)

@@ -119,19 +119,21 @@ def make(spec: Union[GallerySpec, Mapping[str, object]]) -> TruncatedShift:
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
         t = treemod.build_tree({"family": "t2", "depth": depth})
+        ids = {label: v for v, label in enumerate(t.labels)}
         lam = {}
         for j in range(1, depth + 1):
-            lam[t.vertex_with_label(f"(1,{j})")] = 1.0
-            lam[t.vertex_with_label(f"(2,{j})")] = alpha
+            lam[ids[f"(1,{j})"]] = 1.0
+            lam[ids[f"(2,{j})"]] = alpha
         return TruncatedShift(t, lam, norm_attained_within_depth=0)
     if fam == "t2_zero":
         _check_params(spec, set())
         depth = _need_depth(spec, 3)
         t = treemod.build_tree({"family": "t2_zero", "depth": depth})
+        ids = {label: v for v, label in enumerate(t.labels)}
         lam = {}
         for j in range(1, depth + 1):
-            lam[t.vertex_with_label(f"(1,{j})")] = 0.0 if j == 2 else 1.0
-            lam[t.vertex_with_label(f"(2,{j})")] = 0.0 if j == 2 else 2.0
+            lam[ids[f"(1,{j})"]] = 0.0 if j == 2 else 1.0
+            lam[ids[f"(2,{j})"]] = 0.0 if j == 2 else 2.0
         return TruncatedShift(t, lam, norm_attained_within_depth=2)
     if fam == "random":
         _check_params(spec, {"seed", "branching"})

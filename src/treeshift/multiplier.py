@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .ops import TreeVector, TruncatedShift, _same_tree
 from .tree import VertexId
 
@@ -64,7 +66,7 @@ class Symbol:
             k = int(k)
             if k < 0:
                 raise ValueError("symbol orders are nonnegative")
-            c = complex(c)
+            c = _finite(complex(c), k)
             if c != 0:
                 vals[k] = c
         return cls(values=vals, degree=max(vals) if vals else 0)
@@ -76,7 +78,7 @@ class Symbol:
             raise ValueError("truncation degree must be nonnegative")
         vals = {}
         for k in range(k_max + 1):
-            c = complex(fn(k))
+            c = _finite(complex(fn(k)), k)
             if c != 0:
                 vals[k] = c
         return cls(values=vals, degree=k_max, rule_name=name, rule_params=params)
@@ -132,6 +134,12 @@ class Symbol:
         raise ValueError("symbol spec needs either 'support' or 'rule'")
 
 
+def _finite(c: complex, k) -> complex:
+    if not cmath.isfinite(c):
+        raise ValueError(f"coefficient at order {k} must be finite, got {c}")
+    return c
+
+
 def _expect_keys(keys: set, allowed: set) -> None:
     if keys != allowed:
         raise ValueError(f"symbol spec keys {sorted(keys)} do not match {sorted(allowed)}")
@@ -152,7 +160,7 @@ class TrigPoly:
             items = entries
         vals: dict[int, complex] = {}
         for k, c in items:
-            c = complex(c)
+            c = _finite(complex(c), k)
             if c != 0:
                 vals[int(k)] = c
         deg = max((abs(k) for k in vals), default=0)
@@ -205,26 +213,44 @@ def gamma_apply(s: TruncatedShift, phi: Symbol, f: TreeVector) -> TreeVector:
     output(v) = sum over 0 <= k <= depth(v) of
                 (weight product from the k-th ancestor of v down to v)
                 * phi(k) * f(k-th ancestor of v).
+
+    Order k gathers the order k - 1 arrays through the parent array, over
+    the vertices of depth >= k. Complex values are kept as separate real
+    and imaginary float64 arrays and every product is spelled out as
+    Python's scalar complex arithmetic rounds it, so the result is
+    bitwise that of the scalar formula summed over k in ascending order.
     """
     _same_tree(s, f)
     vals = phi.values_upto(min(phi.degree, s.max_depth))
-    reach = len(vals)
-    get = f.coeffs.get
-    out: dict[VertexId, complex] = {}
-    for v in range(s.tree.n_vertices):
-        acc = 0j
-        for k, (u, prod) in enumerate(s.ancestor_products(v)):
-            if k >= reach:
-                break
-            pk = vals[k]
-            if pk == 0:
-                continue
-            c = get(u)
-            if c is not None:
-                acc += prod * pk * c
-        if acc != 0:
-            out[v] = acc
-    return TreeVector(s.tree, out)
+    n = s.tree.n_vertices
+    offsets = s.gen_offsets
+    f_re = np.zeros(n)
+    f_im = np.zeros(n)
+    ids = np.fromiter(f.coeffs, dtype=np.intp, count=len(f.coeffs))
+    cs = np.fromiter(f.coeffs.values(), dtype=complex, count=len(f.coeffs))
+    f_re[ids] = cs.real
+    f_im[ids] = cs.imag
+    acc_re = np.zeros(n)
+    acc_im = np.zeros(n)
+    prod = np.ones(n)
+    for k, pk in enumerate(vals):
+        if k:
+            # Restrict the order k - 1 arrays (ids from offsets[k - 1]) to
+            # depth >= k by gathering at each vertex's parent.
+            up = s.parent[offsets[k]:] - offsets[k - 1]
+            f_re, f_im = f_re[up], f_im[up]
+            prod = prod[up] * s.lam[offsets[k]:]
+        if pk == 0:
+            continue
+        # (prod * pk) * f with prod promoted to prod + 0j, as in CPython.
+        t_re = prod * pk.real - 0.0 * pk.imag
+        t_im = prod * pk.imag + 0.0 * pk.real
+        tail = slice(int(offsets[k]), n)
+        acc_re[tail] += t_re * f_re - t_im * f_im
+        acc_im[tail] += t_re * f_im + t_im * f_re
+    nz = np.flatnonzero((acc_re != 0) | (acc_im != 0))
+    values = map(complex, acc_re[nz].tolist(), acc_im[nz].tolist())
+    return TreeVector(s.tree, dict(zip(nz.tolist(), values)))
 
 
 def mult_column(s: TruncatedShift, phi: Symbol, u: VertexId) -> TreeVector:

@@ -1,10 +1,11 @@
 """The weighted shift on a truncated tree as a sparse linear operator.
 
 The shift sends the basis vector at a vertex u to the weighted sum of the
-basis vectors at the children of u. Its matrix is sealed implicitly at
-construction through two caches: a triangular table of squared power-column
-norms and, per vertex, the cumulative weight products along the ancestor
-chain. Both caches make the operator layers O(edges * depth) overall.
+basis vectors at the children of u. ``TruncatedShift`` keeps the operator
+as three arrays in breadth-first id order: the parent of every vertex, the
+weight on the edge entering it, and the id at which each generation
+starts. Squared power-column norms are derived from them lazily, one
+order at a time, so every structure held here is O(vertices).
 
 Truncation contract: applying the shift to mass sitting at the deepest
 generation drops that mass (its image lives past the horizon). The dropped
@@ -36,6 +37,23 @@ def close(a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL, rel_tol: float =
     return abs(a - b) <= max(abs_tol, rel_tol * max(abs(a), abs(b)))
 
 
+def _weight_array(tree: DirectedTree, mapping: Mapping[VertexId, float]) -> np.ndarray:
+    """Validate child-keyed weights against ``tree``; entry 0 (the root) is 0."""
+    n = tree.n_vertices
+    lam = np.zeros(n)
+    for v in range(1, n):
+        if v not in mapping:
+            raise ValueError(f"missing weight for vertex {v}")
+        w = float(mapping[v])
+        if w < 0 or not math.isfinite(w):
+            raise ValueError(f"weight at vertex {v} must be finite and >= 0, got {w}")
+        lam[v] = w
+    if len(mapping) != n - 1:
+        extra = set(mapping) - set(range(1, n))
+        raise ValueError(f"weights given for unknown vertices {sorted(extra)}")
+    return lam
+
+
 @dataclass(frozen=True)
 class WeightSystem:
     """Nonnegative edge weights keyed by the child endpoint."""
@@ -45,18 +63,12 @@ class WeightSystem:
 
     @classmethod
     def from_mapping(cls, tree: DirectedTree, mapping: Mapping[VertexId, float]) -> "WeightSystem":
-        lam: dict[VertexId, float] = {}
-        for v in range(1, tree.n_vertices):
-            if v not in mapping:
-                raise ValueError(f"missing weight for vertex {v}")
-            w = float(mapping[v])
-            if w < 0 or not math.isfinite(w):
-                raise ValueError(f"weight at vertex {v} must be finite and >= 0, got {w}")
-            lam[v] = w
-        extra = set(mapping) - set(lam)
-        if extra:
-            raise ValueError(f"weights given for unknown vertices {sorted(extra)}")
-        return cls(lam=lam, strictly_positive=all(w > 0 for w in lam.values()))
+        return cls._from_array(_weight_array(tree, mapping))
+
+    @classmethod
+    def _from_array(cls, lam: np.ndarray) -> "WeightSystem":
+        vals = lam[1:].tolist()
+        return cls(lam=dict(zip(range(1, len(lam)), vals)), strictly_positive=all(w > 0 for w in vals))
 
     def of(self, v: VertexId) -> float:
         return self.lam[v]
@@ -151,14 +163,22 @@ def _same_tree(a, b) -> None:
 class TruncatedShift:
     """The weighted shift operator attached to one tree and weight system.
 
+    The operator is held as arrays in breadth-first id order: ``parent``
+    (with -1 at the root), ``lam`` (the weight on the edge entering each
+    vertex, 0 at the root) and ``gen_offsets`` (generation d occupies ids
+    ``gen_offsets[d]`` up to ``gen_offsets[d + 1]``).
+
     Power-column norms obey the bottom-up recursion
 
         norm(S^n e_u)^2 = sum over children w of u of
                           lam(w)^2 * norm(S^(n-1) e_w)^2
 
-    and the full triangular table (u, n) for depth(u) + n <= max_depth is
-    sealed eagerly at construction, as are the per-vertex ancestor chains
-    with cumulative weight products. Instances are immutable afterwards.
+    which ``power_norms_sq`` evaluates one order at a time with a single
+    ``np.bincount`` over the parent array. Order 1 is kept for the
+    lifetime of the shift; a single cursor holds the most recent higher
+    order and moves forward from it, or restarts from order 1 when a
+    lower order is asked for. Memory stays O(vertices) at any depth. The
+    weights are validated once, against this tree, when ``lam`` is filled.
     """
 
     def __init__(
@@ -167,41 +187,52 @@ class TruncatedShift:
         weights: Union[WeightSystem, Mapping[VertexId, float]],
         norm_attained_within_depth: Optional[int] = None,
     ):
-        if not isinstance(weights, WeightSystem):
-            weights = WeightSystem.from_mapping(tree, weights)
+        if isinstance(weights, WeightSystem):
+            self.lam = _weight_array(tree, weights.lam)  # revalidate against this tree
         else:
-            WeightSystem.from_mapping(tree, weights.lam)  # revalidate against this tree
+            self.lam = _weight_array(tree, weights)
+            weights = WeightSystem._from_array(self.lam)
         self.tree = tree
         self.weights = weights
         self.norm_attained_within_depth = norm_attained_within_depth
-        self._pn2 = self._seal_power_table()
-        self._anc = self._seal_ancestor_products()
-        interior = [self._pn2[u][1] for u in tree.interior_vertices()]
-        self.column_bound = max(interior, default=0.0)
+        self.parent = np.array((-1,) + tree.parent[1:], dtype=np.intp)
+        self.gen_offsets = np.cumsum([0] + [len(g) for g in tree.generations])
+        self._lam2 = self.lam * self.lam
+        self._order1 = self._next_order(np.ones(tree.n_vertices), 1)
+        self._order1.flags.writeable = False
+        self._cursor = (1, self._order1)
+        interior = self._order1[: self.gen_offsets[tree.max_depth]]
+        self.column_bound = float(interior.max()) if interior.size else 0.0
 
-    def _seal_power_table(self) -> list[list[float]]:
-        tree = self.tree
-        lam = self.weights.lam
-        table: list[list[float]] = [[] for _ in range(tree.n_vertices)]
-        for gen in reversed(tree.generations):
-            for u in gen:
-                horizon = tree.max_depth - tree.depth[u]
-                row = [1.0]
-                for n in range(1, horizon + 1):
-                    row.append(sum(lam[w] * lam[w] * table[w][n - 1] for w in tree.children[u]))
-                table[u] = row
-        return table
+    def _next_order(self, prev: np.ndarray, n: int) -> np.ndarray:
+        """Order n from order n - 1, on the prefix with depth <= max_depth - n."""
+        size = int(self.gen_offsets[self.tree.max_depth - n + 1])
+        m = len(prev)
+        return np.bincount(self.parent[1:m], self._lam2[1:m] * prev[1:], minlength=size)
 
-    def _seal_ancestor_products(self) -> list[tuple[tuple[VertexId, float], ...]]:
-        tree = self.tree
-        lam = self.weights.lam
-        anc: list[tuple[tuple[VertexId, float], ...]] = [((0, 1.0),)] * tree.n_vertices
-        anc[0] = ((0, 1.0),)
-        for v in range(1, tree.n_vertices):
-            p = tree.parent[v]
-            w = lam[v]
-            anc[v] = ((v, 1.0),) + tuple((u, prod * w) for u, prod in anc[p])
-        return anc
+    def power_norms_sq(self, n: int) -> np.ndarray:
+        """Read-only array of norm(S^n e_u)^2 for every u with depth(u) + n <= max_depth.
+
+        Those vertices form a prefix of the breadth-first ids, so entry u
+        belongs to vertex u.
+        """
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        if n > self.max_depth:
+            raise HorizonError(f"no column survives {n} shifts at depth {self.max_depth}")
+        if n == 0:
+            out = np.ones(self.tree.n_vertices)
+            out.flags.writeable = False
+            return out
+        k, arr = self._cursor
+        if n < k:
+            k, arr = 1, self._order1
+        while k < n:
+            k += 1
+            arr = self._next_order(arr, k)
+            arr.flags.writeable = False
+        self._cursor = (k, arr)
+        return arr
 
     @property
     def max_depth(self) -> int:
@@ -214,17 +245,24 @@ class TruncatedShift:
     def ancestor_products(self, v: VertexId) -> tuple[tuple[VertexId, float], ...]:
         """Pairs (k-th ancestor of v, weight product down from it to v)."""
         self.tree.check_vertex(v)
-        return self._anc[v]
+        parent = self.tree.parent
+        lam = self.weights.lam
+        out = [(v, 1.0)]
+        prod = 1.0
+        x = v
+        while x != 0:
+            prod *= lam[x]
+            x = parent[x]
+            out.append((x, prod))
+        return tuple(out)
 
     def power_norm_sq(self, u: VertexId, n: int) -> float:
         self.tree.check_vertex(u)
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if n >= len(self._pn2[u]):
+        if self.tree.depth[u] + n > self.tree.max_depth:
             raise HorizonError(
                 f"norm(S^{n} e_{u}) needs vertices past depth {self.tree.max_depth}"
             )
-        return self._pn2[u][n]
+        return float(self.power_norms_sq(n)[u])
 
 
 @dataclass(frozen=True)
@@ -324,18 +362,9 @@ def operator_norm_power(s: TruncatedShift, n: int) -> PowerNormEstimate:
     past the horizon could be larger is reported via the flag; generator
     families that know where the sup is attained clear it.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > s.max_depth:
-        raise HorizonError(f"no column survives {n} shifts at depth {s.max_depth}")
-    best = -1.0
-    best_u = 0
-    for gen in s.tree.generations[: s.max_depth - n + 1]:
-        for u in gen:
-            val = s._pn2[u][n]
-            if val > best:
-                best = val
-                best_u = u
+    col = s.power_norms_sq(n)
+    best_u = int(np.argmax(col))  # the first maximum, as a strict scan in id order finds
+    best = col[best_u]
     bound = s.norm_attained_within_depth
     if n == 0:
         may_grow = False
@@ -361,11 +390,10 @@ def is_injective(s: TruncatedShift) -> InjectivityResult:
     """
     best: Optional[float] = None
     witness: Optional[VertexId] = None
-    for u in s.tree.interior_vertices():
-        val = math.sqrt(s._pn2[u][1])
-        if best is None or val < best:
-            best = val
-            witness = u
+    if s.max_depth > 0:
+        col = np.sqrt(s.power_norms_sq(1)[: s.gen_offsets[s.max_depth]])
+        witness = int(np.argmin(col))
+        best = float(col[witness])
     ok = best is None or best > 0.0
     return InjectivityResult(
         interior_injective=ok,

@@ -16,7 +16,6 @@ boundary-block part of the input).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -238,9 +237,10 @@ def peel(s: TruncatedShift, f: TreeVector, horizon: int) -> WoldComponents:
 def _left_invert(s: TruncatedShift, r: TreeVector) -> TreeVector:
     """Apply the diagonal left inverse (S* S)^(-1) S* to a range vector."""
     up = apply_adjoint(s, r)
+    col = s.power_norms_sq(1)
     out = {}
     for u, c in up.items():
-        d = s.power_norm_sq(u, 1)
+        d = float(col[u])
         if d > 0:
             out[u] = c / d
     return TreeVector(s.tree, out)
@@ -254,18 +254,27 @@ def reconstruct(s: TruncatedShift, comp: WoldComponents) -> TreeVector:
     return acc.plus(comp.residual)
 
 
+def _mismatch(val: np.ndarray, ref: np.ndarray, rel_tol: float, abs_tol: float) -> np.ndarray:
+    return np.abs(val - ref) > np.maximum(abs_tol, rel_tol * np.maximum(val, ref))
+
+
 def is_balanced(s: TruncatedShift, rel_tol: float = 1e-10, abs_tol: float = 1e-12) -> BalanceResult:
-    """Are the interior column norms constant within each generation?"""
-    for gen in s.tree.generations[:-1]:
-        ref: Optional[float] = None
-        ref_u: Optional[VertexId] = None
-        for u in gen:
-            val = math.sqrt(s.power_norm_sq(u, 1))
-            if ref is None:
-                ref, ref_u = val, u
-            elif abs(val - ref) > max(abs_tol, rel_tol * max(abs(val), ref)):
-                return BalanceResult(ok=False, u=ref_u, v=u, power=1, norm_u=ref, norm_v=val)
-    return BalanceResult(ok=True)
+    """Are the interior column norms constant within each generation?
+
+    The witness pairs the first vertex of the generation with the first
+    vertex, in id order, whose column norm differs from it.
+    """
+    if s.max_depth == 0:
+        return BalanceResult(ok=True)
+    offsets = s.gen_offsets
+    val = np.sqrt(s.power_norms_sq(1)[: offsets[s.max_depth]])
+    first = np.repeat(offsets[:-2], np.diff(offsets[:-1]))
+    bad = np.flatnonzero(_mismatch(val, val[first], rel_tol, abs_tol))
+    if not bad.size:
+        return BalanceResult(ok=True)
+    v = int(bad[0])
+    u = int(first[v])
+    return BalanceResult(ok=False, u=u, v=v, power=1, norm_u=float(val[u]), norm_v=float(val[v]))
 
 
 def is_locally_power_balanced(
@@ -274,24 +283,34 @@ def is_locally_power_balanced(
     """Do all sibling pairs share power-column norms up to order max_n?
 
     Orders are capped at each sibling set's horizon, so every compared
-    value is exact for the untruncated tree.
+    value is exact for the untruncated tree. The witness is the first
+    mismatch by parent id, then order, then sibling id. Orders are
+    scanned outermost so each one is built once; a mismatch found at
+    order n leaves only parents of smaller id to scan at higher orders.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    tree = s.tree
-    for u in range(tree.n_vertices):
-        kids = tree.children[u]
-        if len(kids) < 2:
-            continue
-        reach = min(max_n, tree.max_depth - tree.depth[kids[0]])
-        first = kids[0]
-        for n in range(1, reach + 1):
-            ref = math.sqrt(s.power_norm_sq(first, n))
-            for v in kids[1:]:
-                val = math.sqrt(s.power_norm_sq(v, n))
-                if abs(val - ref) > max(abs_tol, rel_tol * max(abs(val), ref)):
-                    return BalanceResult(ok=False, u=first, v=v, power=n, norm_u=ref, norm_v=val)
-    return BalanceResult(ok=True)
+    parent = s.parent[1:]
+    # Siblings are contiguous in breadth-first ids and parents are
+    # nondecreasing, so the first sibling of v is the first index sharing
+    # its parent.
+    first = np.searchsorted(parent, parent) + 1
+    found: Optional[BalanceResult] = None
+    limit = s.tree.n_vertices
+    for n in range(1, min(max_n, s.max_depth) + 1):
+        m = min(int(s.gen_offsets[s.max_depth - n + 1]), limit)
+        if m <= 1:
+            break
+        val = np.sqrt(s.power_norms_sq(n)[:m])
+        bad = np.flatnonzero(_mismatch(val[1:], val[first[: m - 1]], rel_tol, abs_tol))
+        if bad.size:
+            v = int(bad[0]) + 1
+            u = int(first[v - 1])
+            found = BalanceResult(
+                ok=False, u=u, v=v, power=n, norm_u=float(val[u]), norm_v=float(val[v])
+            )
+            limit = u
+    return found or BalanceResult(ok=True)
 
 
 def _dense_images(s: TruncatedShift, n: int, basis: KernelBasis) -> np.ndarray:

@@ -63,6 +63,14 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_finite_symbol_exits_two(tmp_path, capsys):
+    out = str(tmp_path / "r")
+    assert _run(["approx", "--family", "mad", "--depth", "8", "--phi", "power_law:nan:4",
+                 "--levels", "1,2", "--out", out]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_norms_evidence_only_for_random(tmp_path):
     out = str(tmp_path / "r")
     assert _run(["norms", "--family", "random", "--depth", "5", "--seed", "3", "--out", out]) == 0

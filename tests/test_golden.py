@@ -1,0 +1,46 @@
+"""Byte-identity of report.json on a fixed set of small CLI invocations.
+
+The files under tests/golden/ were written by the dict-based operator
+core that predates the array-backed one. Any change to the numerics, the
+verdict logic or the report layout shows up here as a byte difference.
+"""
+
+import os
+
+import pytest
+
+from treeshift.cli import main
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+CASES = {
+    "norms_mad": ["norms", "--family", "mad", "--depth", "40"],
+    "norms_t2": ["norms", "--family", "t2", "--alpha", "0.5", "--depth", "10"],
+    "norms_random": ["norms", "--family", "random", "--branching", "1,2,3", "--depth", "6",
+                     "--seed", "5"],
+    "integral_random": ["integral", "--family", "random", "--branching", "2", "--depth", "5",
+                        "--seed", "3", "--cases", "2"],
+    "approx_random": ["approx", "--family", "random", "--depth", "5", "--seed", "2",
+                      "--phi", "power_law:-1.5:6", "--levels", "2,4,8", "--probes", "12"],
+    "gram_random_balanced": ["gram", "--family", "random_balanced", "--depth", "5",
+                             "--seed", "2"],
+    "gram_random": ["gram", "--family", "random", "--depth", "5", "--seed", "1"],
+    "wold_random_balanced": ["wold", "--family", "random_balanced", "--branching", "3",
+                             "--depth", "4", "--cases", "2"],
+    "balanced_random": ["balanced", "--family", "random", "--branching", "1,2,3",
+                        "--depth", "5", "--seed", "4"],
+    "peel_t2": ["peel", "--family", "t2", "--alpha", "0.5", "--depth", "12"],
+    "gallery": ["gallery", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("TREESHIFT_OUT", raising=False)
+    out = str(tmp_path / name)
+    assert main(CASES[name] + ["--out", out]) == 0
+    with open(os.path.join(out, "report.json"), "rb") as fh:
+        got = fh.read()
+    with open(os.path.join(GOLDEN_DIR, f"{name}.json"), "rb") as fh:
+        want = fh.read()
+    assert got == want

@@ -282,3 +282,15 @@ def test_symbol_json_round_trips():
         Symbol.from_json({"support": [[0, 1.0, 0.0]], "rule": "ones"})
     with pytest.raises(ValueError):
         Symbol.from_json({})
+
+
+def test_non_finite_coefficients_rejected():
+    for bad in (float("nan"), float("inf"), complex(0.0, float("-inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            Symbol.from_support({0: 1.0, 3: bad})
+        with pytest.raises(ValueError, match="finite"):
+            Symbol.from_rule(lambda k: bad if k == 2 else 1.0, 4)
+        with pytest.raises(ValueError, match="finite"):
+            TrigPoly.from_coeffs({-1: bad})
+    with pytest.raises(ValueError, match="finite"):
+        Symbol.power_law(float("nan"), 4)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,3 +258,17 @@ def test_shift_constructor_revalidates_weights():
     ws = WeightSystem.from_mapping(other, {v: 1.0 for v in range(1, 5)})
     with pytest.raises(ValueError):
         TruncatedShift(t, ws)
+
+
+def test_deep_ray_queries_stay_linear_in_memory():
+    # An order-by-depth table for this ray would hold ~2e8 entries.
+    tracemalloc.start()
+    try:
+        s = make(GallerySpec(family="mad", depth=20_000))
+        assert abs(power_norm(s, 0, 5) - 5.0) <= REL * 5
+        assert abs(operator_norm_power(s, 3).value - 4.0) <= REL * 4
+        assert is_injective(s).injective
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak

@@ -8,8 +8,10 @@ from treeshift import (
     GallerySpec,
     HorizonError,
     TreeVector,
+    TruncatedShift,
     apply_adjoint,
     apply_shift,
+    build_tree,
     image_dim,
     image_intersection_dim,
     is_balanced,
@@ -197,6 +199,22 @@ def test_locally_power_balanced_split():
 
     with pytest.raises(ValueError):
         is_locally_power_balanced(s, 0)
+
+
+def test_locally_power_balanced_witness_order():
+    # Root children 1, 2 agree at order 1 and differ at order 2; the
+    # children 3, 4 of vertex 1 already differ at order 1. The witness is
+    # ordered by parent first, so the root's pair at order 2 wins.
+    t = build_tree({
+        "vertices": [str(i) for i in range(9)],
+        "edges": [[0, 1], [0, 2], [1, 3], [1, 4], [2, 5], [3, 6], [4, 7], [5, 8]],
+    })
+    s = TruncatedShift(t, {1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0, 5: math.sqrt(2.0), 6: 1.0, 7: 2.0, 8: 1.0})
+    res = is_locally_power_balanced(s, 2)
+    assert (res.ok, res.u, res.v, res.power) == (False, 1, 2, 2)
+    assert (res.norm_u, res.norm_v) == (math.sqrt(5.0), math.sqrt(2.0))
+    res = is_locally_power_balanced(s, 1)
+    assert (res.ok, res.u, res.v, res.power) == (False, 3, 4, 1)
 
 
 def test_random_balanced_fixture_is_balanced():
