@@ -114,7 +114,15 @@ class Symbol:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "Symbol":
+        """Read {"coeffs": {"k": [re, im], ...}}, {"support": [[k, re, im], ...]}
+        or {"rule": ...}, the last two as written by ``to_json``."""
         keys = set(doc)
+        if "coeffs" in keys:
+            _expect_keys(keys, {"coeffs"})
+            coeffs = doc["coeffs"]
+            if not isinstance(coeffs, Mapping):
+                raise ValueError("symbol 'coeffs' must map orders to [re, im] pairs")
+            return cls.from_support((int(k), _re_im(c, k)) for k, c in coeffs.items())
         if "support" in keys:
             if keys != {"support"}:
                 raise ValueError(f"unknown keys in symbol spec: {sorted(keys - {'support'})}")
@@ -131,13 +139,23 @@ class Symbol:
                 _expect_keys(keys, {"rule", "exponent", "K"})
                 return cls.power_law(float(doc["exponent"]), int(doc["K"]))
             raise ValueError(f"unknown symbol rule {name!r}")
-        raise ValueError("symbol spec needs either 'support' or 'rule'")
+        raise ValueError("symbol spec needs one of 'coeffs', 'support' or 'rule'")
 
 
 def _finite(c: complex, k) -> complex:
     if not cmath.isfinite(c):
         raise ValueError(f"coefficient at order {k} must be finite, got {c}")
     return c
+
+
+def _re_im(pair, k) -> complex:
+    try:
+        re, im = pair
+        return complex(float(re), float(im))
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"coefficient at order {k} must be a [re, im] pair, got {pair!r}"
+        ) from None
 
 
 def _expect_keys(keys: set, allowed: set) -> None:
@@ -214,43 +232,74 @@ def gamma_apply(s: TruncatedShift, phi: Symbol, f: TreeVector) -> TreeVector:
                 (weight product from the k-th ancestor of v down to v)
                 * phi(k) * f(k-th ancestor of v).
 
-    Order k gathers the order k - 1 arrays through the parent array, over
-    the vertices of depth >= k. Complex values are kept as separate real
-    and imaginary float64 arrays and every product is spelled out as
-    Python's scalar complex arithmetic rounds it, so the result is
+    This is a one-row batch of ``_gamma_rows``, the kernel the circle
+    quadrature runs on a chunk of rotated symbols at once. The result is
     bitwise that of the scalar formula summed over k in ascending order.
     """
     _same_tree(s, f)
     vals = phi.values_upto(min(phi.degree, s.max_depth))
-    n = s.tree.n_vertices
-    offsets = s.gen_offsets
-    f_re = np.zeros(n)
-    f_im = np.zeros(n)
+    p_re = np.array([[c.real for c in vals]])
+    p_im = np.array([[c.imag for c in vals]])
+    acc_re, acc_im = _gamma_rows(s, p_re, p_im, *_split(f))
+    acc_re, acc_im = acc_re[0], acc_im[0]
+    nz = np.flatnonzero((acc_re != 0) | (acc_im != 0))
+    values = map(complex, acc_re[nz].tolist(), acc_im[nz].tolist())
+    return TreeVector(s.tree, dict(zip(nz.tolist(), values)))
+
+
+def _split(f: TreeVector) -> tuple[np.ndarray, np.ndarray]:
+    """Dense real and imaginary float64 arrays of f, indexed by vertex id."""
+    n = f.tree.n_vertices
+    re = np.zeros(n)
+    im = np.zeros(n)
     ids = np.fromiter(f.coeffs, dtype=np.intp, count=len(f.coeffs))
     cs = np.fromiter(f.coeffs.values(), dtype=complex, count=len(f.coeffs))
-    f_re[ids] = cs.real
-    f_im[ids] = cs.imag
-    acc_re = np.zeros(n)
-    acc_im = np.zeros(n)
+    re[ids] = cs.real
+    im[ids] = cs.imag
+    return re, im
+
+
+def _gamma_rows(
+    s: TruncatedShift, p_re: np.ndarray, p_im: np.ndarray, f_re: np.ndarray, f_im: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ancestor sum of f for a batch of symbols, one per row of p.
+
+    Row r of the result is the multiplier of the symbol with order-k
+    coefficient p_re[r, k] + i p_im[r, k] applied to f, as dense real and
+    imaginary arrays over the vertex ids. Order k gathers the order k - 1
+    weight products and f values through the parent array, over the
+    vertices of depth >= k; those gathers are shared by every row.
+    Complex values are kept as separate real and imaginary float64
+    arrays and every product is spelled out as Python's scalar complex
+    arithmetic rounds it (numpy's complex multiply rounds differently).
+    A row whose order-k coefficient is zero skips that order, as the
+    scalar formula does.
+    """
+    n = len(f_re)
+    offsets = s.gen_offsets
+    acc_re = np.zeros((len(p_re), n))
+    acc_im = np.zeros((len(p_re), n))
     prod = np.ones(n)
-    for k, pk in enumerate(vals):
+    for k in range(p_re.shape[1]):
         if k:
             # Restrict the order k - 1 arrays (ids from offsets[k - 1]) to
             # depth >= k by gathering at each vertex's parent.
             up = s.parent[offsets[k]:] - offsets[k - 1]
             f_re, f_im = f_re[up], f_im[up]
             prod = prod[up] * s.lam[offsets[k]:]
-        if pk == 0:
+        live = (p_re[:, k] != 0) | (p_im[:, k] != 0)
+        if not live.any():
             continue
+        rows = slice(None) if live.all() else live
+        pk_re = p_re[rows, k, None]
+        pk_im = p_im[rows, k, None]
         # (prod * pk) * f with prod promoted to prod + 0j, as in CPython.
-        t_re = prod * pk.real - 0.0 * pk.imag
-        t_im = prod * pk.imag + 0.0 * pk.real
+        t_re = prod * pk_re - 0.0 * pk_im
+        t_im = prod * pk_im + 0.0 * pk_re
         tail = slice(int(offsets[k]), n)
-        acc_re[tail] += t_re * f_re - t_im * f_im
-        acc_im[tail] += t_re * f_im + t_im * f_re
-    nz = np.flatnonzero((acc_re != 0) | (acc_im != 0))
-    values = map(complex, acc_re[nz].tolist(), acc_im[nz].tolist())
-    return TreeVector(s.tree, dict(zip(nz.tolist(), values)))
+        acc_re[rows, tail] += t_re * f_re - t_im * f_im
+        acc_im[rows, tail] += t_re * f_im + t_im * f_re
+    return acc_re, acc_im
 
 
 def mult_column(s: TruncatedShift, phi: Symbol, u: VertexId) -> TreeVector:
@@ -306,6 +355,12 @@ def _powers(w: complex, k_max: int) -> list[complex]:
     return out
 
 
+# Roots per chunk times vertices stays under this many float64 entries, so
+# the quadrature's working memory does not grow with the number of roots
+# (about 6 MB at this budget; larger budgets measured no faster).
+_CHUNK_ENTRIES = 1 << 16
+
+
 def circle_pair_integral(
     s: TruncatedShift,
     q: TrigPoly,
@@ -321,22 +376,91 @@ def circle_pair_integral(
     so any N past that band is exact; the default takes
     N = 2 * (deg q + K + D) + 1 with K the symbol degree and D the tree
     depth. A caller-supplied N below the safe band is rejected.
+
+    The roots are processed in chunks of at most ``_CHUNK_ENTRIES`` //
+    vertices. Each chunk materialises the rotated symbols as a roots x
+    (K + 1) matrix, with ``rotate_symbol``'s rounding, and applies them
+    all at once through ``_gamma_rows``, the kernel ``gamma_apply`` runs
+    on one row. Each row is paired with g by a sequential sum of the
+    terms M f(v) * conj(g(v)) in the order ``TreeVector.inner`` visits
+    them, and q(w) times the pairing is accumulated over ascending roots,
+    so the result is bitwise that of one ``gamma_apply`` and one
+    ``inner`` per root.
     """
     _same_tree(s, f)
     _same_tree(s, g)
-    needed = q.degree + min(phi.degree, s.max_depth)
+    k_max = min(phi.degree, s.max_depth)
+    needed = q.degree + k_max
     if n_points is None:
         n_points = 2 * (q.degree + phi.degree + s.max_depth) + 1
     if n_points <= needed:
         raise ValueError(
             f"quadrature with {n_points} points cannot integrate orders up to {needed}"
         )
+    roots = [cmath.exp(2j * math.pi * j / n_points) for j in range(n_points)]
+    f_re, f_im = _split(f)
+    cols = np.fromiter(g.coeffs, dtype=np.intp, count=len(g.coeffs))
+    gs = np.fromiter(g.coeffs.values(), dtype=complex, count=len(g.coeffs))
+    gc_re, gc_im = gs.real, -gs.imag  # conj(g), in g's insertion order
+    # inner() walks g in insertion order when g has the smaller support,
+    # and M f in ascending id order otherwise.
+    by_id = None if np.all(cols[1:] > cols[:-1]) else np.argsort(cols)
+    finite_g = bool(np.isfinite(gs).all())
+    chunk = max(1, _CHUNK_ENTRIES // s.tree.n_vertices)
     total = 0j
-    for j in range(n_points):
-        w = cmath.exp(2j * math.pi * j / n_points)
-        phi_w = rotate_symbol(phi, w)
-        total += q(w) * gamma_apply(s, phi_w, f).inner(g)
+    for lo in range(0, n_points, chunk):
+        ws = roots[lo:lo + chunk]
+        p_re, p_im = _rotated_rows(phi, ws, k_max)
+        acc_re, acc_im = _gamma_rows(s, p_re, p_im, f_re, f_im)
+        a_re, a_im = acc_re[:, cols], acc_im[:, cols]
+        # The terms M f(v) * conj(g(v)) as CPython's complex multiply.
+        t_re = a_re * gc_re - a_im * gc_im
+        t_im = a_re * gc_im + a_im * gc_re
+        if not finite_g:
+            # inner() skips vertices where M f vanishes; a zero term
+            # leaves the running sum unchanged unless g(v) is not finite.
+            live = (a_re != 0) | (a_im != 0)
+            t_re = np.where(live, t_re, 0.0)
+            t_im = np.where(live, t_im, 0.0)
+        pair_re, pair_im = _row_sums(t_re), _row_sums(t_im)
+        if by_id is not None:
+            walk_g = ((acc_re != 0) | (acc_im != 0)).sum(axis=1) > len(cols)
+            pair_re = np.where(walk_g, pair_re, _row_sums(t_re[:, by_id]))
+            pair_im = np.where(walk_g, pair_im, _row_sums(t_im[:, by_id]))
+        for w, re, im in zip(ws, pair_re.tolist(), pair_im.tolist()):
+            total += q(w) * complex(re, im)
     return total / n_points
+
+
+def _row_sums(t: np.ndarray) -> np.ndarray:
+    """Each row summed left to right from 0.0, as ``sum()`` does.
+
+    A cumulative sum is sequential where ``np.sum`` is pairwise; adding
+    0.0 turns an all-negative-zero row into sum()'s +0.0.
+    """
+    if not t.shape[1]:
+        return np.zeros(len(t))
+    return np.cumsum(t, axis=1)[:, -1] + 0.0
+
+
+def _rotated_rows(phi: Symbol, ws: Sequence[complex], k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of ``rotate_symbol(phi, w)`` on orders
+    0..k_max, one row per w, with the same repeated-multiplication powers
+    and CPython complex rounding."""
+    w_re = np.array([w.real for w in ws])
+    w_im = np.array([w.imag for w in ws])
+    pw_re = np.ones(len(ws))
+    pw_im = np.zeros(len(ws))
+    p_re = np.zeros((len(ws), k_max + 1))
+    p_im = np.zeros((len(ws), k_max + 1))
+    for k in range(k_max + 1):
+        if k:
+            pw_re, pw_im = pw_re * w_re - pw_im * w_im, pw_re * w_im + pw_im * w_re
+        c = phi.values.get(k)
+        if c is not None:
+            p_re[:, k] = pw_re * c.real - pw_im * c.imag
+            p_im[:, k] = pw_re * c.imag + pw_im * c.real
+    return p_re, p_im
 
 
 @dataclass(frozen=True)

@@ -319,16 +319,23 @@ def _family_tree(family: str, params: Mapping[str, object], depth: Optional[int]
 
 
 _EXPLICIT_KEYS = {"vertices", "edges", "weights"}
+_PARENTS_KEYS = {"vertices", "parents", "weights"}
 _FAMILY_KEYS = {"family", "params", "depth"}
 
 
 def parse_tree_spec(spec: Mapping[str, object]) -> tuple[DirectedTree, Optional[list[float]]]:
     """Parse a tree-spec mapping into a tree plus optional edge weights.
 
-    Two document shapes are accepted. The explicit shape lists vertices
+    Three document shapes are accepted. The explicit shape lists vertices
     and edges (child weights may ride along, parallel to the edge list):
 
         {"vertices": ["a", "b"], "edges": [[0, 1]], "weights": [0.5]}
+
+    The parents shape gives the parent of every vertex, null for the root
+    at index 0, and optionally one weight per vertex (weights[0], at the
+    root, is ignored):
+
+        {"vertices": 3, "parents": [null, 0, 0], "weights": [0.0, 0.6, 0.8]}
 
     The family shape names a registered generator:
 
@@ -349,6 +356,28 @@ def parse_tree_spec(spec: Mapping[str, object]) -> tuple[DirectedTree, Optional[
         depth = spec.get("depth")
         tree = _family_tree(str(spec["family"]), params, None if depth is None else int(depth))
         return tree, None
+    if "parents" in keys:
+        extra = keys - _PARENTS_KEYS
+        if extra:
+            raise TreeSpecError(f"unknown keys in tree spec: {sorted(extra)}")
+        parents = spec["parents"]
+        if not isinstance(parents, Sequence) or isinstance(parents, str) or not parents:
+            raise TreeSpecError("parents must be a nonempty list")
+        n = len(parents)
+        if spec.get("vertices") != n:
+            raise TreeSpecError(f"vertices is {spec.get('vertices')!r} but parents has {n} entries")
+        if parents[0] is not None:
+            raise TreeSpecError("parents[0] must be null: vertex 0 is the root")
+        roots = [i for i, p in enumerate(parents) if p is None]
+        if len(roots) > 1:
+            raise TreeSpecError(f"second root: parents[{roots[1]}] is null")
+        weights = spec.get("weights")
+        if weights is not None:
+            if not isinstance(weights, Sequence) or len(weights) != n:
+                raise TreeSpecError("weights must have one entry per vertex")
+            weights = weights[1:]
+        edges = [(p, c) for c, p in enumerate(parents) if c]
+        return _explicit([str(i) for i in range(n)], edges, weights)
     if "vertices" in keys:
         extra = keys - _EXPLICIT_KEYS
         if extra:
@@ -359,17 +388,23 @@ def parse_tree_spec(spec: Mapping[str, object]) -> tuple[DirectedTree, Optional[
             raise TreeSpecError("vertices must be a list of labels")
         if not isinstance(edges, Sequence):
             raise TreeSpecError("edges must be a list of [parent, child] pairs")
-        tree, new_id = _assemble(list(vertices), [tuple(e) for e in edges])
-        weights_in = spec.get("weights")
-        if weights_in is None:
-            return tree, None
-        if not isinstance(weights_in, Sequence) or len(weights_in) != len(edges):
-            raise TreeSpecError("weights must parallel the edge list")
-        by_vertex = [0.0] * tree.n_vertices
-        for (_, c), w in zip(edges, weights_in):
-            by_vertex[new_id[int(c)]] = float(w)
-        return tree, [by_vertex[v] for v in range(1, tree.n_vertices)]
-    raise TreeSpecError("tree spec needs either 'vertices' or 'family'")
+        return _explicit(list(vertices), [tuple(e) for e in edges], spec.get("weights"))
+    raise TreeSpecError("tree spec needs one of 'vertices', 'parents' or 'family'")
+
+
+def _explicit(
+    labels: Sequence[str], edges: Sequence[tuple], weights_in
+) -> tuple[DirectedTree, Optional[list[float]]]:
+    """Assemble labels and edges; weights, if given, run parallel to the edges."""
+    tree, new_id = _assemble(labels, edges)
+    if weights_in is None:
+        return tree, None
+    if not isinstance(weights_in, Sequence) or len(weights_in) != len(edges):
+        raise TreeSpecError("weights must parallel the edge list")
+    by_vertex = [0.0] * tree.n_vertices
+    for (_, c), w in zip(edges, weights_in):
+        by_vertex[new_id[int(c)]] = float(w)
+    return tree, [by_vertex[v] for v in range(1, tree.n_vertices)]
 
 
 def build_tree(spec: Mapping[str, object]) -> DirectedTree:

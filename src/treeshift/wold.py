@@ -176,23 +176,11 @@ def project_kernel(s: TruncatedShift, f: TreeVector, basis: Optional[KernelBasis
     return TreeVector(s.tree, out)
 
 
-def _boundary_projection(s: TruncatedShift, f: TreeVector) -> TreeVector:
-    """Projection onto the kernel blocks supported at the deepest generation."""
-    tree = s.tree
-    if tree.max_depth == 0:
-        return TreeVector.zero(tree)
-    out: dict[VertexId, complex] = {}
-    for u in tree.generations[tree.max_depth - 1]:
-        block = _sibling_block(s, u)
-        if block is None:
-            continue
-        for b in block.vectors:
-            coeff = f.inner(b)
-            if coeff == 0:
-                continue
-            for v, c in b.items():
-                out[v] = out.get(v, 0j) + coeff * c
-    return TreeVector(s.tree, out)
+def _boundary_basis(s: TruncatedShift) -> KernelBasis:
+    """The kernel blocks supported at the deepest generation, in id order."""
+    parents = s.tree.generations[s.max_depth - 1] if s.max_depth else ()
+    blocks = (_sibling_block(s, u) for u in parents)
+    return KernelBasis(blocks=tuple(b for b in blocks if b is not None), interior_only=False)
 
 
 def peel(s: TruncatedShift, f: TreeVector, horizon: int) -> WoldComponents:
@@ -215,7 +203,7 @@ def peel(s: TruncatedShift, f: TreeVector, horizon: int) -> WoldComponents:
         )
         raise ValueError(f"peel needs an injective shift: {reason}")
     basis = _cached_basis(s, True)
-    boundary_part = _boundary_projection(s, f)
+    boundary_part = project_kernel(s, f, _boundary_basis(s))
     layer = project_kernel(s, f, basis)
     components = [layer]
     remainder = f.minus(layer).minus(boundary_part)

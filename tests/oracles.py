@@ -5,9 +5,12 @@ symbol coefficients, bypassing the package's caches, so agreement is a
 two-route check rather than a tautology.
 """
 
+import cmath
+import math
+
 import numpy as np
 
-from treeshift import TreeVector
+from treeshift import TreeVector, gamma_apply, rotate_symbol
 
 
 def dense_shift_matrix(s):
@@ -59,3 +62,15 @@ def random_vector(tree, rng, unit=False):
 
 def vector_from_dense(tree, arr):
     return TreeVector(tree, {v: complex(arr[v]) for v in range(tree.n_vertices)})
+
+
+def loop_circle_pair_integral(s, q, phi, f, g, n_points=None):
+    """The circle quadrature as one rotated-symbol ``gamma_apply`` and one
+    ``TreeVector.inner`` per root of unity, summed in ascending root order."""
+    if n_points is None:
+        n_points = 2 * (q.degree + phi.degree + s.max_depth) + 1
+    total = 0j
+    for j in range(n_points):
+        w = cmath.exp(2j * math.pi * j / n_points)
+        total += q(w) * gamma_apply(s, rotate_symbol(phi, w), f).inner(g)
+    return total / n_points

@@ -189,6 +189,28 @@ def test_phi_file_input(tmp_path):
     assert _read_report(out)["support_bound"] == 3
 
 
+def test_phi_file_coeffs_form(tmp_path):
+    phi_path = tmp_path / "phi.json"
+    phi_path.write_text(json.dumps({"coeffs": {"0": [1.0, 0.0], "2": [0.5, -0.25]}}),
+                        encoding="utf-8")
+    out = str(tmp_path / "r")
+    assert _run(["approx", "--family", "mad", "--depth", "6",
+                 "--phi", f"file:{phi_path}", "--levels", "2", "--out", out]) == 0
+    assert _read_report(out)["support_bound"] == 2
+    phi_path.write_text('{"coeffs": {"0": [1.0, NaN]}}', encoding="utf-8")
+    assert _run(["approx", "--family", "mad", "--depth", "6",
+                 "--phi", f"file:{phi_path}", "--levels", "2", "--out", out]) == 2
+
+
+def test_tree_file_parents_form(tmp_path):
+    path = tmp_path / "tree.json"
+    path.write_text('{"vertices": 4, "parents": [null, 0, 0, 1], '
+                    '"weights": [0.0, 1.0, 0.5, 1.0]}', encoding="utf-8")
+    out = str(tmp_path / "r")
+    assert _run(["norms", "--tree", str(path), "--out", out]) == 0
+    assert _read_report(out)["inputs"]["tree_spec"]["parents"] == [None, 0, 0, 1]
+
+
 def test_list_prints_registry(capsys):
     assert _run(["list"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

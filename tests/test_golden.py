@@ -20,6 +20,11 @@ CASES = {
                      "--seed", "5"],
     "integral_random": ["integral", "--family", "random", "--branching", "2", "--depth", "5",
                         "--seed", "3", "--cases", "2"],
+    "integral_random_balanced_power_law": ["integral", "--family", "random_balanced",
+                                           "--branching", "3", "--depth", "4", "--phi",
+                                           "power_law:-1:6", "--cases", "2", "--seed", "7"],
+    "integral_t2": ["integral", "--family", "t2", "--alpha", "0.5", "--depth", "3",
+                    "--cases", "2", "--seed", "1"],
     "approx_random": ["approx", "--family", "random", "--depth", "5", "--seed", "2",
                       "--phi", "power_law:-1.5:6", "--levels", "2,4,8", "--probes", "12"],
     "gram_random_balanced": ["gram", "--family", "random_balanced", "--depth", "5",

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from treeshift import (
     sot_error_profile,
 )
 
-from oracles import dense_mult_matrix, random_vector
+from treeshift import multiplier
+from oracles import dense_mult_matrix, loop_circle_pair_integral, random_vector
 
 
 def _random_shift(seed, depth=5, branching=(1, 2, 3)):
@@ -219,6 +221,77 @@ def test_circle_integral_matches_coefficientwise_product():
         assert abs(quad - direct) <= 1e-10, trial
 
 
+def _hex(c):
+    return c.real.hex(), c.imag.hex()
+
+
+def test_quadrature_bitwise_equals_per_root_loop(monkeypatch):
+    rng = np.random.default_rng([12, 9])
+    families = [("random", {"branching": (1, 2, 3)}), ("random_balanced", {"branching": (2, 3)}),
+                ("mad", {}), ("t2", {"alpha": 0.5})]
+    seen = set()
+    for trial in range(20):
+        family, params = families[trial % len(families)]
+        if family.startswith("random"):
+            params = {**params, "seed": int(rng.integers(10_000))}
+        s = make(GallerySpec(family=family, depth=int(rng.integers(1, 6)), params=params))
+        n = s.tree.n_vertices
+        phi = _random_symbol(rng, k_max=int(rng.integers(0, 12)))
+        deg = 0 if trial % 5 == 0 else int(rng.integers(1, 4))
+        q = TrigPoly.from_coeffs({
+            k: complex(rng.standard_normal(), rng.standard_normal())
+            for k in range(-deg, deg + 1)
+        })
+        f_ids = [v for v in range(n) if trial % 3 or rng.random() < 0.4]
+        g_ids = [v for v in range(n) if trial % 4 != 1 or rng.random() < 0.3]
+        if trial % 2:
+            g_ids.reverse()
+        f = TreeVector(s.tree, {v: complex(*rng.standard_normal(2)) for v in f_ids})
+        g = TreeVector(s.tree, {v: complex(*rng.standard_normal(2)) for v in g_ids})
+        n_points = None
+        if trial % 4 == 3:
+            n_points = deg + min(phi.degree, s.max_depth) + 1 + int(rng.integers(0, 4))
+        seen.update(kind for kind, hit in [
+            ("sparse f", len(f_ids) < n), ("sparse g", len(g_ids) < n),
+            ("descending g", trial % 2 and len(g_ids) > 1), ("K > D", phi.degree > s.max_depth),
+            ("deg q = 0", deg == 0), ("explicit n_points", n_points is not None),
+        ] if hit)
+        want = loop_circle_pair_integral(s, q, phi, f, g, n_points)
+        # The default chunk budget, then one that cuts the roots into many chunks.
+        for budget in (multiplier._CHUNK_ENTRIES, 3 * n):
+            monkeypatch.setattr(multiplier, "_CHUNK_ENTRIES", budget)
+            got = circle_pair_integral(s, q, phi, f, g, n_points)
+            assert _hex(got) == _hex(want), (trial, budget)
+    assert len(seen) == 6, seen
+    # inner() never reaches a non-finite g(v) where the image vanishes.
+    s = make(GallerySpec(family="t2", depth=3, params={"alpha": 0.5}))
+    f = TreeVector.basis(s.tree, 0)
+    g = TreeVector(s.tree, {4: math.inf, 0: 1.0 - 1.0j, 3: complex(math.nan, 1.0)})
+    q = TrigPoly.from_coeffs({-1: 0.5, 0: 1.0j})
+    want = loop_circle_pair_integral(s, q, Symbol.indicator(0), f, g)
+    assert math.isfinite(abs(want))
+    with np.errstate(invalid="ignore"):  # inf * 0 in the terms that inner() skips
+        got = circle_pair_integral(s, q, Symbol.indicator(0), f, g)
+    assert _hex(got) == _hex(want)
+
+
+def test_deep_ray_quadrature_memory_is_chunked():
+    s = make(GallerySpec(family="mad", depth=2000))
+    rng = np.random.default_rng([13, 9])
+    phi = Symbol.from_support({0: 1.0, 1: 0.5j, 2: -0.25})
+    f = random_vector(s.tree, rng, unit=True)
+    g = random_vector(s.tree, rng, unit=True)
+    tracemalloc.start()
+    try:
+        # Default rule: 2 * (1 + 2 + 2000) + 1 = 4007 roots over 2001 vertices.
+        val = circle_pair_integral(s, TrigPoly.monomial(1), phi, f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+    assert abs(val) <= 1e-12
+
+
 def test_quadrature_rejects_insufficient_points():
     s = make(GallerySpec(family="unilateral", depth=5))
     f = TreeVector.basis(s.tree, 0)
@@ -282,6 +355,16 @@ def test_symbol_json_round_trips():
         Symbol.from_json({"support": [[0, 1.0, 0.0]], "rule": "ones"})
     with pytest.raises(ValueError):
         Symbol.from_json({})
+
+
+def test_symbol_json_coeffs_form():
+    phi = Symbol.from_json({"coeffs": {"0": [1.0, 0.0], "2": [0.5, -0.25], "3": [0, 0]}})
+    assert phi.values == {0: 1.0, 2: 0.5 - 0.25j} and phi.degree == 2
+    for bad in ({"coeffs": {"1": [float("nan"), 0.0]}}, {"coeffs": {"0": [1.0]}},
+                {"coeffs": {"0": [1.0, None]}}, {"coeffs": [[0, 1.0, 0.0]]},
+                {"coeffs": {"-1": [1.0, 0.0]}}, {"coeffs": {"0": [1.0, 0.0]}, "rule": "ones"}):
+        with pytest.raises(ValueError):
+            Symbol.from_json(bad)
 
 
 def test_non_finite_coefficients_rejected():

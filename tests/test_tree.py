@@ -166,6 +166,33 @@ def test_explicit_weights_follow_relabeling():
     assert weights == [0.25, 4.0]
 
 
+def test_parents_array_schema():
+    # Parents listed per vertex; weights[0] sits at the root and is ignored.
+    spec = {"vertices": 4, "parents": [None, 0, 0, 1], "weights": [9.0, 1.0, 0.5, 0.25]}
+    t, weights = parse_tree_spec(spec)
+    assert t.parent == (None, 0, 0, 1)
+    assert t.labels == ("0", "1", "2", "3")
+    assert weights == [1.0, 0.5, 0.25]
+    # Vertices are relabelled to BFS order, and weights follow them.
+    t, weights = parse_tree_spec({"vertices": 3, "parents": [None, 2, 0],
+                                  "weights": [0.0, 0.5, 2.0]})
+    assert t.labels == ("0", "2", "1") and t.parent == (None, 0, 1)
+    assert weights == [2.0, 0.5]
+    assert parse_tree_spec({"vertices": 1, "parents": [None]})[0].n_vertices == 1
+    for bad in (
+        {"vertices": 3, "parents": [0, 0, 1]},  # parents[0] is not null
+        {"vertices": 3, "parents": [None, 0, None]},  # a second root
+        {"vertices": 4, "parents": [None, 0, 0]},  # vertex count disagrees
+        {"parents": [None, 0]},  # vertex count missing
+        {"vertices": 2, "parents": [None, 0], "weights": [1.0]},  # one weight per vertex
+        {"vertices": 0, "parents": []},
+        {"vertices": 3, "parents": [None, 2, 1]},  # a cycle below no root
+        {"vertices": 2, "parents": [None, 0], "edges": [[0, 1]]},
+    ):
+        with pytest.raises(TreeSpecError):
+            parse_tree_spec(bad)
+
+
 def test_interior_and_leaf_queries():
     bl = build_tree({"family": "broom_leaf", "params": {"arms": 3}})
     assert bl.is_interior(0)
