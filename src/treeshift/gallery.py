@@ -145,7 +145,8 @@ def make(spec: Union[GallerySpec, Mapping[str, object]]) -> TruncatedShift:
         )
         rng = np.random.default_rng([seed, 1])
         lo, hi = math.log(0.5), math.log(2.0)
-        lam = {v: float(np.exp(rng.uniform(lo, hi))) for v in range(1, t.n_vertices)}
+        n = t.n_vertices
+        lam = dict(zip(range(1, n), np.exp(rng.uniform(lo, hi, size=n - 1)).tolist()))
         return TruncatedShift(t, lam)
     if fam == "random_balanced":
         _check_params(spec, {"seed", "branching", "generation_norms"})

@@ -306,12 +306,34 @@ def lambda_path(s: TruncatedShift, u: VertexId, v: VertexId) -> float:
     return prod
 
 
-def apply_shift(s: TruncatedShift, f: TreeVector) -> TreeVector:
+def apply_shift(
+    s: TruncatedShift, f: Union[TreeVector, np.ndarray]
+) -> Union[TreeVector, np.ndarray]:
     """(S f)(v) = lam(v) * f(parent(v)), zero at the root.
 
     Input mass at the deepest generation has no representable image and is
     dropped; ``boundary_mass`` measures how much.
+
+    ``f`` may also be a complex array of shape (N, k) whose rows are
+    indexed by breadth-first vertex id; each column is shifted and a new
+    array is returned. The block form is one row gather through the
+    parent array, then a scaling of the real and imaginary parts by lam
+    separately. For finite c that is exactly how CPython rounds
+    ``lam * c`` on the ``TreeVector`` route, so every finite entry agrees
+    bit for bit (up to the sign of a zero, which the sparse route prunes),
+    and it skips the promotion of lam to complex that numpy's complex
+    multiply would make.
     """
+    if isinstance(f, np.ndarray):
+        if f.ndim != 2 or f.shape[0] != s.tree.n_vertices or f.dtype != np.complex128:
+            raise ValueError(
+                f"expected a complex ({s.tree.n_vertices}, k) block, got {f.dtype} {f.shape}"
+            )
+        out = f[s.parent]
+        parts = out.view(np.float64)
+        parts *= s.lam[:, None]
+        out[0] = 0
+        return out
     _same_tree(s, f)
     lam = s.weights.lam
     out: dict[VertexId, complex] = {}

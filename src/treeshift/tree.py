@@ -279,8 +279,8 @@ def _random_structure(depth: int, seed: int, branching: Sequence[int]) -> Direct
     count = 1
     for _ in range(depth):
         nxt = []
-        for u in frontier:
-            n_children = int(rng.choice(choices))
+        counts = rng.choice(choices, size=len(frontier)).tolist()
+        for u, n_children in zip(frontier, counts):
             for _ in range(n_children):
                 labels.append(str(count))
                 edges.append((u, count))

@@ -146,25 +146,16 @@ def kernel_basis(s: TruncatedShift, interior_only: bool = True) -> KernelBasis:
     return KernelBasis(blocks=tuple(blocks), interior_only=interior_only)
 
 
-def _cached_basis(s: TruncatedShift, interior_only: bool) -> KernelBasis:
-    cache = getattr(s, "_kernel_basis_cache", None)
-    if cache is None:
-        cache = {}
-        s._kernel_basis_cache = cache
-    if interior_only not in cache:
-        cache[interior_only] = kernel_basis(s, interior_only)
-    return cache[interior_only]
-
-
 def project_kernel(s: TruncatedShift, f: TreeVector, basis: Optional[KernelBasis] = None) -> TreeVector:
     """Orthogonal projection of f onto the span of the kernel basis.
 
-    Defaults to the interior basis. Blocks have disjoint supports, so the
-    projection is a per-block expansion in the orthonormal vectors.
+    Defaults to the interior basis, built afresh. Blocks have disjoint
+    supports, so the projection is a per-block expansion in the
+    orthonormal vectors.
     """
     _same_tree(s, f)
     if basis is None:
-        basis = _cached_basis(s, True)
+        basis = kernel_basis(s)
     out: dict[VertexId, complex] = {}
     for block in basis.blocks:
         for b in block.vectors:
@@ -202,7 +193,7 @@ def peel(s: TruncatedShift, f: TreeVector, horizon: int) -> WoldComponents:
             f"column at vertex {inj.witness} has norm {inj.min_column_norm}"
         )
         raise ValueError(f"peel needs an injective shift: {reason}")
-    basis = _cached_basis(s, True)
+    basis = kernel_basis(s)
     boundary_part = project_kernel(s, f, _boundary_basis(s))
     layer = project_kernel(s, f, basis)
     components = [layer]
@@ -302,15 +293,39 @@ def is_locally_power_balanced(
 
 
 def _dense_images(s: TruncatedShift, n: int, basis: KernelBasis) -> np.ndarray:
-    cols = []
-    for b in basis.vectors():
-        img = b
-        for _ in range(n):
-            img = apply_shift(s, img)
-        cols.append(img.to_dense())
-    if not cols:
-        return np.zeros((s.tree.n_vertices, 0), dtype=complex)
-    return np.column_stack(cols)
+    """S^n applied to the basis, as an N x dim block with one column per vector.
+
+    The block is scattered once from the basis vectors and shifted n
+    times as a whole by ``apply_shift``.
+    """
+    rows: list[VertexId] = []
+    cols: list[int] = []
+    vals: list[complex] = []
+    for j, b in enumerate(basis.vectors()):
+        for v, c in b.items():
+            rows.append(v)
+            cols.append(j)
+            vals.append(c)
+    block = np.zeros((s.tree.n_vertices, basis.total_dim), dtype=complex)
+    block[rows, cols] = vals
+    for _ in range(n):
+        block = apply_shift(s, block)
+    return block
+
+
+def _image_pair(
+    s: TruncatedShift, n: int, m: int, basis: KernelBasis
+) -> tuple[np.ndarray, np.ndarray]:
+    """The n-th and m-th power images; the higher one is shifted on from the lower.
+
+    S^m B = S^(m-n) S^n B multiplies the same weights in the same order,
+    so both blocks are bitwise what ``_dense_images`` gives for each power.
+    """
+    low = _dense_images(s, min(n, m), basis)
+    high = low
+    for _ in range(abs(m - n)):
+        high = apply_shift(s, high)
+    return (low, high) if n <= m else (high, low)
 
 
 def wold_gram(
@@ -323,6 +338,9 @@ def wold_gram(
     therefore exact zeros of the truncated operator but say nothing about
     the untruncated one. Such gram matrices are flagged, and rejected when
     strict=True.
+
+    The basis block is built once, for the lower power; the higher
+    power's image is shifted on from it.
     """
     if n < 0 or m < 0:
         raise ValueError("powers must be nonnegative")
@@ -332,8 +350,7 @@ def wold_gram(
         raise HorizonError(
             f"gram orders ({n}, {m}) pass the horizon for a block at depth {max(depths)}"
         )
-    a = _dense_images(s, n, basis)
-    b = _dense_images(s, m, basis) if m != n else a
+    a, b = _image_pair(s, n, m, basis)
     return GramResult(matrix=a.T @ np.conj(b), n=n, m=m, exceeds_horizon=exceeds)
 
 
@@ -353,8 +370,7 @@ def image_intersection_dim(
     Orthonormalizes both images and counts principal-angle cosines at
     least 1 - tol.
     """
-    a = scipy.linalg.orth(_dense_images(s, n, basis))
-    b = scipy.linalg.orth(_dense_images(s, m, basis))
+    a, b = (scipy.linalg.orth(x) for x in _image_pair(s, n, m, basis))
     if a.shape[1] == 0 or b.shape[1] == 0:
         return 0
     cosines = scipy.linalg.svdvals(a.conj().T @ b)

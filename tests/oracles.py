@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from treeshift import TreeVector, gamma_apply, rotate_symbol
+from treeshift import TreeVector, apply_shift, gamma_apply, rotate_symbol
 
 
 def dense_shift_matrix(s):
@@ -74,3 +74,16 @@ def loop_circle_pair_integral(s, q, phi, f, g, n_points=None):
         w = cmath.exp(2j * math.pi * j / n_points)
         total += q(w) * gamma_apply(s, rotate_symbol(phi, w), f).inner(g)
     return total / n_points
+
+
+def loop_dense_images(s, n, basis):
+    """S^n of every basis vector, one ``TreeVector`` shifted n times per
+    column, densified and stacked side by side."""
+    cols = []
+    for b in basis.vectors():
+        for _ in range(n):
+            b = apply_shift(s, b)
+        cols.append(b.to_dense())
+    if not cols:
+        return np.zeros((s.tree.n_vertices, 0), dtype=complex)
+    return np.column_stack(cols)

@@ -1,7 +1,8 @@
 """Byte-identity of report.json on a fixed set of small CLI invocations.
 
-The files under tests/golden/ were written by the dict-based operator
-core that predates the array-backed one. Any change to the numerics, the
+Each file under tests/golden/ was written by the code as it stood before
+the change that added it, starting with the dict-based operator core
+that predates the array-backed one. Any change to the numerics, the
 verdict logic or the report layout shows up here as a byte difference.
 """
 
@@ -30,6 +31,9 @@ CASES = {
     "gram_random_balanced": ["gram", "--family", "random_balanced", "--depth", "5",
                              "--seed", "2"],
     "gram_random": ["gram", "--family", "random", "--depth", "5", "--seed", "1"],
+    "gram_random_mixed": ["gram", "--family", "random", "--branching", "1,2,3", "--depth", "6",
+                          "--seed", "4", "--max-power", "6"],
+    "gram_t2_zero": ["gram", "--family", "t2_zero", "--depth", "5"],
     "wold_random_balanced": ["wold", "--family", "random_balanced", "--branching", "3",
                              "--depth", "4", "--cases", "2"],
     "balanced_random": ["balanced", "--family", "random", "--branching", "1,2,3",

@@ -233,6 +233,36 @@ def test_apply_shift_vs_dense_seeded():
         assert np.max(np.abs(got_adj - want_adj)) <= 1e-13 * max(1.0, float(np.max(np.abs(want_adj)))), trial
 
 
+def test_apply_shift_block_matches_columns():
+    rng = np.random.default_rng([82, 0])
+    shifts = [_random_shift(int(rng.integers(10_000)), depth=4) for _ in range(4)]
+    shifts.append(make(GallerySpec(family="t2_zero", depth=4)))
+    for trial, s in enumerate(shifts):
+        n = s.tree.n_vertices
+        deep = [v for v in range(n) if s.tree.depth[v] == s.max_depth]
+        block = rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))
+        block[:, 0] = 0
+        block[0, 0] = 2.0 - 1.0j  # mass at the root
+        block[:, 1] = 0
+        block[deep, 1] = 1.5j  # mass only at the deepest generation
+        before = block.copy()
+        got = apply_shift(s, block)
+        want = np.column_stack([
+            apply_shift(s, vector_from_dense(s.tree, block[:, j])).to_dense() for j in range(5)
+        ])
+        assert got.shape == (n, 5) and got.dtype == complex
+        # Zero weights leave -0.0 where the sparse route prunes to +0.0.
+        assert np.array_equal(got, want), trial
+        if s.weights.strictly_positive:
+            assert got.tobytes() == want.tobytes(), trial
+        assert block.tobytes() == before.tobytes(), trial
+        assert not np.any(got[:, 1]) and not np.any(got[0])
+    with pytest.raises(ValueError, match="block"):
+        apply_shift(s, np.zeros((n + 1, 2), dtype=complex))
+    with pytest.raises(ValueError, match="block"):
+        apply_shift(s, np.zeros(n, dtype=complex))
+
+
 def test_close_combines_scales():
     assert close(1.0, 1.0 + 1e-11)
     assert not close(1.0, 1.001)

@@ -26,7 +26,7 @@ from treeshift import (
     wold_gram,
 )
 
-from oracles import dense_shift_matrix, random_vector
+from oracles import dense_shift_matrix, loop_dense_images, random_vector
 
 ALPHA = 0.5
 
@@ -262,6 +262,38 @@ def test_gram_horizon_flag_and_strict_mode():
         wold_gram(s, 2, 3, basis, strict=True)
     fine = wold_gram(s, 0, 1, basis, strict=True)
     assert not fine.exceeds_horizon
+
+
+def _oracle_intersection_dim(a, b, tol=1e-8):
+    a, b = scipy.linalg.orth(a), scipy.linalg.orth(b)
+    if a.shape[1] == 0 or b.shape[1] == 0:
+        return 0
+    return int(np.sum(np.clip(scipy.linalg.svdvals(a.conj().T @ b), 0.0, 1.0) >= 1.0 - tol))
+
+
+def test_gram_and_images_bitwise_equal_per_vector_loop():
+    shifts = [
+        make(GallerySpec(family="random", depth=5, params={"seed": 3, "branching": (1, 2, 3)})),
+        random_balanced(seed=8, branching=(2, 3), depth=4),
+        _t2(depth=5),
+        make(GallerySpec(family="t2_zero", depth=5)),
+        make(GallerySpec(family="broom_leaf", params={"arms": 4})),
+        make(GallerySpec(family="mad", depth=6)),
+    ]
+    for case, s in enumerate(shifts):
+        for interior_only in (True, False):
+            kb = kernel_basis(s, interior_only)
+            powers = range(s.max_depth + 2)
+            images = [loop_dense_images(s, n, kb) for n in powers]
+            for n in powers:
+                a = images[n]
+                assert image_dim(s, n, kb) == (np.linalg.matrix_rank(a) if a.size else 0), (case, n)
+                for m in powers:
+                    b = images[m]
+                    got = wold_gram(s, n, m, kb).matrix
+                    assert got.tobytes() == (a.T @ np.conj(b)).tobytes(), (case, n, m)
+                    want = _oracle_intersection_dim(a, b)
+                    assert image_intersection_dim(s, n, m, kb) == want, (case, n, m)
 
 
 def test_image_dims_on_counterexample_fixtures():
