@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -26,7 +27,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .gallery import (
-    GALLERY_FAMILIES,
     GallerySpec,
     load_shift,
     make,
@@ -50,7 +50,7 @@ from .ops import (
     operator_norm_power,
     power_norm,
 )
-from .tree import TreeSpecError, enumerate_paths, load_tree_file
+from .tree import FAMILIES, TreeSpecError, enumerate_paths, load_tree_file
 from .wold import (
     is_balanced,
     is_locally_power_balanced,
@@ -171,7 +171,7 @@ def _build_shift(args) -> tuple[TruncatedShift, Optional[str], dict]:
             params["arms"] = args.arms
         if args.branching is not None:
             params["branching"] = _parse_branching(args.branching)
-        if args.family in ("random", "random_balanced"):
+        if "seed" in FAMILIES[args.family].params:
             params["seed"] = args.seed
         shift = make(GallerySpec(family=args.family, depth=args.depth, params=params))
         echoed = {k: list(v) if isinstance(v, tuple) else v for k, v in params.items()}
@@ -633,7 +633,7 @@ _RUNNERS = {
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tree", help="path to a JSON tree spec")
-    sub.add_argument("--family", choices=GALLERY_FAMILIES, help="gallery family")
+    sub.add_argument("--family", choices=tuple(FAMILIES), help="gallery family")
     sub.add_argument("--depth", type=int, help="truncation depth for family builds")
     sub.add_argument("--alpha", type=float, help="lower-ray weight for the t2 family")
     sub.add_argument("--arms", type=int, help="arm count for the broom families")
@@ -643,7 +643,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol", type=float, help="override the experiment's verdict tolerance")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="treeshift", description="weighted-shift experiments on truncated trees"
     )

@@ -1,39 +1,38 @@
 """Rooted directed trees truncated at a fixed generation depth.
 
 Vertex ids are dense integers assigned breadth first, so the root is id 0
-and every generation occupies a contiguous id range. All list-valued
-queries return vertices in ascending id order, which makes downstream
-numerics reproducible. Trees are immutable after construction and safe to
-share between threads.
+and every generation and every sibling set occupies a contiguous id
+range. All list-valued queries return vertices in ascending id order,
+which makes downstream numerics reproducible. Trees are immutable after
+construction and safe to share between threads.
 
-A tree comes either from an explicit vertex/edge description or from a
-named generator family (see FAMILY_NAMES). Childless vertices strictly
-above the truncation depth are recorded as genuine leaves. Childless
-vertices at the truncation depth are boundary vertices: they are presumed
-to continue past the horizon unless the generating family knows better
-(the broom families mark their arms as genuine leaves even though the arms
-sit at the deepest generation).
+A tree comes either from an explicit vertex/edge or parents description,
+relabelled breadth first, or from a named family in ``FAMILIES``. Both
+routes end in ``DirectedTree.from_bfs_parents``, which derives the rest
+of the structure from the breadth-first parent array. Childless vertices
+strictly above the truncation depth are recorded as genuine leaves.
+Childless vertices at the truncation depth are boundary vertices: they
+are presumed to continue past the horizon unless the generating family
+knows better (the broom families mark their arms as genuine leaves even
+though the arms sit at the deepest generation).
+
+``FAMILIES`` is the one registry of named families. Each entry holds the
+allowed params with their defaults, the depth rule, the parent-array
+builder, the weight rule and ``norm_attained_within_depth``; the gallery
+turns an entry into a shift.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+import math
+import numbers
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 VertexId = int
-
-FAMILY_NAMES = (
-    "unilateral",
-    "mad",
-    "broom",
-    "broom_leaf",
-    "t2",
-    "t2_zero",
-    "random",
-)
 
 
 class TreeSpecError(ValueError):
@@ -66,30 +65,49 @@ class DirectedTree:
     def max_depth(self) -> int:
         return len(self.generations) - 1
 
+    @classmethod
+    def from_bfs_parents(
+        cls,
+        parent: Sequence[int],
+        labels: Optional[Sequence[str]] = None,
+        genuine_leaves: Optional[Iterable[VertexId]] = None,
+    ) -> "DirectedTree":
+        """Derive children, depths and generations from a BFS parent array.
+
+        ``parent[v]`` is the parent id of vertex v; entry 0, the root's, is
+        ignored. Breadth-first ids make the entries nondecreasing with
+        ``parent[v] < v``, so the children of u are the id range starting
+        at the first v with ``parent[v] >= u``. Labels default to
+        ``str(v)``; genuine leaves default to the childless vertices above
+        the deepest generation.
+        """
+        p = np.asarray(parent[1:], dtype=np.intp)
+        n = len(p) + 1
+        if p.size and (p[0] != 0 or np.any(np.diff(p) < 0) or np.any(p >= np.arange(1, n))):
+            raise TreeSpecError("parent array is not in breadth-first order")
+        # Children of u: ids first[u] up to first[u + 1].
+        first = (np.searchsorted(p, np.arange(n + 1)) + 1).tolist()
+        # Generation d + 2 starts at the first child of generation d + 1.
+        offsets = [0, 1]
+        while offsets[-1] < n:
+            offsets.append(first[offsets[-1]])
+        sizes = np.diff(offsets)
+        max_depth = len(sizes) - 1
+        if genuine_leaves is None:
+            childless = np.diff(first[: offsets[max_depth] + 1]) == 0
+            genuine_leaves = np.flatnonzero(childless).tolist()
+        return cls(
+            parent=(None, *p.tolist()),
+            children=tuple(tuple(range(a, b)) for a, b in zip(first, first[1:])),
+            depth=tuple(np.repeat(np.arange(max_depth + 1), sizes).tolist()),
+            generations=tuple(tuple(range(a, b)) for a, b in zip(offsets, offsets[1:])),
+            labels=tuple(map(str, range(n))) if labels is None else tuple(labels),
+            genuine_leaves=frozenset(genuine_leaves),
+        )
+
     def check_vertex(self, v: VertexId) -> None:
         if not isinstance(v, (int, np.integer)) or not 0 <= v < self.n_vertices:
             raise ValueError(f"invalid vertex id {v!r}")
-
-    def parent_of(self, v: VertexId) -> Optional[VertexId]:
-        self.check_vertex(v)
-        return self.parent[v]
-
-    def children_of(self, v: VertexId) -> tuple[VertexId, ...]:
-        self.check_vertex(v)
-        return self.children[v]
-
-    def depth_of(self, v: VertexId) -> int:
-        self.check_vertex(v)
-        return self.depth[v]
-
-    def generation(self, n: int) -> tuple[VertexId, ...]:
-        if not 0 <= n <= self.max_depth:
-            raise ValueError(f"generation {n} outside [0, {self.max_depth}]")
-        return self.generations[n]
-
-    def label_of(self, v: VertexId) -> str:
-        self.check_vertex(v)
-        return self.labels[v]
 
     def vertex_with_label(self, label: str) -> VertexId:
         try:
@@ -186,136 +204,248 @@ def _assemble(labels: Sequence[str], edges: Sequence[tuple[int, int]]) -> tuple[
     root = roots[0]
 
     order: list[int] = [root]
-    depth_in = {root: 0}
     head = 0
     while head < len(order):
-        u = order[head]
+        order.extend(children_in[order[head]])
         head += 1
-        for c in children_in[u]:
-            depth_in[c] = depth_in[u] + 1
-            order.append(c)
     if len(order) < n:
         # Unreached vertices all have parents, so their ancestry loops.
         raise TreeSpecError("cycle detected among vertices unreachable from the root")
 
     new_id = {old: i for i, old in enumerate(order)}
-    parent = tuple(None if old == root else new_id[parent_in[old]] for old in order)
-    children = tuple(tuple(sorted(new_id[c] for c in children_in[old])) for old in order)
-    depth = tuple(depth_in[old] for old in order)
-    max_depth = max(depth)
-    gens: list[list[int]] = [[] for _ in range(max_depth + 1)]
-    for v, d in enumerate(depth):
-        gens[d].append(v)
-    generations = tuple(tuple(g) for g in gens)
-    genuine = frozenset(v for v in range(n) if not children[v] and depth[v] < max_depth)
-    tree = DirectedTree(
-        parent=parent,
-        children=children,
-        depth=depth,
-        generations=generations,
-        labels=tuple(str(labels[old]) for old in order),
-        genuine_leaves=genuine,
-    )
+    parent = [0] + [new_id[parent_in[old]] for old in order[1:]]
+    tree = DirectedTree.from_bfs_parents(parent, [str(labels[old]) for old in order])
     return tree, new_id
 
 
-def _chain(depth: int) -> DirectedTree:
-    if depth < 0:
-        raise TreeSpecError("depth must be nonnegative")
-    labels = [str(i) for i in range(depth + 1)]
-    edges = [(i, i + 1) for i in range(depth)]
-    return _assemble(labels, edges)[0]
+def _integer(name: str, x: object) -> int:
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise TreeSpecError(f"{name} must be an integer, got {x!r}")
+    return int(x)
 
 
-def _broom(arms: int) -> DirectedTree:
+def _ray_parents(depth: int, p: Mapping[str, object]):
+    return np.arange(-1, depth), None, None
+
+
+def _broom_parents(depth: int, p: Mapping[str, object]):
+    arms = _integer("arms", p["arms"])
     if arms < 1:
         raise TreeSpecError("broom needs at least one arm")
-    labels = ["0"] + [str(i) for i in range(1, arms + 1)]
-    edges = [(0, i) for i in range(1, arms + 1)]
-    tree = _assemble(labels, edges)[0]
     # Arms are leaves of the untruncated object, not boundary artifacts.
-    return replace(tree, genuine_leaves=frozenset(range(1, arms + 1)))
+    return np.zeros(arms + 1, dtype=np.intp), None, range(1, arms + 1)
 
 
-def _broom_leaf(arms: int) -> DirectedTree:
-    """A broom whose first arm carries a single pendant vertex."""
+def _broom_leaf_parents(depth: int, p: Mapping[str, object]):
+    """A broom whose first arm carries a single pendant vertex, omega."""
+    arms = _integer("arms", p["arms"])
     if arms < 2:
         raise TreeSpecError("broom_leaf needs at least two arms")
-    labels = ["0"] + [str(i) for i in range(1, arms + 1)] + ["omega"]
-    edges = [(0, i) for i in range(1, arms + 1)] + [(1, arms + 1)]
-    tree = _assemble(labels, edges)[0]
-    omega = tree.vertex_with_label("omega")
-    genuine = frozenset(range(2, arms + 1)) | {omega}
-    return replace(tree, genuine_leaves=genuine)
+    labels = [*map(str, range(arms + 1)), "omega"]
+    return np.array([0] * (arms + 1) + [1]), labels, range(2, arms + 2)
 
 
-def _two_rays(depth: int) -> DirectedTree:
-    if depth < 1:
-        raise TreeSpecError("t2 needs depth >= 1")
-    labels = ["(0,0)"]
-    edges = []
-    idx = {}
-    k = 1
-    for j in range(1, depth + 1):
-        for i in (1, 2):
-            labels.append(f"({i},{j})")
-            idx[(i, j)] = k
-            src = 0 if j == 1 else idx[(i, j - 1)]
-            edges.append((src, k))
-            k += 1
-    return _assemble(labels, edges)[0]
+def _two_ray_parents(depth: int, p: Mapping[str, object]):
+    """Ray i in {1, 2} holds the odd / even ids: (i, j) is vertex 2j - 2 + i."""
+    labels = ["(0,0)"] + [f"({2 - v % 2},{(v + 1) // 2})" for v in range(1, 2 * depth + 1)]
+    return np.maximum(np.arange(-2, 2 * depth - 1), 0), labels, None
 
 
-def _random_structure(depth: int, seed: int, branching: Sequence[int]) -> DirectedTree:
-    if depth < 0:
-        raise TreeSpecError("depth must be nonnegative")
-    choices = [int(b) for b in branching]
-    if not choices or any(b < 1 for b in choices):
+def _random_parents(depth: int, p: Mapping[str, object]):
+    """Per generation, each vertex draws its child count from the branching law."""
+    seed = _integer("seed", p["seed"])
+    law = p["branching"]
+    if isinstance(law, (str, bytes)) or not isinstance(law, Sequence) or not law:
+        raise TreeSpecError(f"branching must be a nonempty list of child counts, got {law!r}")
+    law = [_integer("branching entry", b) for b in law]
+    if min(law) < 1:
         raise TreeSpecError("branching law must list child counts >= 1")
-    rng = np.random.default_rng([int(seed), 0])
-    labels = ["0"]
-    edges: list[tuple[int, int]] = []
-    frontier = [0]
-    count = 1
+    rng = np.random.default_rng([seed, 0])
+    parent = [np.zeros(1, dtype=np.intp)]
+    start, stop = 0, 1
     for _ in range(depth):
-        nxt = []
-        counts = rng.choice(choices, size=len(frontier)).tolist()
-        for u, n_children in zip(frontier, counts):
-            for _ in range(n_children):
-                labels.append(str(count))
-                edges.append((u, count))
-                nxt.append(count)
-                count += 1
-        frontier = nxt
-    return _assemble(labels, edges)[0]
+        kids = np.repeat(np.arange(start, stop), rng.choice(law, size=stop - start))
+        parent.append(kids)
+        start, stop = stop, stop + len(kids)
+    return np.concatenate(parent), None, None
 
 
-def _family_tree(family: str, params: Mapping[str, object], depth: Optional[int]) -> DirectedTree:
-    if family in ("unilateral", "mad"):
-        if depth is None:
-            raise TreeSpecError(f"{family} requires a depth")
-        return _chain(depth)
-    if family == "broom":
-        arms = int(params.get("arms", 5))
-        if depth is not None and depth != 1:
-            raise TreeSpecError("broom trees have depth 1")
-        return _broom(arms)
-    if family == "broom_leaf":
-        arms = int(params.get("arms", 5))
-        if depth is not None and depth != 2:
-            raise TreeSpecError("broom_leaf trees have depth 2")
-        return _broom_leaf(arms)
-    if family in ("t2", "t2_zero"):
-        if depth is None:
-            raise TreeSpecError(f"{family} requires a depth")
-        return _two_rays(depth)
-    if family == "random":
-        if depth is None:
-            raise TreeSpecError("random requires a depth")
-        seed = int(params.get("seed", 0))
-        branching = params.get("branching", (1, 2))
-        return _random_structure(depth, seed, branching)  # type: ignore[arg-type]
-    raise TreeSpecError(f"unknown family {family!r}")
+def _broom_weights(tree: DirectedTree, p: Mapping[str, object]) -> np.ndarray:
+    arms = len(tree.children[0])
+    if p["weights"] is None:
+        return 1.0 / np.arange(1, arms + 1)
+    vals = np.array([float(w) for w in p["weights"]])  # type: ignore[union-attr]
+    if len(vals) != arms:
+        raise TreeSpecError(f"expected {arms} arm weights, got {len(vals)}")
+    if np.any(vals <= 0):
+        raise TreeSpecError("arm weights must be positive")
+    return vals
+
+
+def _broom_leaf_weights(tree: DirectedTree, p: Mapping[str, object]) -> np.ndarray:
+    omega = float(p["omega_weight"])  # type: ignore[arg-type]
+    if omega <= 0:
+        raise TreeSpecError("omega_weight must be positive")
+    return np.append(_broom_weights(tree, p), omega)
+
+
+def _t2_weights(tree: DirectedTree, p: Mapping[str, object]) -> np.ndarray:
+    if p["alpha"] is None:
+        raise TreeSpecError("t2 requires params['alpha']")
+    alpha = float(p["alpha"])  # type: ignore[arg-type]
+    if not 0.0 < alpha < 1.0:
+        raise TreeSpecError(f"alpha must lie in (0, 1), got {alpha}")
+    return np.tile([1.0, alpha], tree.max_depth)
+
+
+def _t2_zero_weights(tree: DirectedTree, p: Mapping[str, object]) -> np.ndarray:
+    lam = np.tile([1.0, 2.0], tree.max_depth)
+    lam[2:4] = 0.0  # both edges into generation 2
+    return lam
+
+
+def _random_weights(tree: DirectedTree, p: Mapping[str, object]) -> np.ndarray:
+    rng = np.random.default_rng([int(p["seed"]), 1])  # type: ignore[call-overload]
+    return np.exp(rng.uniform(math.log(0.5), math.log(2.0), size=tree.n_vertices - 1))
+
+
+def _balanced_weights(tree: DirectedTree, p: Mapping[str, object]) -> np.ndarray:
+    """Each parent at depth d splits generation_norms[d]^2 over its children
+    in proportion to uniform draws, so every interior column norm at depth d
+    is exactly that target.
+
+    One draw per child in id order is the stream the per-parent draws make.
+    Sibling sums run per child count c on the (parents, c) block, where
+    ``sum(axis=1)`` adds each row in the order ``draws[kids].sum()`` does,
+    numpy's pairwise order from 8 children on (``np.add.reduceat`` does
+    not).
+    """
+    depth = tree.max_depth
+    norms = p["generation_norms"]
+    if norms is None:
+        norms = [1.0] * depth
+    else:
+        norms = [float(g) for g in norms]  # type: ignore[union-attr]
+        if len(norms) < depth:
+            raise TreeSpecError(f"need {depth} generation norms, got {len(norms)}")
+        if any(g <= 0 for g in norms):
+            raise TreeSpecError("generation norms must be positive")
+    rng = np.random.default_rng([int(p["seed"]), 2])  # type: ignore[call-overload]
+    draws = rng.uniform(0.5, 1.5, size=tree.n_vertices - 1)
+    parent = np.array(tree.parent[1:], dtype=np.intp)
+    counts = np.bincount(parent, minlength=tree.n_vertices)
+    first = np.cumsum(counts) - counts  # index into draws of each parent's first child
+    sums = np.empty_like(draws)
+    for c in np.unique(counts[counts > 0]).tolist():
+        block = first[counts == c][:, None] + np.arange(c)
+        sums[block] = draws[block].sum(axis=1)[:, None]
+    parent_depth = np.array(tree.depth[1:], dtype=np.intp) - 1
+    return np.sqrt(np.square(norms)[parent_depth] * (draws / sums))
+
+
+@dataclass(frozen=True)
+class Family:
+    """One named family: how to build its tree and weigh its edges.
+
+    ``build(depth, params)`` returns the BFS parent array, plus labels and
+    genuine leaves where they differ from the ``from_bfs_parents``
+    defaults (None otherwise). ``weights(tree, params)`` returns the
+    weights of vertices 1..N-1. ``params`` lists every accepted param with
+    its default. A family has either a fixed depth or a minimum one.
+    """
+
+    build: Callable[[int, Mapping[str, object]], tuple]
+    weights: Callable[[DirectedTree, Mapping[str, object]], np.ndarray]
+    params: Mapping[str, object] = field(default_factory=dict)
+    min_depth: int = 0
+    fixed_depth: Optional[int] = None
+    norm_attained_within_depth: Optional[int] = None
+
+
+# unilateral       single ray, every weight 1
+# mad              single ray, weight n/(n-1) on the n-th edge (first is 1),
+#                  so the weight product from the root to depth n is exactly n
+# broom            root with finitely many arms, arms are genuine leaves;
+#                  default arm weights 1/n (square summable surrogate)
+# broom_leaf       broom whose first arm carries one pendant vertex
+# t2               two rays glued at the root, upper weights 1, lower alpha
+# t2_zero          two rays with a zero weight at the second step of each,
+#                  ones above, twos below elsewhere
+# random           seeded random structure, weights log-uniform in [0.5, 2]
+# random_balanced  the random structure, per-parent weights drawn on a
+#                  simplex so every generation shares one column norm
+#
+# The finite broom stands in for its countable-arm counterpart: kernel and
+# image statements depend only on the arms actually present.
+_RANDOM = {"seed": 0, "branching": (1, 2)}
+
+FAMILIES: Mapping[str, Family] = {
+    "unilateral": Family(
+        _ray_parents, lambda t, p: np.ones(t.n_vertices - 1), norm_attained_within_depth=0
+    ),
+    "mad": Family(
+        _ray_parents,
+        lambda t, p: np.arange(1, t.n_vertices) / np.arange(0, t.n_vertices - 1).clip(1),
+        min_depth=1,
+        norm_attained_within_depth=1,
+    ),
+    "broom": Family(
+        _broom_parents,
+        _broom_weights,
+        {"arms": 5, "weights": None},
+        fixed_depth=1,
+        norm_attained_within_depth=0,
+    ),
+    "broom_leaf": Family(
+        _broom_leaf_parents,
+        _broom_leaf_weights,
+        {"arms": 5, "weights": None, "omega_weight": 1.0},
+        fixed_depth=2,
+        norm_attained_within_depth=1,
+    ),
+    "t2": Family(
+        _two_ray_parents, _t2_weights, {"alpha": None}, min_depth=1, norm_attained_within_depth=0
+    ),
+    "t2_zero": Family(
+        _two_ray_parents, _t2_zero_weights, min_depth=3, norm_attained_within_depth=2
+    ),
+    "random": Family(_random_parents, _random_weights, _RANDOM),
+    "random_balanced": Family(
+        _random_parents, _balanced_weights, {**_RANDOM, "generation_norms": None}
+    ),
+}
+
+
+def _family(spec: Mapping[str, object], weigh: bool) -> tuple[DirectedTree, Optional[list[float]]]:
+    """Check a family document against its ``FAMILIES`` entry and build it."""
+    extra = set(spec) - _FAMILY_KEYS
+    if extra:
+        raise TreeSpecError(f"unknown keys in family spec: {sorted(extra)}")
+    name = str(spec["family"])
+    fam = FAMILIES.get(name)
+    if fam is None:
+        raise TreeSpecError(f"unknown family {name!r}")
+    given = spec.get("params", {})
+    if not isinstance(given, Mapping):
+        raise TreeSpecError("params must be a mapping")
+    extra = set(given) - set(fam.params)
+    if extra:
+        raise TreeSpecError(f"{name} does not take params {sorted(extra)}")
+    depth = spec.get("depth")
+    if depth is not None:
+        depth = _integer("depth", depth)
+    if fam.fixed_depth is not None:
+        if depth not in (None, fam.fixed_depth):
+            raise TreeSpecError(f"{name} trees have depth {fam.fixed_depth}, got {depth}")
+        depth = fam.fixed_depth
+    elif depth is None:
+        raise TreeSpecError(f"{name} requires a depth")
+    elif depth < fam.min_depth:
+        raise TreeSpecError(f"{name} requires depth >= {fam.min_depth}")
+    params = {**fam.params, **given}
+    parent, labels, genuine = fam.build(depth, params)
+    tree = DirectedTree.from_bfs_parents(parent, labels, genuine)
+    return tree, fam.weights(tree, params).tolist() if weigh else None
 
 
 _EXPLICIT_KEYS = {"vertices", "edges", "weights"}
@@ -337,25 +467,19 @@ def parse_tree_spec(spec: Mapping[str, object]) -> tuple[DirectedTree, Optional[
 
         {"vertices": 3, "parents": [null, 0, 0], "weights": [0.0, 0.6, 0.8]}
 
-    The family shape names a registered generator:
+    The family shape names an entry of ``FAMILIES``, whose params and
+    depth rule it must meet (a fixed-depth family may omit the depth):
 
         {"family": "t2", "params": {"alpha": 0.5}, "depth": 8}
 
     Unknown top-level keys are rejected. Weights returned here are keyed
     by vertex id of the child endpoint, in id order starting at 1; the
-    family shape returns None (weight rules live in the gallery).
+    family shape returns the family's weights, the other shapes None when
+    the document carries none.
     """
     keys = set(spec)
     if "family" in keys:
-        extra = keys - _FAMILY_KEYS
-        if extra:
-            raise TreeSpecError(f"unknown keys in family spec: {sorted(extra)}")
-        params = spec.get("params", {})
-        if not isinstance(params, Mapping):
-            raise TreeSpecError("params must be a mapping")
-        depth = spec.get("depth")
-        tree = _family_tree(str(spec["family"]), params, None if depth is None else int(depth))
-        return tree, None
+        return _family(spec, weigh=True)
     if "parents" in keys:
         extra = keys - _PARENTS_KEYS
         if extra:
@@ -408,7 +532,13 @@ def _explicit(
 
 
 def build_tree(spec: Mapping[str, object]) -> DirectedTree:
-    """Build a tree from a spec mapping, discarding any weight payload."""
+    """Build a tree from a spec mapping, discarding any weight payload.
+
+    A family's weight rule is not run, so its weight params (t2's alpha,
+    say) may be left out here.
+    """
+    if "family" in spec:
+        return _family(spec, weigh=False)[0]
     return parse_tree_spec(spec)[0]
 
 

@@ -7,10 +7,11 @@ two-route check rather than a tautology.
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from treeshift import TreeVector, apply_shift, gamma_apply, rotate_symbol
+from treeshift import TreeVector, apply_shift, build_tree, gamma_apply, rotate_symbol
 
 
 def dense_shift_matrix(s):
@@ -87,3 +88,96 @@ def loop_dense_images(s, n, basis):
     if not cols:
         return np.zeros((s.tree.n_vertices, 0), dtype=complex)
     return np.column_stack(cols)
+
+
+def _assembled(labels, edges, genuine_labels=None):
+    """One tree through the explicit vertices/edges route (BFS relabel)."""
+    t = build_tree({"vertices": labels, "edges": [list(e) for e in edges]})
+    if genuine_labels is not None:
+        t = replace(t, genuine_leaves=frozenset(t.vertex_with_label(x) for x in genuine_labels))
+    return t
+
+
+def _random_edges(depth, seed, branching):
+    rng = np.random.default_rng([int(seed), 0])
+    labels, edges, frontier, count = ["0"], [], [0], 1
+    for _ in range(depth):
+        nxt = []
+        counts = rng.choice(list(branching), size=len(frontier)).tolist()
+        for u, n_children in zip(frontier, counts):
+            for _ in range(n_children):
+                labels.append(str(count))
+                edges.append((u, count))
+                nxt.append(count)
+                count += 1
+        frontier = nxt
+    return labels, edges
+
+
+def _arm_weights(weights, arms):
+    vals = [1.0 / n for n in range(1, arms + 1)] if weights is None else [float(w) for w in weights]
+    return {n: vals[n - 1] for n in range(1, arms + 1)}
+
+
+def loop_family(family, depth=None, params=None):
+    """A gallery family built vertex by vertex: labels and edges through the
+    explicit route, weights as a per-vertex mapping, and the random_balanced
+    weights drawn parent by parent. Returns (tree, lam) with lam listing the
+    weights of vertices 1..N-1. Valid parameters only; no validation."""
+    p = dict(params or {})
+    if family in ("unilateral", "mad"):
+        t = _assembled([str(i) for i in range(depth + 1)], [(i, i + 1) for i in range(depth)])
+        if family == "unilateral":
+            lam = {v: 1.0 for v in range(1, t.n_vertices)}
+        else:
+            lam = {v: 1.0 if v == 1 else v / (v - 1) for v in range(1, t.n_vertices)}
+    elif family in ("broom", "broom_leaf"):
+        arms = p.get("arms", 5)
+        labels = ["0"] + [str(i) for i in range(1, arms + 1)]
+        edges = [(0, i) for i in range(1, arms + 1)]
+        lam = _arm_weights(p.get("weights"), arms)
+        if family == "broom":
+            t = _assembled(labels, edges, labels[1:])
+        else:
+            t = _assembled(labels + ["omega"], edges + [(1, arms + 1)], labels[2:] + ["omega"])
+            lam[t.vertex_with_label("omega")] = float(p.get("omega_weight", 1.0))
+    elif family in ("t2", "t2_zero"):
+        labels, edges, idx = ["(0,0)"], [], {}
+        for j in range(1, depth + 1):
+            for i in (1, 2):
+                labels.append(f"({i},{j})")
+                idx[(i, j)] = len(labels) - 1
+                edges.append((0 if j == 1 else idx[(i, j - 1)], len(labels) - 1))
+        t = _assembled(labels, edges)
+        ids = {label: v for v, label in enumerate(t.labels)}
+        lam = {}
+        for j in range(1, depth + 1):
+            if family == "t2":
+                lam[ids[f"(1,{j})"]] = 1.0
+                lam[ids[f"(2,{j})"]] = float(p["alpha"])
+            else:
+                lam[ids[f"(1,{j})"]] = 0.0 if j == 2 else 1.0
+                lam[ids[f"(2,{j})"]] = 0.0 if j == 2 else 2.0
+    else:
+        seed = p.get("seed", 0)
+        t = _assembled(*_random_edges(depth, seed, p.get("branching", (1, 2))))
+        n = t.n_vertices
+        if family == "random":
+            rng = np.random.default_rng([seed, 1])
+            draws = np.exp(rng.uniform(math.log(0.5), math.log(2.0), size=n - 1))
+            lam = dict(zip(range(1, n), draws.tolist()))
+        else:
+            norms = p.get("generation_norms") or [1.0] * max(depth, 1)
+            rng = np.random.default_rng([seed, 2])
+            lam = {}
+            for d, gen in enumerate(t.generations[:-1]):
+                target = norms[d] * norms[d]
+                for u in gen:
+                    kids = t.children[u]
+                    if not kids:
+                        continue
+                    draws = rng.uniform(0.5, 1.5, size=len(kids))
+                    shares = draws / draws.sum()
+                    for v, share in zip(kids, shares):
+                        lam[v] = math.sqrt(target * float(share))
+    return t, [lam[v] for v in range(1, t.n_vertices)]

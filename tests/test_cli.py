@@ -63,6 +63,27 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fixed_depth_family_with_other_depth_exits_two(tmp_path, capsys):
+    for family, depth in (("broom", "7"), ("broom_leaf", "9")):
+        out = str(tmp_path / family)
+        assert _run(["norms", "--family", family, "--depth", depth, "--out", out]) == 2
+        assert "depth" in capsys.readouterr().err
+        assert not os.path.exists(out)
+    spec = tmp_path / "broom.json"
+    spec.write_text('{"family": "broom", "depth": 7}', encoding="utf-8")
+    assert _run(["norms", "--tree", str(spec), "--out", str(tmp_path / "f")]) == 2
+    assert "depth" in capsys.readouterr().err
+
+
+def test_family_echo_carries_only_given_params(tmp_path):
+    out = str(tmp_path / "r")
+    assert _run(["norms", "--family", "broom", "--arms", "3", "--out", out]) == 0
+    assert _read_report(out)["inputs"] == {"family": "broom", "depth": None,
+                                           "params": {"arms": 3}, "max_power": 1}
+    assert _run(["radius", "--family", "random_balanced", "--depth", "3", "--out", out]) == 0
+    assert _read_report(out)["inputs"]["params"] == {"seed": 0}
+
+
 def test_non_finite_symbol_exits_two(tmp_path, capsys):
     out = str(tmp_path / "r")
     assert _run(["approx", "--family", "mad", "--depth", "8", "--phi", "power_law:nan:4",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from treeshift import (
+    GALLERY_FAMILIES,
     GallerySpec,
     HorizonError,
     PathSelector,
@@ -21,7 +22,7 @@ from treeshift import (
     t2_expected_peel_coefficient,
 )
 
-from oracles import dense_shift_matrix
+from oracles import dense_shift_matrix, loop_family
 
 
 def test_mad_weight_rule():
@@ -85,6 +86,20 @@ def test_unknown_family_and_stray_params():
         make(GallerySpec(family="unilateral", depth=3, params={"alpha": 0.5}))
     with pytest.raises(ValueError):
         make(GallerySpec(family="mad"))
+
+
+def test_fixed_depth_families_reject_other_depths(tmp_path):
+    for family, depth in (("broom", 7), ("broom", 2), ("broom_leaf", 9), ("broom_leaf", 1)):
+        with pytest.raises(TreeSpecError, match="depth"):
+            make({"family": family, "depth": depth})
+        with pytest.raises(TreeSpecError, match="depth"):
+            make(GallerySpec(family=family, depth=depth))
+        path = tmp_path / f"{family}_{depth}.json"
+        path.write_text(json.dumps({"family": family, "depth": depth}), encoding="utf-8")
+        with pytest.raises(TreeSpecError, match="depth"):
+            load_shift(str(path))
+    assert make(GallerySpec(family="broom", depth=1)).max_depth == 1
+    assert make({"family": "broom_leaf", "depth": 2}).max_depth == 2
 
 
 def test_random_weights_deterministic_and_in_range():
@@ -199,3 +214,45 @@ def test_divergence_partial_sums_track_harmonic_numbers():
         mad_divergence_partial_sum(11, host)
     with pytest.raises(ValueError):
         mad_divergence_partial_sum(0)
+
+
+def _family_sweep():
+    """(family, depth, params) over every family at each valid depth 0-7."""
+    for depth in range(8):
+        yield "unilateral", depth, {}
+        if depth >= 1:
+            yield "mad", depth, {}
+            yield "t2", depth, {"alpha": 0.5}
+            yield "t2", depth, {"alpha": 0.3}
+        if depth >= 3:
+            yield "t2_zero", depth, {}
+        for law in ((1, 2), (2,), (1, 2, 3), (8,), (1, 9), (20,), (130,)):
+            if max(law) ** depth > 10_000:
+                continue  # counts of 8 and more are reached at smaller depths
+            for seed in range(4):
+                params = {"seed": seed, "branching": law}
+                yield "random", depth, params
+                yield "random_balanced", depth, params
+        yield "random_balanced", depth, {"seed": 5, "generation_norms": [0.5 + d for d in range(depth)]}
+    for arms in (1, 2, 5, 9):
+        yield "broom", 1, {"arms": arms}
+    yield "broom", 1, {"arms": 3, "weights": [0.3, 2.0, 1e-3]}
+    for arms in (2, 3, 8):
+        yield "broom_leaf", 2, {"arms": arms}
+    yield "broom_leaf", 2, {"arms": 2, "weights": [0.25, 4.0], "omega_weight": 2.5}
+
+
+def test_families_bitwise_equal_assembled_builders():
+    seen = set()
+    for family, depth, params in _family_sweep():
+        seen.add(family)
+        s = make({"family": family, "depth": depth, "params": params})
+        t, lam = loop_family(family, depth, params)
+        case = (family, depth, params)
+        assert np.asarray(s.tree.parent[1:], dtype=np.intp).tobytes() == \
+            np.asarray(t.parent[1:], dtype=np.intp).tobytes(), case
+        assert s.tree.labels == t.labels, case
+        assert sorted(s.tree.genuine_leaves) == sorted(t.genuine_leaves), case
+        assert s.lam[1:].tobytes() == np.asarray(lam, dtype=float).tobytes(), case
+        assert s.tree == t, case
+    assert seen == set(GALLERY_FAMILIES)

@@ -302,3 +302,18 @@ def test_deep_ray_queries_stay_linear_in_memory():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, peak
+
+
+def test_depth_1e5_ray_builds_and_matches_closed_forms():
+    # Every per-vertex structure is O(N); the norms read one bincount per order.
+    tracemalloc.start()
+    try:
+        s = make(GallerySpec(family="mad", depth=100_000))
+        assert s.tree.n_vertices == 100_001 and s.max_depth == 100_000
+        for n in range(1, 6):
+            assert abs(power_norm(s, 0, n) - n) <= REL * n
+            assert abs(operator_norm_power(s, n).value - (n + 1)) <= REL * (n + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20, peak

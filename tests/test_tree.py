@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from treeshift import (
+    DirectedTree,
     PathSelector,
     TreeSpecError,
     build_tree,
     children_n,
     descendants,
     enumerate_paths,
+    make,
     parse_tree_spec,
 )
 
@@ -200,3 +202,59 @@ def test_interior_and_leaf_queries():
     arm2 = bl.vertex_with_label("2")
     assert bl.is_leaf(arm2) and bl.is_interior(arm2)
     assert set(bl.interior_vertices()) == {v for v in range(bl.n_vertices) if bl.depth[v] < 2}
+
+
+def test_from_bfs_parents_derives_structure():
+    t = DirectedTree.from_bfs_parents([-1, 0, 0, 1, 1, 1, 2])
+    assert t.parent == (None, 0, 0, 1, 1, 1, 2)
+    assert t.children == ((1, 2), (3, 4, 5), (6,), (), (), (), ())
+    assert t.depth == (0, 1, 1, 2, 2, 2, 2)
+    assert t.generations == ((0,), (1, 2), (3, 4, 5, 6))
+    assert t.labels == ("0", "1", "2", "3", "4", "5", "6")
+    assert not t.genuine_leaves  # every childless vertex sits at the cut
+    t = DirectedTree.from_bfs_parents([0, 0, 0, 1], labels="rabc", genuine_leaves=[2])
+    assert t.labels == ("r", "a", "b", "c") and t.genuine_leaves == frozenset({2})
+    assert DirectedTree.from_bfs_parents([0, 0, 0, 1]).genuine_leaves == frozenset({2})
+    assert DirectedTree.from_bfs_parents([-1]).generations == ((0,),)
+    for bad in ([0, 1], [0, 0, 2], [0, 0, 1, 0], [0, -1]):
+        with pytest.raises(TreeSpecError):
+            DirectedTree.from_bfs_parents(bad)
+
+
+def test_build_tree_and_make_share_family_rules():
+    rejected = [
+        {"family": "t2", "depth": 3, "params": {"bogus": 1}},
+        {"family": "mad", "depth": 0},
+        {"family": "t2_zero", "depth": 1},
+        {"family": "unilateral", "depth": -1},
+        {"family": "unilateral", "depth": 2.5},
+        {"family": "broom", "params": {"arms": 2.7}},
+        {"family": "broom", "params": {"arms": 0}},
+        {"family": "broom_leaf", "params": {"arms": 1}},
+        {"family": "random", "depth": 3, "params": {"seed": 1.5}},
+        {"family": "random", "depth": 3, "params": {"seed": True}},
+        {"family": "random", "depth": 3, "params": {"branching": "12"}},
+        {"family": "random", "depth": 3, "params": {"branching": [1, 2.0]}},
+        {"family": "random", "depth": 3, "params": {"branching": [0, 1]}},
+        {"family": "random", "depth": 3, "params": {"branching": []}},
+        {"family": "random_balanced", "depth": 3, "params": {"seed": 0.5}},
+        {"family": "random", "depth": 3, "params": None},
+        {"family": "mad", "depth": 3, "color": "red"},
+        {"family": "no_such_family", "depth": 3},
+    ]
+    for spec in rejected:
+        with pytest.raises(TreeSpecError):
+            build_tree(spec)
+        with pytest.raises(TreeSpecError):
+            make(spec)
+    # random_balanced is the random structure under another weight rule.
+    params = {"seed": 6, "branching": [1, 3]}
+    balanced = build_tree({"family": "random_balanced", "depth": 4, "params": params})
+    assert balanced == build_tree({"family": "random", "depth": 4, "params": params})
+    assert balanced == make({"family": "random_balanced", "depth": 4, "params": params}).tree
+    # Weight params are read only where weights are built.
+    assert build_tree({"family": "t2", "depth": 2}).n_vertices == 5
+    with pytest.raises(TreeSpecError):
+        parse_tree_spec({"family": "t2", "depth": 2})
+    tree, weights = parse_tree_spec({"family": "t2", "depth": 2, "params": {"alpha": 0.5}})
+    assert weights == [1.0, 0.5, 1.0, 0.5]
