@@ -1,16 +1,26 @@
 """Experiment runner emitting auditable JSON and CSV reports.
 
-Every subcommand builds a shift from --tree FILE or --family NAME flags,
-runs one named experiment, writes report.json plus one CSV per table
-under the output directory, prints a one-line verdict, and returns exit
-code 0 on pass or evidence-only, 1 on fail, 2 on usage errors. The
-TREESHIFT_OUT environment variable overrides --out. For fixed arguments
-and seed the written bytes are identical across runs.
+Each subcommand checks one statement of the paper. ``EXPERIMENTS`` holds
+one record per subcommand: its help line and claim, the flags it reads,
+its default verdict tolerance (the ``--tol`` default; experiments without
+one take no ``--tol``), whether it builds a shift, and its runner. The
+parser, ``treeshift list`` and ``--help`` all read these records.
+
+An experiment that builds a shift takes it from --tree FILE or from
+--family NAME with --depth/--alpha/--arms/--branching/--seed; ``gallery``
+builds its own fixtures and takes only --seed and --out. A run writes
+report.json plus one CSV per table under the output directory, prints a
+one-line verdict, and returns exit code 0 on pass or evidence-only, 1 on
+fail, 2 on usage errors. Case, probe and power counts below 1 and a
+non-finite --tol are usage errors, so no verdict rests on zero checks.
+The TREESHIFT_OUT environment variable overrides --out. For fixed
+arguments and seed the written bytes are identical across runs.
 
 Report layout: {"schema": 1, "experiment", "inputs", "tolerances",
 "verdict", "tables"}; each table column carries the operation that
 produced it and the tolerance applied to it (null when the column is
-informational). Floats in CSVs use 17 significant digits.
+informational). Floats in CSVs use 17 significant digits; report.json
+holds Python's shortest round-trip repr.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import json
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +46,7 @@ from .gallery import (
 from .multiplier import (
     Symbol,
     TrigPoly,
+    _rule_symbol,
     circle_pair_integral,
     gamma_apply,
     hadamard,
@@ -60,56 +71,15 @@ from .wold import (
     wold_gram,
 )
 
-_CLAIMS = (
-    ("norms", "power-column norms follow the bottom-up recursion; on the "
-              "telescoping ray the n-th power norm at the root is n and the "
-              "operator norm of the n-th power is n + 1"),
-    ("radius", "tail minimum of k-th roots of root-to-vertex weight products "
-               "along each maximal path, a finite stand-in for the "
-               "path-induced radius"),
-    ("approx", "damping the symbol by the level-n averaging kernel "
-               "approximates the multiplication operator per probe within "
-               "(support bound / (n + 1)) times the weighted column mass"),
-    ("integral", "the circle mean of q(w) times the rotated-symbol pairing "
-                 "equals the pairing of the coefficientwise-product operator; "
-                 "positive-order monomials average to zero"),
-    ("wold", "peel followed by reconstruct is the identity, and residuals "
-             "vanish for inputs supported above the boundary generation"),
-    ("balanced", "column norms constant within each generation imply "
-                 "generation-constant power norms and sibling agreement"),
-    ("gram", "balanced shifts have mutually orthogonal power images of the "
-             "adjoint kernel; unbalanced injective fixtures exhibit a "
-             "nonvanishing cross pairing"),
-    ("gallery", "named fixtures build deterministically with their "
-                "documented weight rules and diagnostic flags"),
-    ("peel", "layer coefficients of the 1/j profile on the two-ray fixture "
-             "match -1 / ((j + 1) alpha^j (1 + alpha^2))"),
-)
-
-_G17 = "%.17g"
-
-
 def _fmt_cell(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        return _G17 % x
+        return "%.17g" % x
     return str(x)
 
 
-def _json_safe(x):
-    if isinstance(x, dict):
-        return {k: _json_safe(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_json_safe(v) for v in x]
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    return x
-
-
-def _table(name: str, columns: Sequence[tuple], rows: Sequence[Sequence]) -> dict:
+def _table(name: str, rows: Sequence[Sequence], *columns: tuple) -> dict:
     """columns: (name, op, tol or None) triples; rows parallel to them."""
     return {
         "name": name,
@@ -122,7 +92,7 @@ def _write_report(out_dir: str, report: dict) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_json_safe(report), fh, sort_keys=True, indent=2)
+        json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
     for tab in report["tables"]:
         csv_path = os.path.join(out_dir, f"{tab['name']}.csv")
@@ -134,11 +104,12 @@ def _write_report(out_dir: str, report: dict) -> str:
     return path
 
 
-def _parse_branching(text: str) -> tuple:
+def _branching(text: str) -> tuple:
+    """argparse type of --branching: comma-separated child counts."""
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise ValueError(f"branching must be comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}") from None
 
 
 def _parse_phi(text: str) -> Symbol:
@@ -146,31 +117,36 @@ def _parse_phi(text: str) -> Symbol:
     if text.startswith("file:"):
         with open(text[5:], "r", encoding="utf-8") as fh:
             return Symbol.from_json(json.load(fh))
-    parts = text.split(":")
-    if parts[0] == "ones" and len(parts) == 2:
-        return Symbol.ones(int(parts[1]))
-    if parts[0] == "indicator" and len(parts) == 2:
-        return Symbol.indicator(int(parts[1]))
-    if parts[0] == "power_law" and len(parts) == 3:
-        return Symbol.power_law(float(parts[1]), int(parts[2]))
-    raise ValueError(f"cannot parse symbol spec {text!r}")
+    name, *params = text.split(":")
+    return _rule_symbol(name, params)
+
+
+def _count(text: str) -> int:
+    """argparse type of case, probe and power counts: an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _finite(text: str) -> float:
+    """argparse type of --tol: any finite float; a negative one forces a fail."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return x
 
 
 def _build_shift(args) -> tuple[TruncatedShift, Optional[str], dict]:
     """Shift, family name when known, and the echoed input description."""
-    if getattr(args, "tree", None):
+    if args.tree:
         doc = load_tree_file(args.tree)
         shift = load_shift(doc)
         family = str(doc["family"]) if "family" in doc else None
         return shift, family, {"tree_file": args.tree, "tree_spec": doc}
-    if getattr(args, "family", None):
-        params: dict = {}
-        if args.alpha is not None:
-            params["alpha"] = args.alpha
-        if args.arms is not None:
-            params["arms"] = args.arms
-        if args.branching is not None:
-            params["branching"] = _parse_branching(args.branching)
+    if args.family:
+        given = {"alpha": args.alpha, "arms": args.arms, "branching": args.branching}
+        params = {k: v for k, v in given.items() if v is not None}
         if "seed" in FAMILIES[args.family].params:
             params["seed"] = args.seed
         shift = make(GallerySpec(family=args.family, depth=args.depth, params=params))
@@ -186,56 +162,46 @@ def _unit_random_vector(tree, rng) -> TreeVector:
     return f.scaled(1.0 / f.norm())
 
 
-def _run_norms(args) -> dict:
-    s, family, inputs = _build_shift(args)
+def _run_norms(args, s: TruncatedShift, family: Optional[str]) -> dict:
     max_n = args.max_power if args.max_power is not None else s.max_depth
     if not 1 <= max_n <= s.max_depth:
         raise ValueError(f"max power must lie in [1, {s.max_depth}]")
-    tol = args.tol if args.tol is not None else 1e-12
     rows = []
     failures = 0
-    checked = 0
     for n in range(1, max_n + 1):
         est = operator_norm_power(s, n)
         e0 = power_norm(s, 0, n)
         surrogate = est.value ** (1.0 / n)
         rows.append([n, e0, est.value, est.attained_at, est.may_grow_beyond_horizon, surrogate])
         if family == "mad":
-            checked += 1
-            if abs(e0 - n) > tol * n:
+            if abs(e0 - n) > args.tol * n:
                 failures += 1
             # The flagged rows only see the window sup, not the true norm.
-            elif not est.may_grow_beyond_horizon and abs(est.value - (n + 1)) > tol * (n + 1):
+            elif not est.may_grow_beyond_horizon and abs(est.value - (n + 1)) > args.tol * (n + 1):
                 failures += 1
     if family == "mad":
         verdict = "pass" if failures == 0 else "fail"
+        checked_tol = args.tol
     else:
         verdict = "evidence-only"
+        checked_tol = None
     return {
-        "schema": 1,
-        "experiment": "norms",
-        "inputs": {**inputs, "max_power": max_n},
-        "tolerances": {"closed_form_rel": tol if family == "mad" else None},
+        "inputs": {"max_power": max_n},
+        "tolerances": {"closed_form_rel": checked_tol},
         "verdict": verdict,
-        "tables": [
-            _table(
-                "power_norms",
-                [
-                    ("n", "row index", None),
-                    ("norm_root", "power_norm(shift, root, n)", tol if family == "mad" else None),
-                    ("op_norm", "operator_norm_power(shift, n).value", tol if family == "mad" else None),
-                    ("attained_at", "operator_norm_power(shift, n).attained_at", None),
-                    ("may_grow_beyond_horizon", "window flag", None),
-                    ("surrogate", "op_norm ** (1/n)", None),
-                ],
-                rows,
-            )
-        ],
+        "tables": [_table(
+            "power_norms", rows,
+            ("n", "row index", None),
+            ("norm_root", "power_norm(shift, root, n)", checked_tol),
+            ("op_norm", "operator_norm_power(shift, n).value", checked_tol),
+            ("attained_at", "operator_norm_power(shift, n).attained_at", None),
+            ("may_grow_beyond_horizon", "window flag", None),
+            ("surrogate", "op_norm ** (1/n)", None),
+        )],
     }
 
 
-def _run_radius(args) -> dict:
-    s, _, inputs = _build_shift(args)
+def _run_radius(args, s: TruncatedShift, family: Optional[str]) -> dict:
     paths = enumerate_paths(s.tree)
     rows = []
     for i, p in enumerate(paths):
@@ -248,69 +214,52 @@ def _run_radius(args) -> dict:
     if not rows:
         raise ValueError("tree has no edges, no path to estimate along")
     return {
-        "schema": 1,
-        "experiment": "radius",
-        "inputs": {**inputs, "tail_start": args.tail_start},
+        "inputs": {"tail_start": args.tail_start},
         "tolerances": {},
         "verdict": "evidence-only",
-        "tables": [
-            _table(
-                "path_radii",
-                [
-                    ("path", "index into enumerate_paths", None),
-                    ("terminal", "label of the deepest path vertex", None),
-                    ("length", "edge count", None),
-                    ("leaf_terminated", "path ends at a genuine leaf", None),
-                    ("tail_start", "first generation entering the minimum", None),
-                    ("estimate", "path_radius_estimate(shift, path, tail_start)", None),
-                ],
-                rows,
-            )
-        ],
+        "tables": [_table(
+            "path_radii", rows,
+            ("path", "index into enumerate_paths", None),
+            ("terminal", "label of the deepest path vertex", None),
+            ("length", "edge count", None),
+            ("leaf_terminated", "path ends at a genuine leaf", None),
+            ("tail_start", "first generation entering the minimum", None),
+            ("estimate", "path_radius_estimate(shift, path, tail_start)", None),
+        )],
     }
 
 
-def _run_approx(args) -> dict:
-    s, _, inputs = _build_shift(args)
+def _run_approx(args, s: TruncatedShift, family: Optional[str]) -> dict:
     phi = _parse_phi(args.phi)
     levels = sorted(set(int(x) for x in args.levels.split(",")))
-    tol = args.tol if args.tol is not None else 1e-12
     n_probes = min(s.tree.n_vertices, args.probes)
     probes = [TreeVector.basis(s.tree, u) for u in range(n_probes)]
     profile = sot_error_profile(s, phi, levels, probes)
+    labels = s.tree.labels
     rows = [
-        [r.n, r.probe_index, s.tree.labels[r.probe_index], r.error, r.bound, r.error <= r.bound + tol]
+        [r.n, r.probe_index, labels[r.probe_index], r.error, r.bound, r.error <= r.bound + args.tol]
         for r in profile.rows
     ]
-    ok = all(r.error <= r.bound + tol for r in profile.rows) and profile.monotone
+    ok = all(r.error <= r.bound + args.tol for r in profile.rows) and profile.monotone
     return {
-        "schema": 1,
-        "experiment": "approx",
-        "inputs": {**inputs, "phi": args.phi, "levels": levels, "probes": n_probes},
-        "tolerances": {"bound_slack_abs": tol},
+        "inputs": {"phi": args.phi, "levels": levels, "probes": n_probes},
+        "tolerances": {"bound_slack_abs": args.tol},
         "verdict": "pass" if ok else "fail",
         "monotone": profile.monotone,
         "support_bound": profile.support_bound,
-        "tables": [
-            _table(
-                "cesaro_errors",
-                [
-                    ("level", "averaging kernel order n", None),
-                    ("probe", "basis vertex id", None),
-                    ("probe_label", "vertex label", None),
-                    ("error", "norm((damped - full multiplier) probe)", tol),
-                    ("bound", "(support/(n+1)) * weighted column mass", None),
-                    ("within_bound", "error <= bound + tol", None),
-                ],
-                rows,
-            )
-        ],
+        "tables": [_table(
+            "cesaro_errors", rows,
+            ("level", "averaging kernel order n", None),
+            ("probe", "basis vertex id", None),
+            ("probe_label", "vertex label", None),
+            ("error", "norm((damped - full multiplier) probe)", args.tol),
+            ("bound", "(support/(n+1)) * weighted column mass", None),
+            ("within_bound", "error <= bound + tol", None),
+        )],
     }
 
 
-def _run_integral(args) -> dict:
-    s, _, inputs = _build_shift(args)
-    tol = args.tol if args.tol is not None else 1e-10
+def _run_integral(args, s: TruncatedShift, family: Optional[str]) -> dict:
     mono_tol = 1e-12
     fixed_phi = _parse_phi(args.phi) if args.phi else None
     rng = np.random.default_rng([args.seed, 4])
@@ -340,34 +289,26 @@ def _run_integral(args) -> dict:
         err = abs(quad - direct)
         k_mono = int(rng.integers(1, 9))
         mono = abs(circle_pair_integral(s, TrigPoly.monomial(k_mono), phi, f, g))
-        ok = ok and err <= tol and mono <= mono_tol
+        ok = ok and err <= args.tol and mono <= mono_tol
         rows.append([case, deg_p, phi.degree, err, k_mono, mono])
     return {
-        "schema": 1,
-        "experiment": "integral",
-        "inputs": {**inputs, "cases": args.cases, "seed": args.seed,
+        "inputs": {"cases": args.cases, "seed": args.seed,
                    "phi": args.phi if args.phi else "random-support-8"},
-        "tolerances": {"pairing_abs": tol, "monomial_abs": mono_tol},
+        "tolerances": {"pairing_abs": args.tol, "monomial_abs": mono_tol},
         "verdict": "pass" if ok else "fail",
-        "tables": [
-            _table(
-                "circle_integrals",
-                [
-                    ("case", "seeded case index", None),
-                    ("poly_degree", "degree of the circle polynomial", None),
-                    ("phi_degree", "symbol support bound", None),
-                    ("pairing_error", "|quadrature - coefficientwise pairing|", tol),
-                    ("monomial_order", "positive order averaged", None),
-                    ("monomial_abs", "|circle mean of w^k pairing|", mono_tol),
-                ],
-                rows,
-            )
-        ],
+        "tables": [_table(
+            "circle_integrals", rows,
+            ("case", "seeded case index", None),
+            ("poly_degree", "degree of the circle polynomial", None),
+            ("phi_degree", "symbol support bound", None),
+            ("pairing_error", "|quadrature - coefficientwise pairing|", args.tol),
+            ("monomial_order", "positive order averaged", None),
+            ("monomial_abs", "|circle mean of w^k pairing|", mono_tol),
+        )],
     }
 
 
-def _run_wold(args) -> dict:
-    s, _, inputs = _build_shift(args)
+def _run_wold(args, s: TruncatedShift, family: Optional[str]) -> dict:
     inj = is_injective(s)
     if not inj.injective:
         reason = "tree has genuine leaves" if inj.interior_injective else (
@@ -375,7 +316,6 @@ def _run_wold(args) -> dict:
         )
         raise ValueError(f"round-trip experiment needs an injective shift: {reason}")
     horizon = args.horizon if args.horizon is not None else s.max_depth
-    tol = args.tol if args.tol is not None else 1e-10
     rng = np.random.default_rng([args.seed, 5])
     rows = []
     ok = True
@@ -384,34 +324,26 @@ def _run_wold(args) -> dict:
         comp = peel(s, f, horizon)
         err = reconstruct(s, comp).minus(f).norm()
         nonzero = sum(1 for c in comp.components if c.coeffs)
-        ok = ok and err <= tol
+        ok = ok and err <= args.tol
         rows.append([case, horizon, err, comp.residual.norm(), boundary_mass(s, f), nonzero])
     return {
-        "schema": 1,
-        "experiment": "wold",
-        "inputs": {**inputs, "cases": args.cases, "seed": args.seed, "horizon": horizon},
-        "tolerances": {"roundtrip_abs": tol},
+        "inputs": {"cases": args.cases, "seed": args.seed, "horizon": horizon},
+        "tolerances": {"roundtrip_abs": args.tol},
         "verdict": "pass" if ok else "fail",
-        "tables": [
-            _table(
-                "roundtrips",
-                [
-                    ("case", "seeded case index", None),
-                    ("horizon", "number of peel steps", None),
-                    ("roundtrip_error", "norm(reconstruct(peel(f)) - f)", tol),
-                    ("residual_norm", "norm of the undecomposed part", None),
-                    ("boundary_norm", "input mass at the deepest generation", None),
-                    ("nonzero_layers", "layers with support", None),
-                ],
-                rows,
-            )
-        ],
+        "tables": [_table(
+            "roundtrips", rows,
+            ("case", "seeded case index", None),
+            ("horizon", "number of peel steps", None),
+            ("roundtrip_error", "norm(reconstruct(peel(f)) - f)", args.tol),
+            ("residual_norm", "norm of the undecomposed part", None),
+            ("boundary_norm", "input mass at the deepest generation", None),
+            ("nonzero_layers", "layers with support", None),
+        )],
     }
 
 
-def _run_balanced(args) -> dict:
-    s, _, inputs = _build_shift(args)
-    max_n = args.max_power if args.max_power is not None else 4
+def _run_balanced(args, s: TruncatedShift, family: Optional[str]) -> dict:
+    max_n = args.max_power
     bal = is_balanced(s)
     loc = is_locally_power_balanced(s, max_n)
     rows = []
@@ -428,45 +360,34 @@ def _run_balanced(args) -> dict:
         0 if loc.power is None else loc.power,
     ]]
     return {
-        "schema": 1,
-        "experiment": "balanced",
-        "inputs": {**inputs, "max_power": max_n},
+        "inputs": {"max_power": max_n},
         "tolerances": {"rel": 1e-10, "abs": 1e-12},
         "verdict": "pass" if consistent else "fail",
         "balanced": bal.ok,
         "locally_power_balanced": loc.ok,
         "tables": [
             _table(
-                "generation_norms",
-                [
-                    ("generation", "depth", None),
-                    ("vertices", "generation size", None),
-                    ("min_norm", "min over u of norm(S e_u)", None),
-                    ("max_norm", "max over u of norm(S e_u)", None),
-                    ("spread", "max - min", None),
-                ],
-                rows,
+                "generation_norms", rows,
+                ("generation", "depth", None),
+                ("vertices", "generation size", None),
+                ("min_norm", "min over u of norm(S e_u)", None),
+                ("max_norm", "max over u of norm(S e_u)", None),
+                ("spread", "max - min", None),
             ),
             _table(
-                "sibling_power_check",
-                [
-                    ("max_power", "orders compared, capped per sibling horizon", None),
-                    ("ok", "all sibling power norms agree", None),
-                    ("witness_u", "first mismatching vertex or -1", None),
-                    ("witness_v", "second mismatching vertex or -1", None),
-                    ("power", "mismatching order or 0", None),
-                ],
-                local_rows,
+                "sibling_power_check", local_rows,
+                ("max_power", "orders compared, capped per sibling horizon", None),
+                ("ok", "all sibling power norms agree", None),
+                ("witness_u", "first mismatching vertex or -1", None),
+                ("witness_v", "second mismatching vertex or -1", None),
+                ("power", "mismatching order or 0", None),
             ),
         ],
     }
 
 
-def _run_gram(args) -> dict:
-    s, _, inputs = _build_shift(args)
-    max_p = args.max_power if args.max_power is not None else 4
-    max_p = min(max_p, s.max_depth)
-    tol = args.tol if args.tol is not None else 1e-10
+def _run_gram(args, s: TruncatedShift, family: Optional[str]) -> dict:
+    max_p = min(args.max_power, s.max_depth)
     basis = kernel_basis(s)
     bal = is_balanced(s)
     inj = is_injective(s)
@@ -479,7 +400,7 @@ def _run_gram(args) -> dict:
             rows.append([n, m, g.max_abs, g.exceeds_horizon])
     if bal.ok:
         regime = "orthogonal-factors"
-        verdict = "pass" if overall_max <= tol else "fail"
+        verdict = "pass" if overall_max <= args.tol else "fail"
     elif inj.injective:
         regime = "expected-nonorthogonal"
         verdict = "pass" if overall_max >= 1e-3 else "fail"
@@ -487,31 +408,24 @@ def _run_gram(args) -> dict:
         regime = "unclassified"
         verdict = "evidence-only"
     return {
-        "schema": 1,
-        "experiment": "gram",
-        "inputs": {**inputs, "max_power": max_p},
-        "tolerances": {"orthogonality_abs": tol, "nonorthogonality_floor": 1e-3},
+        "inputs": {"max_power": max_p},
+        "tolerances": {"orthogonality_abs": args.tol, "nonorthogonality_floor": 1e-3},
         "verdict": verdict,
         "regime": regime,
         "balanced": bal.ok,
         "injective": inj.injective,
         "kernel_dim": basis.total_dim,
-        "tables": [
-            _table(
-                "gram_pairings",
-                [
-                    ("n", "left power", None),
-                    ("m", "right power", None),
-                    ("max_abs", "max |<S^n g_i, S^m h_j>| over the kernel basis", tol),
-                    ("exceeds_horizon", "some block image leaves the window", None),
-                ],
-                rows,
-            )
-        ],
+        "tables": [_table(
+            "gram_pairings", rows,
+            ("n", "left power", None),
+            ("m", "right power", None),
+            ("max_abs", "max |<S^n g_i, S^m h_j>| over the kernel basis", args.tol),
+            ("exceeds_horizon", "some block image leaves the window", None),
+        )],
     }
 
 
-def _run_gallery(args) -> dict:
+def _run_gallery(args, s, family) -> dict:
     fixtures = [
         GallerySpec(family="unilateral", depth=8),
         GallerySpec(family="mad", depth=8),
@@ -544,34 +458,26 @@ def _run_gallery(args) -> dict:
         if spec.family == "random_balanced":
             ok = ok and bal
     return {
-        "schema": 1,
-        "experiment": "gallery",
         "inputs": {"seed": args.seed},
         "tolerances": {},
         "verdict": "pass" if ok else "fail",
-        "tables": [
-            _table(
-                "fixtures",
-                [
-                    ("family", "gallery family name", None),
-                    ("depth", "truncation depth", None),
-                    ("vertices", "vertex count", None),
-                    ("genuine_leaves", "leaves of the untruncated object", None),
-                    ("balanced", "is_balanced(shift).ok", None),
-                    ("locally_power_balanced", "is_locally_power_balanced(shift, 4).ok", None),
-                    ("interior_injective", "no vanishing interior column", None),
-                    ("injective", "interior check and no genuine leaves", None),
-                    ("max_column_norm", "sqrt of the largest interior column norm squared", None),
-                    ("deterministic", "second build bitwise-identical", None),
-                ],
-                rows,
-            )
-        ],
+        "tables": [_table(
+            "fixtures", rows,
+            ("family", "gallery family name", None),
+            ("depth", "truncation depth", None),
+            ("vertices", "vertex count", None),
+            ("genuine_leaves", "leaves of the untruncated object", None),
+            ("balanced", "is_balanced(shift).ok", None),
+            ("locally_power_balanced", "is_locally_power_balanced(shift, 4).ok", None),
+            ("interior_injective", "no vanishing interior column", None),
+            ("injective", "interior check and no genuine leaves", None),
+            ("max_column_norm", "sqrt of the largest interior column norm squared", None),
+            ("deterministic", "second build bitwise-identical", None),
+        )],
     }
 
 
-def _run_peel(args) -> dict:
-    s, family, inputs = _build_shift(args)
+def _run_peel(args, s: TruncatedShift, family: Optional[str]) -> dict:
     if family != "t2":
         raise ValueError("the layer-coefficient experiment is defined for the t2 family")
     ids = {label: v for v, label in enumerate(s.tree.labels)}
@@ -580,7 +486,6 @@ def _run_peel(args) -> dict:
     depth = s.max_depth
     if depth < 3:
         raise ValueError("need depth >= 3 to see at least one exact layer")
-    tol = args.tol if args.tol is not None else 1e-10
     f = TreeVector(s.tree, {ids[f"(2,{j})"]: 1.0 / j for j in range(1, depth + 1)})
     comp = peel(s, f, depth)
     rows = []
@@ -592,55 +497,132 @@ def _run_peel(args) -> dict:
         err = abs(peeled - closed)
         rows.append([j, peeled, closed, err, j <= checked_up_to])
         if j <= checked_up_to:
-            ok = ok and err <= tol
+            ok = ok and err <= args.tol
     roundtrip = reconstruct(s, comp).minus(f).norm()
-    ok = ok and roundtrip <= tol
+    ok = ok and roundtrip <= args.tol
     return {
-        "schema": 1,
-        "experiment": "peel",
-        "inputs": {**inputs, "profile": "f(lower ray, j) = 1/j"},
-        "tolerances": {"coefficient_abs": tol, "checked_up_to": checked_up_to},
+        "inputs": {"profile": "f(lower ray, j) = 1/j"},
+        "tolerances": {"coefficient_abs": args.tol, "checked_up_to": checked_up_to},
         "verdict": "pass" if ok else "fail",
         "roundtrip_error": roundtrip,
-        "tables": [
-            _table(
-                "layer_coefficients",
-                [
-                    ("j", "layer index", None),
-                    ("gamma_peeled", "minus the layer coefficient at the first lower-ray vertex", tol),
-                    ("gamma_closed", "-1/((j+1) alpha^j (1+alpha^2))", None),
-                    ("abs_error", "|peeled - closed|", tol),
-                    ("in_verdict", "row participates in the verdict", None),
-                ],
-                rows,
-            )
-        ],
+        "tables": [_table(
+            "layer_coefficients", rows,
+            ("j", "layer index", None),
+            ("gamma_peeled", "minus the layer coefficient at the first lower-ray vertex", args.tol),
+            ("gamma_closed", "-1/((j+1) alpha^j (1+alpha^2))", None),
+            ("abs_error", "|peeled - closed|", args.tol),
+            ("in_verdict", "row participates in the verdict", None),
+        )],
     }
 
 
-_RUNNERS = {
-    "norms": _run_norms,
-    "radius": _run_radius,
-    "approx": _run_approx,
-    "integral": _run_integral,
-    "wold": _run_wold,
-    "balanced": _run_balanced,
-    "gram": _run_gram,
-    "gallery": _run_gallery,
-    "peel": _run_peel,
+class Experiment(NamedTuple):
+    """One subcommand: the paper claim it checks and how to run it."""
+
+    help: str
+    claim: str
+    # run(args, shift, family) returns the report minus "schema" and
+    # "experiment"; its "inputs" extend the shift's echo.
+    run: Callable[..., dict]
+    flags: tuple = ()  # (flag, add_argument keywords) pairs read by ``run``
+    tol: Optional[float] = None  # default of --tol; None: no --tol
+    builds_shift: bool = True
+
+
+_SHIFT_FLAGS = (
+    ("--tree", {"help": "path to a JSON tree spec"}),
+    ("--family", {"choices": tuple(FAMILIES), "help": "gallery family"}),
+    ("--depth", {"type": int, "help": "truncation depth for family builds"}),
+    ("--alpha", {"type": float, "help": "lower-ray weight for the t2 family"}),
+    ("--arms", {"type": int, "help": "arm count for the broom families"}),
+    ("--branching", {"type": _branching, "help": "comma-separated child counts for random families"}),
+)
+
+_CASES = ("--cases", {"type": _count, "default": 10, "help": "seeded case count"})
+
+EXPERIMENTS = {
+    "norms": Experiment(
+        "power norms, operator norms, radius surrogate",
+        "power-column norms follow the bottom-up recursion; on the "
+        "telescoping ray the n-th power norm at the root is n and the "
+        "operator norm of the n-th power is n + 1",
+        _run_norms,
+        (("--max-power", {"type": _count, "help": "largest power tabulated (default: depth)"}),),
+        tol=1e-12,
+    ),
+    "radius": Experiment(
+        "path radius estimates along maximal paths",
+        "tail minimum of k-th roots of root-to-vertex weight products "
+        "along each maximal path, a finite stand-in for the "
+        "path-induced radius",
+        _run_radius,
+        (("--tail-start", {"type": int, "default": 1, "help": "first generation in the tail minimum"}),),
+    ),
+    "approx": Experiment(
+        "averaging-kernel approximation errors per probe",
+        "damping the symbol by the level-n averaging kernel "
+        "approximates the multiplication operator per probe within "
+        "(support bound / (n + 1)) times the weighted column mass",
+        _run_approx,
+        (
+            ("--phi", {"default": "ones:8",
+                       "help": "symbol: ones:K | indicator:k | power_law:EXP:K | file:PATH"}),
+            ("--levels", {"default": "8,16,32,64", "help": "comma-separated kernel orders"}),
+            ("--probes", {"type": _count, "default": 64, "help": "cap on basis probes"}),
+        ),
+        tol=1e-12,
+    ),
+    "integral": Experiment(
+        "circle quadrature against coefficientwise products",
+        "the circle mean of q(w) times the rotated-symbol pairing "
+        "equals the pairing of the coefficientwise-product operator; "
+        "positive-order monomials average to zero",
+        _run_integral,
+        (
+            ("--phi", {"help": "fixed symbol for every case (default: seeded random)"}),
+            _CASES,
+        ),
+        tol=1e-10,
+    ),
+    "wold": Experiment(
+        "peel and reconstruct round trips",
+        "peel followed by reconstruct is the identity, and residuals "
+        "vanish for inputs supported above the boundary generation",
+        _run_wold,
+        (_CASES, ("--horizon", {"type": int, "help": "peel steps (default: depth)"})),
+        tol=1e-10,
+    ),
+    "balanced": Experiment(
+        "generation norm spreads and sibling power checks",
+        "column norms constant within each generation imply "
+        "generation-constant power norms and sibling agreement",
+        _run_balanced,
+        (("--max-power", {"type": _count, "default": 4, "help": "sibling comparison order (default 4)"}),),
+    ),
+    "gram": Experiment(
+        "kernel image pairings across powers",
+        "balanced shifts have mutually orthogonal power images of the "
+        "adjoint kernel; unbalanced injective fixtures exhibit a "
+        "nonvanishing cross pairing",
+        _run_gram,
+        (("--max-power", {"type": _count, "default": 4, "help": "largest power paired (default 4)"}),),
+        tol=1e-10,
+    ),
+    "gallery": Experiment(
+        "build and diagnose every named fixture",
+        "named fixtures build deterministically with their "
+        "documented weight rules and diagnostic flags",
+        _run_gallery,
+        builds_shift=False,
+    ),
+    "peel": Experiment(
+        "layer coefficients of the 1/j profile on t2",
+        "layer coefficients of the 1/j profile on the two-ray fixture "
+        "match -1 / ((j + 1) alpha^j (1 + alpha^2))",
+        _run_peel,
+        tol=1e-10,
+    ),
 }
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tree", help="path to a JSON tree spec")
-    sub.add_argument("--family", choices=tuple(FAMILIES), help="gallery family")
-    sub.add_argument("--depth", type=int, help="truncation depth for family builds")
-    sub.add_argument("--alpha", type=float, help="lower-ray weight for the t2 family")
-    sub.add_argument("--arms", type=int, help="arm count for the broom families")
-    sub.add_argument("--branching", help="comma-separated child counts for random families")
-    sub.add_argument("--seed", type=int, default=0, help="seed for structure, weights and case draws")
-    sub.add_argument("--out", default="out", help="report directory (TREESHIFT_OUT overrides)")
-    sub.add_argument("--tol", type=float, help="override the experiment's verdict tolerance")
 
 
 @functools.cache
@@ -650,45 +632,17 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="treeshift", description="weighted-shift experiments on truncated trees"
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("norms", help="power norms, operator norms, radius surrogate")
-    _add_common(p)
-    p.add_argument("--max-power", type=int, help="largest power tabulated (default: depth)")
-
-    p = subs.add_parser("radius", help="path radius estimates along maximal paths")
-    _add_common(p)
-    p.add_argument("--tail-start", type=int, default=1, help="first generation in the tail minimum")
-
-    p = subs.add_parser("approx", help="averaging-kernel approximation errors per probe")
-    _add_common(p)
-    p.add_argument("--phi", default="ones:8", help="symbol: ones:K | indicator:k | power_law:EXP:K | file:PATH")
-    p.add_argument("--levels", default="8,16,32,64", help="comma-separated kernel orders")
-    p.add_argument("--probes", type=int, default=64, help="cap on basis probes")
-
-    p = subs.add_parser("integral", help="circle quadrature against coefficientwise products")
-    _add_common(p)
-    p.add_argument("--phi", help="fixed symbol for every case (default: seeded random)")
-    p.add_argument("--cases", type=int, default=10, help="seeded case count")
-
-    p = subs.add_parser("wold", help="peel and reconstruct round trips")
-    _add_common(p)
-    p.add_argument("--cases", type=int, default=10, help="seeded case count")
-    p.add_argument("--horizon", type=int, help="peel steps (default: depth)")
-
-    p = subs.add_parser("balanced", help="generation norm spreads and sibling power checks")
-    _add_common(p)
-    p.add_argument("--max-power", type=int, help="sibling comparison order (default 4)")
-
-    p = subs.add_parser("gram", help="kernel image pairings across powers")
-    _add_common(p)
-    p.add_argument("--max-power", type=int, help="largest power paired (default 4)")
-
-    p = subs.add_parser("gallery", help="build and diagnose every named fixture")
-    _add_common(p)
-
-    p = subs.add_parser("peel", help="layer coefficients of the 1/j profile on t2")
-    _add_common(p)
-
+    for name, exp in EXPERIMENTS.items():
+        p = subs.add_parser(name, help=exp.help, description=exp.claim)
+        for flag, kwargs in _SHIFT_FLAGS if exp.builds_shift else ():
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--seed", type=int, default=0, help="seed for structure, weights and case draws")
+        p.add_argument("--out", default="out", help="report directory (TREESHIFT_OUT overrides)")
+        if exp.tol is not None:
+            p.add_argument("--tol", type=_finite, default=exp.tol,
+                           help=f"verdict tolerance (default {exp.tol:g})")
+        for flag, kwargs in exp.flags:
+            p.add_argument(flag, **kwargs)
     subs.add_parser("list", help="print the experiment claim registry")
     return parser
 
@@ -700,17 +654,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     if args.command == "list":
-        for name, claim in _CLAIMS:
-            print(f"{name}: {claim}")
+        for name, exp in EXPERIMENTS.items():
+            print(f"{name}: {exp.claim}")
         return 0
+    exp = EXPERIMENTS[args.command]
     try:
-        report = _RUNNERS[args.command](args)
+        s, family, inputs = _build_shift(args) if exp.builds_shift else (None, None, {})
+        body = exp.run(args, s, family)
     except (TreeSpecError, HorizonError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report = {**body, "schema": 1, "experiment": args.command,
+              "inputs": {**inputs, **body["inputs"]}}
     out_dir = os.environ.get("TREESHIFT_OUT") or args.out
     path = _write_report(out_dir, report)
-    print(f"{report['experiment']}: {report['verdict']} ({path})")
+    print(f"{args.command}: {report['verdict']} ({path})")
     return 0 if report["verdict"] in ("pass", "evidence-only") else 1
 
 

@@ -66,8 +66,7 @@ def load_shift(source: Union[str, Mapping[str, object]]) -> TruncatedShift:
     """
     doc = treemod.load_tree_file(source) if isinstance(source, str) else source
     t, weights = treemod.parse_tree_spec(doc)
-    n = t.n_vertices
-    lam = dict(zip(range(1, n), [1.0] * (n - 1) if weights is None else weights))
+    lam = [1.0] * (t.n_vertices - 1) if weights is None else weights
     attained = None
     if "family" in doc:
         attained = treemod.FAMILIES[str(doc["family"])].norm_attained_within_depth

@@ -25,8 +25,6 @@ import numpy as np
 from .ops import TreeVector, TruncatedShift, _same_tree
 from .tree import VertexId
 
-_RULES: dict[str, Callable[..., "Symbol"]] = {}
-
 
 @dataclass(frozen=True)
 class Symbol:
@@ -104,12 +102,9 @@ class Symbol:
         )
 
     def to_json(self) -> dict:
-        if self.rule_name == "ones":
-            return {"rule": "ones", "K": self.rule_params[0]}
-        if self.rule_name == "indicator":
-            return {"rule": "indicator", "k": self.rule_params[0]}
-        if self.rule_name == "power_law":
-            return {"rule": "power_law", "exponent": self.rule_params[0], "K": self.rule_params[1]}
+        if self.rule_name in _RULES:
+            names = [name for name, _ in _RULES[self.rule_name][1]]
+            return {"rule": self.rule_name, **dict(zip(names, self.rule_params))}
         return {"support": [[k, self.values[k].real, self.values[k].imag] for k in sorted(self.values)]}
 
     @classmethod
@@ -128,18 +123,37 @@ class Symbol:
                 raise ValueError(f"unknown keys in symbol spec: {sorted(keys - {'support'})}")
             return cls.from_support((int(k), complex(re, im)) for k, re, im in doc["support"])
         if "rule" in keys:
-            name = doc["rule"]
-            if name == "ones":
-                _expect_keys(keys, {"rule", "K"})
-                return cls.ones(int(doc["K"]))
-            if name == "indicator":
-                _expect_keys(keys, {"rule", "k"})
-                return cls.indicator(int(doc["k"]))
-            if name == "power_law":
-                _expect_keys(keys, {"rule", "exponent", "K"})
-                return cls.power_law(float(doc["exponent"]), int(doc["K"]))
-            raise ValueError(f"unknown symbol rule {name!r}")
+            names = [name for name, _ in _rule(doc["rule"])[1]]
+            _expect_keys(keys, {"rule", *names})
+            return _rule_symbol(doc["rule"], [doc[name] for name in names])
         raise ValueError("symbol spec needs one of 'coeffs', 'support' or 'rule'")
+
+
+# Named symbol rules: constructor and its (parameter name, type) list.
+# ``to_json``/``from_json`` and the CLI's name:a:b grammar read this table.
+_RULES: dict[str, tuple[Callable[..., Symbol], tuple[tuple[str, type], ...]]] = {
+    "ones": (Symbol.ones, (("K", int),)),
+    "indicator": (Symbol.indicator, (("k", int),)),
+    "power_law": (Symbol.power_law, (("exponent", float), ("K", int))),
+}
+
+
+def _rule(name) -> tuple:
+    if not isinstance(name, str) or name not in _RULES:
+        raise ValueError(f"unknown symbol rule {name!r}")
+    return _RULES[name]
+
+
+def _rule_symbol(name, values: Sequence) -> Symbol:
+    """Build the named rule from its parameter values, in ``_RULES`` order."""
+    build, params = _rule(name)
+    if len(values) != len(params):
+        raise ValueError(f"symbol rule {name!r} takes {[p for p, _ in params]}, got {list(values)}")
+    try:
+        args = [typ(x) for x, (_, typ) in zip(values, params)]
+    except (TypeError, ValueError):
+        raise ValueError(f"bad parameters for symbol rule {name!r}: {list(values)}") from None
+    return build(*args)
 
 
 def _finite(c: complex, k) -> complex:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,20 +37,32 @@ def close(a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL, rel_tol: float =
     return abs(a - b) <= max(abs_tol, rel_tol * max(abs(a), abs(b)))
 
 
-def _weight_array(tree: DirectedTree, mapping: Mapping[VertexId, float]) -> np.ndarray:
-    """Validate child-keyed weights against ``tree``; entry 0 (the root) is 0."""
+def _weight_array(
+    tree: DirectedTree, weights: Union[Mapping[VertexId, float], Sequence[float], np.ndarray]
+) -> np.ndarray:
+    """Validate child weights against ``tree``; entry 0 (the root) is 0.
+
+    ``weights`` maps each child id 1..N-1 to its weight, or lists the
+    weights of vertices 1..N-1 in id order.
+    """
     n = tree.n_vertices
+    if isinstance(weights, Mapping):
+        missing = next((v for v in range(1, n) if v not in weights), None)
+        if missing is not None:
+            raise ValueError(f"missing weight for vertex {missing}")
+        if len(weights) != n - 1:
+            extra = set(weights) - set(range(1, n))
+            raise ValueError(f"weights given for unknown vertices {sorted(extra)}")
+        weights = [weights[v] for v in range(1, n)]
+    vals = np.asarray(weights, dtype=float)
+    if vals.shape != (n - 1,):
+        raise ValueError(f"expected {n - 1} weights for vertices 1..{n - 1}, got shape {vals.shape}")
+    bad = ~(vals >= 0) | ~np.isfinite(vals)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"weight at vertex {i + 1} must be finite and >= 0, got {float(vals[i])}")
     lam = np.zeros(n)
-    for v in range(1, n):
-        if v not in mapping:
-            raise ValueError(f"missing weight for vertex {v}")
-        w = float(mapping[v])
-        if w < 0 or not math.isfinite(w):
-            raise ValueError(f"weight at vertex {v} must be finite and >= 0, got {w}")
-        lam[v] = w
-    if len(mapping) != n - 1:
-        extra = set(mapping) - set(range(1, n))
-        raise ValueError(f"weights given for unknown vertices {sorted(extra)}")
+    lam[1:] = vals
     return lam
 
 
@@ -178,13 +190,15 @@ class TruncatedShift:
     lifetime of the shift; a single cursor holds the most recent higher
     order and moves forward from it, or restarts from order 1 when a
     lower order is asked for. Memory stays O(vertices) at any depth. The
-    weights are validated once, against this tree, when ``lam`` is filled.
+    weights (a ``WeightSystem``, a mapping from child id to weight, or the
+    weights of vertices 1..N-1 in id order) are validated once, against
+    this tree, when ``lam`` is filled.
     """
 
     def __init__(
         self,
         tree: DirectedTree,
-        weights: Union[WeightSystem, Mapping[VertexId, float]],
+        weights: Union[WeightSystem, Mapping[VertexId, float], Sequence[float], np.ndarray],
         norm_attained_within_depth: Optional[int] = None,
     ):
         if isinstance(weights, WeightSystem):

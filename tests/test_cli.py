@@ -239,3 +239,45 @@ def test_list_prints_registry(capsys):
     assert names == ["norms", "radius", "approx", "integral", "wold",
                      "balanced", "gram", "gallery", "peel"]
     assert all(len(line.split(":", 1)[1].strip()) > 10 for line in lines)
+
+
+def test_vacuous_verdicts_exit_two(tmp_path, capsys):
+    # Each of these checked zero rows, or compared against NaN, and passed.
+    for argv in (["integral", "--family", "mad", "--depth", "4", "--cases", "0"],
+                 ["wold", "--family", "mad", "--depth", "4", "--cases", "-2"],
+                 ["approx", "--family", "mad", "--depth", "4", "--probes", "0"],
+                 ["gram", "--family", "random", "--depth", "3", "--max-power", "0"],
+                 ["gram", "--family", "random", "--depth", "3", "--max-power", "-3"],
+                 ["balanced", "--family", "mad", "--depth", "4", "--max-power", "0"],
+                 ["norms", "--family", "mad", "--depth", "4", "--max-power", "0"],
+                 ["norms", "--family", "mad", "--depth", "4", "--tol", "nan"],
+                 ["norms", "--family", "mad", "--depth", "4", "--tol", "inf"],
+                 ["peel", "--family", "t2", "--alpha", "0.5", "--depth", "6", "--tol", "-inf"]):
+        out = str(tmp_path / "r")
+        assert _run(argv + ["--out", out]) == 2, argv
+        assert not os.path.exists(out), argv
+    capsys.readouterr()
+
+
+def test_registry_and_flags_agree(tmp_path, capsys):
+    from treeshift.cli import EXPERIMENTS
+
+    assert _run(["list"]) == 0
+    listed = [line.split(":", 1)[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == list(EXPERIMENTS)
+    for name, exp in EXPERIMENTS.items():
+        assert _run([name, "--help"]) == 0, name
+        text = capsys.readouterr().out
+        assert ("--tol" in text) == (exp.tol is not None), name
+        assert ("--family" in text) == exp.builds_shift, name
+        for flag, _ in exp.flags:
+            assert flag in text, (name, flag)
+    for argv in (["gallery", "--family", "mad"], ["gallery", "--depth", "3"],
+                 ["gallery", "--tol", "1e-3"], ["radius", "--family", "mad", "--depth", "3",
+                                                "--tol", "1e-3"],
+                 ["balanced", "--family", "mad", "--depth", "3", "--tol", "1e-3"],
+                 ["norms", "--family", "mad", "--depth", "3", "--cases", "2"]):
+        out = str(tmp_path / "r")
+        assert _run(argv + ["--out", out]) == 2, argv
+        assert not os.path.exists(out), argv
+    capsys.readouterr()

@@ -1,11 +1,14 @@
-"""Byte-identity of report.json on a fixed set of small CLI invocations.
+"""Byte-identity of the CLI output on a fixed set of small invocations.
 
 Each file under tests/golden/ was written by the code as it stood before
 the change that added it, starting with the dict-based operator core
-that predates the array-backed one. Any change to the numerics, the
-verdict logic or the report layout shows up here as a byte difference.
+that predates the array-backed one: ``<case>.json`` is the report,
+``<case>.<table>.csv`` one CSV per table, and ``list.txt`` the stdout of
+``treeshift list``. Any change to the numerics, the verdict logic, the
+report layout or the CSV writer shows up here as a byte difference.
 """
 
+import glob
 import os
 
 import pytest
@@ -40,7 +43,13 @@ CASES = {
                         "--depth", "5", "--seed", "4"],
     "peel_t2": ["peel", "--family", "t2", "--alpha", "0.5", "--depth", "12"],
     "gallery": ["gallery", "--seed", "3"],
+    "radius_broom_leaf": ["radius", "--family", "broom_leaf", "--tail-start", "2"],
 }
+
+
+def _read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -53,3 +62,20 @@ def test_report_matches_golden(name, tmp_path, monkeypatch):
     with open(os.path.join(GOLDEN_DIR, f"{name}.json"), "rb") as fh:
         want = fh.read()
     assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_csvs_match_golden(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("TREESHIFT_OUT", raising=False)
+    out = str(tmp_path / name)
+    assert main(CASES[name] + ["--out", out]) == 0
+    want = sorted(glob.glob(os.path.join(GOLDEN_DIR, f"{name}.*.csv")))
+    got = sorted(f for f in os.listdir(out) if f.endswith(".csv"))
+    assert got == [os.path.basename(p)[len(name) + 1:] for p in want]
+    for path in want:
+        assert _read(os.path.join(out, os.path.basename(path)[len(name) + 1:])) == _read(path)
+
+
+def test_list_matches_golden(capsys):
+    assert main(["list"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == _read(os.path.join(GOLDEN_DIR, "list.txt"))

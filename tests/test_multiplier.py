@@ -357,6 +357,20 @@ def test_symbol_json_round_trips():
         Symbol.from_json({})
 
 
+def test_symbol_rules_dispatch_through_one_table():
+    assert set(multiplier._RULES) == {"ones", "indicator", "power_law"}
+    assert Symbol.power_law(-1.5, 7).to_json() == {"rule": "power_law", "exponent": -1.5, "K": 7}
+    assert multiplier._rule_symbol("power_law", ["-1.5", "7"]).values == Symbol.power_law(-1.5, 7).values
+    for name, params in (("ones", ["8", "9"]), ("ones", []), ("ones", ["x"]), ("mystery", ["1"]),
+                         (["ones"], ["3"]), ("indicator", [None])):
+        with pytest.raises(ValueError):
+            multiplier._rule_symbol(name, params)
+    for bad in ({"rule": "ones", "K": None}, {"rule": ["ones"], "K": 3},
+                {"rule": "power_law", "exponent": "x", "K": 3}):
+        with pytest.raises(ValueError):
+            Symbol.from_json(bad)
+
+
 def test_symbol_json_coeffs_form():
     phi = Symbol.from_json({"coeffs": {"0": [1.0, 0.0], "2": [0.5, -0.25], "3": [0, 0]}})
     assert phi.values == {0: 1.0, 2: 0.5 - 0.25j} and phi.degree == 2

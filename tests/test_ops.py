@@ -290,6 +290,30 @@ def test_shift_constructor_revalidates_weights():
         TruncatedShift(t, ws)
 
 
+def test_weight_sequence_and_mapping_share_validation():
+    t = build_tree({"family": "random", "depth": 3, "params": {"seed": 2}})
+    n = t.n_vertices
+    lam = np.linspace(0.5, 2.0, n - 1)
+    from_seq = TruncatedShift(t, lam.tolist())
+    from_map = TruncatedShift(t, dict(zip(range(1, n), lam.tolist())))
+    assert from_seq.lam.tobytes() == from_map.lam.tobytes() == np.concatenate(([0.0], lam)).tobytes()
+    assert from_seq.weights == from_map.weights
+    for bad, pos in ((-0.5, 3), (float("nan"), 5), (float("inf"), 2)):
+        weights = lam.copy()
+        weights[pos - 1] = bad
+        weights[-1] = -1.0  # a later bad weight must not be the one named
+        for form in (weights, weights.tolist(), dict(zip(range(1, n), weights.tolist()))):
+            with pytest.raises(ValueError, match=f"vertex {pos} must be finite"):
+                TruncatedShift(t, form)
+    for short in (lam[:-1], lam.tolist() + [1.0], lam.reshape(1, -1)):
+        with pytest.raises(ValueError, match=f"expected {n - 1} weights"):
+            TruncatedShift(t, short)
+    partial = dict(zip(range(1, n), lam.tolist()))
+    del partial[4], partial[6]
+    with pytest.raises(ValueError, match="missing weight for vertex 4"):
+        TruncatedShift(t, partial)
+
+
 def test_deep_ray_queries_stay_linear_in_memory():
     # An order-by-depth table for this ray would hold ~2e8 entries.
     tracemalloc.start()
