@@ -80,7 +80,7 @@ def path_restriction(s: TruncatedShift, p: PathSelector) -> ClassicalWeights:
     (k+1)-st path vertex.
     """
     PathSelector.from_vertices(s.tree, p.vertices)  # revalidate against this tree
-    return ClassicalWeights(mu=tuple(s.weights.lam[v] for v in p.vertices[1:]))
+    return ClassicalWeights(mu=tuple(s.lam[list(p.vertices[1:])].tolist()))
 
 
 def path_radius_estimate(s: TruncatedShift, p: PathSelector, n: int) -> float:
@@ -98,8 +98,8 @@ def path_radius_estimate(s: TruncatedShift, p: PathSelector, n: int) -> float:
     lo = max(n, 1)
     best = math.inf
     prod = 1.0
-    for k, v in enumerate(p.vertices[1:], start=1):
-        prod *= s.weights.lam[v]
+    for k, w in enumerate(s.lam[list(p.vertices[1:])].tolist(), start=1):
+        prod *= w
         if k >= lo:
             best = min(best, prod ** (1.0 / k))
     if best is math.inf:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -290,7 +291,7 @@ def _gamma_rows(
     scalar formula does.
     """
     n = len(f_re)
-    offsets = s.gen_offsets
+    offsets = s.tree.gen_offsets
     acc_re = np.zeros((len(p_re), n))
     acc_im = np.zeros((len(p_re), n))
     prod = np.ones(n)
@@ -298,7 +299,7 @@ def _gamma_rows(
         if k:
             # Restrict the order k - 1 arrays (ids from offsets[k - 1]) to
             # depth >= k by gathering at each vertex's parent.
-            up = s.parent[offsets[k]:] - offsets[k - 1]
+            up = s.tree.parent[offsets[k]:] - offsets[k - 1]
             f_re, f_im = f_re[up], f_im[up]
             prod = prod[up] * s.lam[offsets[k]:]
         live = (p_re[:, k] != 0) | (p_im[:, k] != 0)
@@ -320,23 +321,24 @@ def mult_column(s: TruncatedShift, phi: Symbol, u: VertexId) -> TreeVector:
     """Column of the multiplication operator at the basis vector of u.
 
     Walks the descendant side: the coefficient at a vertex v exactly k
-    generations below u is (weight product u down to v) * phi(k). Kept
-    independent of the ancestor-sum route on purpose.
+    generations below u is (weight product u down to v) * phi(k). Each
+    generation below u is one id range, whose weight products extend
+    those of the range above through the parent array. Kept independent
+    of the ancestor-sum route on purpose.
     """
     s.tree.check_vertex(u)
-    lam = s.weights.lam
-    children = s.tree.children
     out: dict[VertexId, complex] = {}
-    frontier: list[tuple[VertexId, float]] = [(u, 1.0)]
-    k = 0
-    k_max = min(phi.degree, s.max_depth - s.tree.depth[u])
-    while frontier and k <= k_max:
+    prods = [1.0]
+    for k, level in enumerate(islice(s.tree.levels_below(u), phi.degree + 1)):
+        lo, hi = level.start, level.stop
+        if k:
+            up = (s.tree.parent[lo:hi] - lo_above).tolist()
+            prods = [prods[i] * w for i, w in zip(up, s.lam[lo:hi].tolist())]
         pk = phi.value(k)
         if pk != 0:
-            for v, prod in frontier:
+            for v, prod in zip(level, prods):
                 out[v] = prod * pk
-        frontier = [(w, prod * lam[w]) for v, prod in frontier for w in children[v]]
-        k += 1
+        lo_above = lo
     return TreeVector(s.tree, out)
 
 
@@ -345,7 +347,7 @@ def rotate_vector(f: TreeVector, w: complex) -> TreeVector:
     w = _check_unimodular(w)
     depth = f.tree.depth
     powers = _powers(w, f.tree.max_depth)
-    return TreeVector(f.tree, {v: powers[depth[v]] * c for v, c in f.coeffs.items()})
+    return TreeVector(f.tree, {v: powers[depth.item(v)] * c for v, c in f.coeffs.items()})
 
 
 def rotate_symbol(phi: Symbol, w: complex) -> Symbol:

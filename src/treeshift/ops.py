@@ -2,10 +2,11 @@
 
 The shift sends the basis vector at a vertex u to the weighted sum of the
 basis vectors at the children of u. ``TruncatedShift`` keeps the operator
-as three arrays in breadth-first id order: the parent of every vertex, the
-weight on the edge entering it, and the id at which each generation
-starts. Squared power-column norms are derived from them lazily, one
-order at a time, so every structure held here is O(vertices).
+as its tree's arrays (parent, first child and generation offsets, in
+breadth-first id order) plus one array of its own, the weight on the
+edge entering each vertex. Squared power-column norms are derived from
+them lazily, one order at a time, so every structure held here is
+O(vertices).
 
 Truncation contract: applying the shift to mass sitting at the deepest
 generation drops that mass (its image lives past the horizon). The dropped
@@ -43,7 +44,7 @@ def _weight_array(
     """Validate child weights against ``tree``; entry 0 (the root) is 0.
 
     ``weights`` maps each child id 1..N-1 to its weight, or lists the
-    weights of vertices 1..N-1 in id order.
+    weights of vertices 1..N-1 in id order. The result is read-only.
     """
     n = tree.n_vertices
     if isinstance(weights, Mapping):
@@ -63,27 +64,8 @@ def _weight_array(
         raise ValueError(f"weight at vertex {i + 1} must be finite and >= 0, got {float(vals[i])}")
     lam = np.zeros(n)
     lam[1:] = vals
+    lam.flags.writeable = False
     return lam
-
-
-@dataclass(frozen=True)
-class WeightSystem:
-    """Nonnegative edge weights keyed by the child endpoint."""
-
-    lam: Mapping[VertexId, float]
-    strictly_positive: bool
-
-    @classmethod
-    def from_mapping(cls, tree: DirectedTree, mapping: Mapping[VertexId, float]) -> "WeightSystem":
-        return cls._from_array(_weight_array(tree, mapping))
-
-    @classmethod
-    def _from_array(cls, lam: np.ndarray) -> "WeightSystem":
-        vals = lam[1:].tolist()
-        return cls(lam=dict(zip(range(1, len(lam)), vals)), strictly_positive=all(w > 0 for w in vals))
-
-    def of(self, v: VertexId) -> float:
-        return self.lam[v]
 
 
 class TreeVector:
@@ -173,12 +155,11 @@ def _same_tree(a, b) -> None:
 
 
 class TruncatedShift:
-    """The weighted shift operator attached to one tree and weight system.
+    """The weighted shift operator attached to one tree and its weights.
 
-    The operator is held as arrays in breadth-first id order: ``parent``
-    (with -1 at the root), ``lam`` (the weight on the edge entering each
-    vertex, 0 at the root) and ``gen_offsets`` (generation d occupies ids
-    ``gen_offsets[d]`` up to ``gen_offsets[d + 1]``).
+    The operator is ``tree``, whose arrays give the parent of every vertex
+    and the id ranges of every sibling set and generation, plus ``lam``,
+    the read-only weight on the edge entering each vertex (0 at the root).
 
     Power-column norms obey the bottom-up recursion
 
@@ -190,39 +171,32 @@ class TruncatedShift:
     lifetime of the shift; a single cursor holds the most recent higher
     order and moves forward from it, or restarts from order 1 when a
     lower order is asked for. Memory stays O(vertices) at any depth. The
-    weights (a ``WeightSystem``, a mapping from child id to weight, or the
-    weights of vertices 1..N-1 in id order) are validated once, against
-    this tree, when ``lam`` is filled.
+    weights (a mapping from child id to weight, or the weights of vertices
+    1..N-1 in id order) are validated once, against this tree, when
+    ``lam`` is filled.
     """
 
     def __init__(
         self,
         tree: DirectedTree,
-        weights: Union[WeightSystem, Mapping[VertexId, float], Sequence[float], np.ndarray],
+        weights: Union[Mapping[VertexId, float], Sequence[float], np.ndarray],
         norm_attained_within_depth: Optional[int] = None,
     ):
-        if isinstance(weights, WeightSystem):
-            self.lam = _weight_array(tree, weights.lam)  # revalidate against this tree
-        else:
-            self.lam = _weight_array(tree, weights)
-            weights = WeightSystem._from_array(self.lam)
         self.tree = tree
-        self.weights = weights
+        self.lam = _weight_array(tree, weights)
         self.norm_attained_within_depth = norm_attained_within_depth
-        self.parent = np.array((-1,) + tree.parent[1:], dtype=np.intp)
-        self.gen_offsets = np.cumsum([0] + [len(g) for g in tree.generations])
         self._lam2 = self.lam * self.lam
         self._order1 = self._next_order(np.ones(tree.n_vertices), 1)
         self._order1.flags.writeable = False
         self._cursor = (1, self._order1)
-        interior = self._order1[: self.gen_offsets[tree.max_depth]]
+        interior = self._order1[: tree.gen_offsets[tree.max_depth]]
         self.column_bound = float(interior.max()) if interior.size else 0.0
 
     def _next_order(self, prev: np.ndarray, n: int) -> np.ndarray:
         """Order n from order n - 1, on the prefix with depth <= max_depth - n."""
-        size = int(self.gen_offsets[self.tree.max_depth - n + 1])
+        size = int(self.tree.gen_offsets[self.tree.max_depth - n + 1])
         m = len(prev)
-        return np.bincount(self.parent[1:m], self._lam2[1:m] * prev[1:], minlength=size)
+        return np.bincount(self.tree.parent[1:m], self._lam2[1:m] * prev[1:], minlength=size)
 
     def power_norms_sq(self, n: int) -> np.ndarray:
         """Read-only array of norm(S^n e_u)^2 for every u with depth(u) + n <= max_depth.
@@ -254,25 +228,23 @@ class TruncatedShift:
 
     def horizon(self, u: VertexId) -> int:
         self.tree.check_vertex(u)
-        return self.tree.max_depth - self.tree.depth[u]
+        return self.tree.max_depth - self.tree.depth.item(u)
 
     def ancestor_products(self, v: VertexId) -> tuple[tuple[VertexId, float], ...]:
         """Pairs (k-th ancestor of v, weight product down from it to v)."""
         self.tree.check_vertex(v)
-        parent = self.tree.parent
-        lam = self.weights.lam
         out = [(v, 1.0)]
         prod = 1.0
         x = v
         while x != 0:
-            prod *= lam[x]
-            x = parent[x]
+            prod *= self.lam.item(x)
+            x = self.tree.parent.item(x)
             out.append((x, prod))
         return tuple(out)
 
     def power_norm_sq(self, u: VertexId, n: int) -> float:
         self.tree.check_vertex(u)
-        if self.tree.depth[u] + n > self.tree.max_depth:
+        if self.tree.depth.item(u) + n > self.tree.max_depth:
             raise HorizonError(
                 f"norm(S^{n} e_{u}) needs vertices past depth {self.tree.max_depth}"
             )
@@ -304,19 +276,19 @@ class InjectivityResult:
 def lambda_path(s: TruncatedShift, u: VertexId, v: VertexId) -> float:
     """Product of edge weights along the unique path from u down to v.
 
-    Equals 1 when u == v; raises when v does not lie below u.
+    Equals 1 when u == v; raises when v does not lie below u. Ancestors
+    have smaller breadth-first ids, so the walk up from v stops below u.
     """
     tree = s.tree
     tree.check_vertex(u)
     tree.check_vertex(v)
     prod = 1.0
     x = v
-    while x != u:
-        p = tree.parent[x]
-        if p is None:
-            raise ValueError(f"vertex {v} is not a descendant of {u}")
-        prod *= s.weights.lam[x]
-        x = p
+    while x > u:
+        prod *= s.lam.item(x)
+        x = tree.parent.item(x)
+    if x != u:
+        raise ValueError(f"vertex {v} is not a descendant of {u}")
     return prod
 
 
@@ -343,13 +315,13 @@ def apply_shift(
             raise ValueError(
                 f"expected a complex ({s.tree.n_vertices}, k) block, got {f.dtype} {f.shape}"
             )
-        out = f[s.parent]
+        out = f[s.tree.parent]
         parts = out.view(np.float64)
         parts *= s.lam[:, None]
         out[0] = 0
         return out
     _same_tree(s, f)
-    lam = s.weights.lam
+    lam = s.lam.tolist()
     out: dict[VertexId, complex] = {}
     children = s.tree.children
     for u, c in f.coeffs.items():
@@ -365,12 +337,12 @@ def apply_adjoint(s: TruncatedShift, f: TreeVector) -> TreeVector:
     weights are real so no conjugation appears.
     """
     _same_tree(s, f)
-    lam = s.weights.lam
-    parent = s.tree.parent
+    lam = s.lam.tolist()
+    parent = s.tree.parent.tolist()
     out: dict[VertexId, complex] = {}
     for v, c in f.coeffs.items():
         p = parent[v]
-        if p is not None:
+        if p >= 0:
             out[p] = out.get(p, 0j) + lam[v] * c
     return TreeVector(s.tree, out)
 
@@ -378,10 +350,9 @@ def apply_adjoint(s: TruncatedShift, f: TreeVector) -> TreeVector:
 def boundary_mass(s: TruncatedShift, f: TreeVector) -> float:
     """Norm of the part of f sitting at the deepest generation."""
     _same_tree(s, f)
-    deepest = s.tree.depth
-    d = s.tree.max_depth
+    deepest = s.tree.gen_offsets.item(-2)  # the first id at the deepest generation
     return math.sqrt(
-        sum((c * c.conjugate()).real for v, c in f.coeffs.items() if deepest[v] == d)
+        sum((c * c.conjugate()).real for v, c in f.coeffs.items() if v >= deepest)
     )
 
 
@@ -427,7 +398,7 @@ def is_injective(s: TruncatedShift) -> InjectivityResult:
     best: Optional[float] = None
     witness: Optional[VertexId] = None
     if s.max_depth > 0:
-        col = np.sqrt(s.power_norms_sq(1)[: s.gen_offsets[s.max_depth]])
+        col = np.sqrt(s.power_norms_sq(1)[: s.tree.gen_offsets[s.max_depth]])
         witness = int(np.argmin(col))
         best = float(col[witness])
     ok = best is None or best > 0.0

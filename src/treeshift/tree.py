@@ -2,14 +2,15 @@
 
 Vertex ids are dense integers assigned breadth first, so the root is id 0
 and every generation and every sibling set occupies a contiguous id
-range. All list-valued queries return vertices in ascending id order,
-which makes downstream numerics reproducible. Trees are immutable after
-construction and safe to share between threads.
+range, so a tree is a few numpy arrays indexed by id. All list-valued
+queries return vertices in ascending id order, which makes downstream
+numerics reproducible. Trees are immutable after construction and safe
+to share between threads.
 
 A tree comes either from an explicit vertex/edge or parents description,
 relabelled breadth first, or from a named family in ``FAMILIES``. Both
-routes end in ``DirectedTree.from_bfs_parents``, which derives the rest
-of the structure from the breadth-first parent array. Childless vertices
+routes end in ``DirectedTree.from_bfs_parents``, which derives the
+offsets from the breadth-first parent array. Childless vertices
 strictly above the truncation depth are recorded as genuine leaves.
 Childless vertices at the truncation depth are boundary vertices: they
 are presumed to continue past the horizon unless the generating family
@@ -28,6 +29,8 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -39,23 +42,36 @@ class TreeSpecError(ValueError):
     """Malformed tree description: bad keys, cycles, missing root, ..."""
 
 
-@dataclass(frozen=True)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _ranges(bounds: np.ndarray) -> tuple[range, ...]:
+    b = bounds.tolist()
+    return tuple(map(range, b[:-1], b[1:]))
+
+
+@dataclass(frozen=True, eq=False)
 class DirectedTree:
     """A finite rooted directed tree with breadth-first integer ids.
 
-    Fields are parallel tuples indexed by vertex id. ``parent[0]`` is
-    ``None``; ``generations[n]`` lists the vertices at depth ``n`` and the
-    union over n partitions the vertex set. ``genuine_leaves`` holds the
-    childless vertices known to be childless in the untruncated object,
-    as opposed to artifacts of cutting at ``max_depth``.
+    Three read-only intp arrays hold the tree: ``parent`` (-1 at the
+    root), ``first_child`` (the children of u are the ids
+    ``first_child[u]:first_child[u + 1]``) and ``gen_offsets`` (generation
+    d is ``gen_offsets[d]:gen_offsets[d + 1]``). ``genuine_leaves`` holds
+    the childless vertices known to be childless in the untruncated
+    object, as opposed to artifacts of cutting at ``max_depth``; ``names``
+    the labels a description gave, None for ``str(v)``. The ``children``
+    and ``generations`` range views, the ``depth`` array and ``labels``
+    are built on first use.
     """
 
-    parent: tuple[Optional[VertexId], ...]
-    children: tuple[tuple[VertexId, ...], ...]
-    depth: tuple[int, ...]
-    generations: tuple[tuple[VertexId, ...], ...]
-    labels: tuple[str, ...]
+    parent: np.ndarray
+    first_child: np.ndarray
+    gen_offsets: np.ndarray
     genuine_leaves: frozenset[VertexId]
+    names: Optional[tuple[str, ...]] = None
 
     @property
     def n_vertices(self) -> int:
@@ -63,7 +79,28 @@ class DirectedTree:
 
     @property
     def max_depth(self) -> int:
-        return len(self.generations) - 1
+        return len(self.gen_offsets) - 2
+
+    children = cached_property(lambda self: _ranges(self.first_child))
+    generations = cached_property(lambda self: _ranges(self.gen_offsets))
+
+    @cached_property
+    def depth(self) -> np.ndarray:
+        sizes = np.diff(self.gen_offsets)
+        return _read_only(np.repeat(np.arange(len(sizes), dtype=np.intp), sizes))
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(map(str, range(self.n_vertices))) if self.names is None else self.names
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DirectedTree):
+            return NotImplemented
+        return (
+            self.parent.tobytes() == other.parent.tobytes()
+            and self.genuine_leaves == other.genuine_leaves
+            and (self.names is other.names or self.labels == other.labels)
+        )
 
     @classmethod
     def from_bfs_parents(
@@ -72,7 +109,7 @@ class DirectedTree:
         labels: Optional[Sequence[str]] = None,
         genuine_leaves: Optional[Iterable[VertexId]] = None,
     ) -> "DirectedTree":
-        """Derive children, depths and generations from a BFS parent array.
+        """Derive the child and generation offsets from a BFS parent array.
 
         ``parent[v]`` is the parent id of vertex v; entry 0, the root's, is
         ignored. Breadth-first ids make the entries nondecreasing with
@@ -81,28 +118,26 @@ class DirectedTree:
         ``str(v)``; genuine leaves default to the childless vertices above
         the deepest generation.
         """
-        p = np.asarray(parent[1:], dtype=np.intp)
-        n = len(p) + 1
-        if p.size and (p[0] != 0 or np.any(np.diff(p) < 0) or np.any(p >= np.arange(1, n))):
+        n = len(parent)
+        if n == 0:
+            raise TreeSpecError("parent array is empty: a tree needs a root")
+        p = np.concatenate(([-1], np.asarray(parent[1:], dtype=np.intp)))
+        if n > 1 and (p[1] != 0 or np.any(np.diff(p[1:]) < 0) or np.any(p[1:] >= np.arange(1, n))):
             raise TreeSpecError("parent array is not in breadth-first order")
-        # Children of u: ids first[u] up to first[u + 1].
-        first = (np.searchsorted(p, np.arange(n + 1)) + 1).tolist()
+        first = np.searchsorted(p[1:], np.arange(n + 1)) + 1
         # Generation d + 2 starts at the first child of generation d + 1.
         offsets = [0, 1]
         while offsets[-1] < n:
-            offsets.append(first[offsets[-1]])
-        sizes = np.diff(offsets)
-        max_depth = len(sizes) - 1
+            offsets.append(first.item(offsets[-1]))
         if genuine_leaves is None:
-            childless = np.diff(first[: offsets[max_depth] + 1]) == 0
+            childless = np.diff(first[: offsets[-2] + 1]) == 0
             genuine_leaves = np.flatnonzero(childless).tolist()
         return cls(
-            parent=(None, *p.tolist()),
-            children=tuple(tuple(range(a, b)) for a, b in zip(first, first[1:])),
-            depth=tuple(np.repeat(np.arange(max_depth + 1), sizes).tolist()),
-            generations=tuple(tuple(range(a, b)) for a, b in zip(offsets, offsets[1:])),
-            labels=tuple(map(str, range(n))) if labels is None else tuple(labels),
+            parent=_read_only(p),
+            first_child=_read_only(first),
+            gen_offsets=_read_only(np.array(offsets, dtype=np.intp)),
             genuine_leaves=frozenset(genuine_leaves),
+            names=None if labels is None else tuple(labels),
         )
 
     def check_vertex(self, v: VertexId) -> None:
@@ -118,15 +153,22 @@ class DirectedTree:
     def is_interior(self, v: VertexId) -> bool:
         """True when v sits strictly above the truncation boundary."""
         self.check_vertex(v)
-        return self.depth[v] < self.max_depth
+        return v < self.gen_offsets.item(-2)
 
-    def interior_vertices(self) -> Iterator[VertexId]:
-        for gen in self.generations[:-1]:
-            yield from gen
+    def interior_vertices(self) -> range:
+        return range(self.gen_offsets.item(-2))
 
     def is_leaf(self, v: VertexId) -> bool:
         self.check_vertex(v)
-        return not self.children[v]
+        return self.first_child.item(v) == self.first_child.item(v + 1)
+
+    def levels_below(self, u: VertexId) -> Iterator[range]:
+        """The descendants of u as one id range per generation, from u down."""
+        lo, hi = u, u + 1
+        while lo < hi:
+            yield range(lo, hi)
+            # The children of the ids lo:hi are the ids first_child[lo]:first_child[hi].
+            lo, hi = self.first_child.item(lo), self.first_child.item(hi)
 
 
 @dataclass(frozen=True)
@@ -332,15 +374,13 @@ def _balanced_weights(tree: DirectedTree, p: Mapping[str, object]) -> np.ndarray
             raise TreeSpecError("generation norms must be positive")
     rng = np.random.default_rng([int(p["seed"]), 2])  # type: ignore[call-overload]
     draws = rng.uniform(0.5, 1.5, size=tree.n_vertices - 1)
-    parent = np.array(tree.parent[1:], dtype=np.intp)
-    counts = np.bincount(parent, minlength=tree.n_vertices)
-    first = np.cumsum(counts) - counts  # index into draws of each parent's first child
+    first = tree.first_child[:-1] - 1  # index into draws of each parent's first child
+    counts = np.diff(tree.first_child)
     sums = np.empty_like(draws)
     for c in np.unique(counts[counts > 0]).tolist():
         block = first[counts == c][:, None] + np.arange(c)
         sums[block] = draws[block].sum(axis=1)[:, None]
-    parent_depth = np.array(tree.depth[1:], dtype=np.intp) - 1
-    return np.sqrt(np.square(norms)[parent_depth] * (draws / sums))
+    return np.sqrt(np.square(norms)[tree.depth[1:] - 1] * (draws / sums))
 
 
 @dataclass(frozen=True)
@@ -416,7 +456,7 @@ FAMILIES: Mapping[str, Family] = {
 }
 
 
-def _family(spec: Mapping[str, object], weigh: bool) -> tuple[DirectedTree, Optional[list[float]]]:
+def _family(spec: Mapping[str, object], weigh: bool) -> tuple[DirectedTree, Optional[np.ndarray]]:
     """Check a family document against its ``FAMILIES`` entry and build it."""
     extra = set(spec) - _FAMILY_KEYS
     if extra:
@@ -445,7 +485,7 @@ def _family(spec: Mapping[str, object], weigh: bool) -> tuple[DirectedTree, Opti
     params = {**fam.params, **given}
     parent, labels, genuine = fam.build(depth, params)
     tree = DirectedTree.from_bfs_parents(parent, labels, genuine)
-    return tree, fam.weights(tree, params).tolist() if weigh else None
+    return tree, fam.weights(tree, params) if weigh else None
 
 
 _EXPLICIT_KEYS = {"vertices", "edges", "weights"}
@@ -453,7 +493,7 @@ _PARENTS_KEYS = {"vertices", "parents", "weights"}
 _FAMILY_KEYS = {"family", "params", "depth"}
 
 
-def parse_tree_spec(spec: Mapping[str, object]) -> tuple[DirectedTree, Optional[list[float]]]:
+def parse_tree_spec(spec: Mapping[str, object]) -> tuple[DirectedTree, Optional[np.ndarray]]:
     """Parse a tree-spec mapping into a tree plus optional edge weights.
 
     Three document shapes are accepted. The explicit shape lists vertices
@@ -472,10 +512,10 @@ def parse_tree_spec(spec: Mapping[str, object]) -> tuple[DirectedTree, Optional[
 
         {"family": "t2", "params": {"alpha": 0.5}, "depth": 8}
 
-    Unknown top-level keys are rejected. Weights returned here are keyed
-    by vertex id of the child endpoint, in id order starting at 1; the
-    family shape returns the family's weights, the other shapes None when
-    the document carries none.
+    Unknown top-level keys are rejected. Weights are returned as a float64
+    array over the child endpoints, vertex ids 1..N-1 in order; the family
+    shape returns the family's weights, the other shapes None when the
+    document carries none.
     """
     keys = set(spec)
     if "family" in keys:
@@ -518,17 +558,17 @@ def parse_tree_spec(spec: Mapping[str, object]) -> tuple[DirectedTree, Optional[
 
 def _explicit(
     labels: Sequence[str], edges: Sequence[tuple], weights_in
-) -> tuple[DirectedTree, Optional[list[float]]]:
+) -> tuple[DirectedTree, Optional[np.ndarray]]:
     """Assemble labels and edges; weights, if given, run parallel to the edges."""
     tree, new_id = _assemble(labels, edges)
     if weights_in is None:
         return tree, None
     if not isinstance(weights_in, Sequence) or len(weights_in) != len(edges):
         raise TreeSpecError("weights must parallel the edge list")
-    by_vertex = [0.0] * tree.n_vertices
+    by_vertex = np.zeros(tree.n_vertices)
     for (_, c), w in zip(edges, weights_in):
         by_vertex[new_id[int(c)]] = float(w)
-    return tree, [by_vertex[v] for v in range(1, tree.n_vertices)]
+    return tree, by_vertex[1:]
 
 
 def build_tree(spec: Mapping[str, object]) -> DirectedTree:
@@ -558,24 +598,13 @@ def children_n(tree: DirectedTree, u: VertexId, n: int) -> list[VertexId]:
     tree.check_vertex(u)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    frontier = [u]
-    for _ in range(n):
-        if not frontier:
-            return []
-        frontier = [w for v in frontier for w in tree.children[v]]
-    return sorted(frontier)
+    return list(next(islice(tree.levels_below(u), n, None), ()))
 
 
 def descendants(tree: DirectedTree, u: VertexId) -> list[VertexId]:
     """u together with everything below it, ascending id order."""
     tree.check_vertex(u)
-    out = []
-    stack = [u]
-    while stack:
-        v = stack.pop()
-        out.append(v)
-        stack.extend(tree.children[v])
-    return sorted(out)
+    return [v for level in tree.levels_below(u) for v in level]
 
 
 def enumerate_paths(tree: DirectedTree) -> list[PathSelector]:
@@ -585,15 +614,12 @@ def enumerate_paths(tree: DirectedTree) -> list[PathSelector]:
     the boundary generation and the count equals the number of depth-D
     vertices. Chains ending at a genuine leaf are flagged, not rejected.
     """
+    parent = tree.parent.tolist()
     paths = []
-    for v in range(tree.n_vertices):
-        if tree.children[v]:
-            continue
+    for v in np.flatnonzero(np.diff(tree.first_child) == 0).tolist():
         chain = [v]
-        u = tree.parent[v]
-        while u is not None:
-            chain.append(u)
-            u = tree.parent[u]
+        while chain[-1] != 0:
+            chain.append(parent[chain[-1]])
         chain.reverse()
         paths.append(PathSelector(tuple(chain), leaf_terminated=v in tree.genuine_leaves))
     return paths

@@ -60,7 +60,7 @@ class KernelBasis:
 
     def support_depths(self, tree) -> list[int]:
         """Depth of the generation each block lives on."""
-        return [0 if b.parent is None else tree.depth[b.parent] + 1 for b in self.blocks]
+        return [0 if b.parent is None else tree.depth.item(b.parent) + 1 for b in self.blocks]
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,7 @@ def _sibling_block(s: TruncatedShift, u: VertexId) -> Optional[KernelBlock]:
     kids = tree.children[u]
     if not kids:
         return None
-    lam = s.weights.lam
-    weights = [lam[v] for v in kids]
+    weights = s.lam[kids.start:kids.stop].tolist()
     if all(w == 0 for w in weights):
         # Vacuous constraint: every sibling direction lies in the kernel.
         vecs = tuple(TreeVector.basis(tree, v) for v in kids)
@@ -137,12 +136,12 @@ def kernel_basis(s: TruncatedShift, interior_only: bool = True) -> KernelBasis:
     """
     tree = s.tree
     blocks = [KernelBlock(parent=None, vectors=(TreeVector.basis(tree, 0),))]
-    deepest_parent = tree.max_depth - (2 if interior_only else 1)
-    for gen in tree.generations[: deepest_parent + 1]:
-        for u in gen:
-            block = _sibling_block(s, u)
-            if block is not None:
-                blocks.append(block)
+    # The parents are the ids before generation max_depth - 1 (interior) or max_depth.
+    end = tree.gen_offsets.item(max(0, tree.max_depth - (1 if interior_only else 0)))
+    for u in range(end):
+        block = _sibling_block(s, u)
+        if block is not None:
+            blocks.append(block)
     return KernelBasis(blocks=tuple(blocks), interior_only=interior_only)
 
 
@@ -245,9 +244,8 @@ def is_balanced(s: TruncatedShift, rel_tol: float = 1e-10, abs_tol: float = 1e-1
     """
     if s.max_depth == 0:
         return BalanceResult(ok=True)
-    offsets = s.gen_offsets
-    val = np.sqrt(s.power_norms_sq(1)[: offsets[s.max_depth]])
-    first = np.repeat(offsets[:-2], np.diff(offsets[:-1]))
+    val = np.sqrt(s.power_norms_sq(1)[: s.tree.gen_offsets[s.max_depth]])
+    first = s.tree.gen_offsets[s.tree.depth[: val.size]]  # first vertex of each generation
     bad = np.flatnonzero(_mismatch(val, val[first], rel_tol, abs_tol))
     if not bad.size:
         return BalanceResult(ok=True)
@@ -269,15 +267,11 @@ def is_locally_power_balanced(
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    parent = s.parent[1:]
-    # Siblings are contiguous in breadth-first ids and parents are
-    # nondecreasing, so the first sibling of v is the first index sharing
-    # its parent.
-    first = np.searchsorted(parent, parent) + 1
+    first = s.tree.first_child[s.tree.parent[1:]]  # first sibling of vertices 1..N-1
     found: Optional[BalanceResult] = None
     limit = s.tree.n_vertices
     for n in range(1, min(max_n, s.max_depth) + 1):
-        m = min(int(s.gen_offsets[s.max_depth - n + 1]), limit)
+        m = min(int(s.tree.gen_offsets[s.max_depth - n + 1]), limit)
         if m <= 1:
             break
         val = np.sqrt(s.power_norms_sq(n)[:m])

@@ -19,7 +19,7 @@ def dense_shift_matrix(s):
     n = s.tree.n_vertices
     mat = np.zeros((n, n))
     for v in range(1, n):
-        mat[v, s.tree.parent[v]] = s.weights.lam[v]
+        mat[v, s.tree.parent[v]] = s.lam[v]
     return mat
 
 
@@ -32,9 +32,9 @@ def dense_mult_matrix(s, phi):
         while True:
             out[v, u] += prod * phi.value(k)
             p = s.tree.parent[u]
-            if p is None:
+            if p < 0:
                 break
-            prod *= s.weights.lam[u]
+            prod *= s.lam[u]
             u, k = p, k + 1
     return out
 

@@ -243,7 +243,13 @@ def test_list_prints_registry(capsys):
 
 def test_vacuous_verdicts_exit_two(tmp_path, capsys):
     # Each of these checked zero rows, or compared against NaN, and passed.
-    for argv in (["integral", "--family", "mad", "--depth", "4", "--cases", "0"],
+    one = tmp_path / "one.json"
+    one.write_text('{"vertices": 1, "parents": [null]}', encoding="utf-8")
+    for argv in (["gram", "--tree", str(one)],
+                 ["wold", "--tree", str(one)],
+                 ["wold", "--family", "mad", "--depth", "5", "--horizon", "0"],
+                 ["balanced", "--tree", str(one)],
+                 ["integral", "--family", "mad", "--depth", "4", "--cases", "0"],
                  ["wold", "--family", "mad", "--depth", "4", "--cases", "-2"],
                  ["approx", "--family", "mad", "--depth", "4", "--probes", "0"],
                  ["gram", "--family", "random", "--depth", "3", "--max-power", "0"],
@@ -256,7 +262,7 @@ def test_vacuous_verdicts_exit_two(tmp_path, capsys):
         out = str(tmp_path / "r")
         assert _run(argv + ["--out", out]) == 2, argv
         assert not os.path.exists(out), argv
-    capsys.readouterr()
+        assert "error" in capsys.readouterr().err, argv
 
 
 def test_registry_and_flags_agree(tmp_path, capsys):

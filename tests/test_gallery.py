@@ -27,9 +27,9 @@ from oracles import dense_shift_matrix, loop_family
 
 def test_mad_weight_rule():
     s = make(GallerySpec(family="mad", depth=6))
-    assert s.weights.lam[1] == 1.0
+    assert s.lam[1] == 1.0
     for v in range(2, 7):
-        assert s.weights.lam[v] == v / (v - 1)
+        assert s.lam[v] == v / (v - 1)
     assert s.norm_attained_within_depth == 1
 
 
@@ -37,8 +37,8 @@ def test_t2_weight_rule_and_validation():
     s = make(GallerySpec(family="t2", depth=4, params={"alpha": 0.25}))
     t = s.tree
     for j in range(1, 5):
-        assert s.weights.lam[t.vertex_with_label(f"(1,{j})")] == 1.0
-        assert s.weights.lam[t.vertex_with_label(f"(2,{j})")] == 0.25
+        assert s.lam[t.vertex_with_label(f"(1,{j})")] == 1.0
+        assert s.lam[t.vertex_with_label(f"(2,{j})")] == 0.25
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
             make(GallerySpec(family="t2", depth=4, params={"alpha": bad}))
@@ -52,8 +52,8 @@ def test_t2_zero_weight_rule():
     s = make(GallerySpec(family="t2_zero", depth=4))
     t = s.tree
     for j in range(1, 5):
-        up = s.weights.lam[t.vertex_with_label(f"(1,{j})")]
-        low = s.weights.lam[t.vertex_with_label(f"(2,{j})")]
+        up = s.lam[t.vertex_with_label(f"(1,{j})")]
+        low = s.lam[t.vertex_with_label(f"(2,{j})")]
         if j == 2:
             assert up == 0.0 and low == 0.0
         else:
@@ -65,16 +65,16 @@ def test_t2_zero_weight_rule():
 
 def test_broom_weight_rules():
     s = make(GallerySpec(family="broom", params={"arms": 4}))
-    assert [s.weights.lam[n] for n in range(1, 5)] == [1.0, 0.5, 1.0 / 3.0, 0.25]
+    assert [s.lam[n] for n in range(1, 5)] == [1.0, 0.5, 1.0 / 3.0, 0.25]
     custom = make(GallerySpec(family="broom", params={"arms": 2, "weights": [0.3, 0.4]}))
-    assert custom.weights.lam == {1: 0.3, 2: 0.4}
+    assert custom.lam[1:].tolist() == [0.3, 0.4]
     with pytest.raises(ValueError):
         make(GallerySpec(family="broom", params={"arms": 3, "weights": [1.0]}))
     with pytest.raises(ValueError):
         make(GallerySpec(family="broom", params={"arms": 2, "weights": [1.0, 0.0]}))
 
     bl = make(GallerySpec(family="broom_leaf", params={"arms": 3, "omega_weight": 2.5}))
-    assert bl.weights.lam[bl.tree.vertex_with_label("omega")] == 2.5
+    assert bl.lam[bl.tree.vertex_with_label("omega")] == 2.5
     with pytest.raises(ValueError):
         make(GallerySpec(family="broom_leaf", params={"arms": 3, "omega_weight": 0.0}))
 
@@ -105,10 +105,10 @@ def test_fixed_depth_families_reject_other_depths(tmp_path):
 def test_random_weights_deterministic_and_in_range():
     a = make(GallerySpec(family="random", depth=6, params={"seed": 8}))
     b = make(GallerySpec(family="random", depth=6, params={"seed": 8}))
-    assert a.weights.lam == b.weights.lam
+    assert a.lam.tolist() == b.lam.tolist()
     c = make(GallerySpec(family="random", depth=6, params={"seed": 9}))
-    assert a.weights.lam != c.weights.lam
-    for w in a.weights.lam.values():
+    assert a.lam.tolist() != c.lam.tolist()
+    for w in a.lam[1:].tolist():
         assert 0.5 <= w <= 2.0
 
 
@@ -128,7 +128,7 @@ def test_random_balanced_hits_generation_targets():
 def test_make_accepts_mapping_form():
     via_map = make({"family": "t2", "depth": 3, "params": {"alpha": 0.5}})
     via_spec = make(GallerySpec(family="t2", depth=3, params={"alpha": 0.5}))
-    assert via_map.weights.lam == via_spec.weights.lam
+    assert via_map.lam.tolist() == via_spec.lam.tolist()
 
 
 def test_load_shift_documents(tmp_path):
@@ -138,15 +138,15 @@ def test_load_shift_documents(tmp_path):
         "weights": [0.5, 2.0],
     }
     s = load_shift(explicit)
-    assert s.weights.lam == {1: 0.5, 2: 2.0}
+    assert s.lam[1:].tolist() == [0.5, 2.0]
 
     defaulted = load_shift({"vertices": ["r", "x"], "edges": [[0, 1]]})
-    assert defaulted.weights.lam == {1: 1.0}  # absent weights read as 1
+    assert defaulted.lam[1:].tolist() == [1.0]  # absent weights read as 1
 
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"family": "mad", "depth": 4}), encoding="utf-8")
     s = load_shift(str(path))
-    assert s.weights.lam[4] == 4 / 3
+    assert s.lam[4] == 4 / 3
 
     with pytest.raises(TreeSpecError):
         load_shift({"family": "mystery", "depth": 2})

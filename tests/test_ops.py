@@ -9,7 +9,6 @@ from treeshift import (
     HorizonError,
     TreeVector,
     TruncatedShift,
-    WeightSystem,
     apply_adjoint,
     apply_shift,
     boundary_mass,
@@ -59,15 +58,14 @@ def test_tree_vector_basics():
 def test_weight_system_validation():
     t = build_tree({"family": "unilateral", "depth": 2})
     with pytest.raises(ValueError):
-        WeightSystem.from_mapping(t, {1: 1.0})
+        TruncatedShift(t, {1: 1.0})
     with pytest.raises(ValueError):
-        WeightSystem.from_mapping(t, {1: 1.0, 2: -0.5})
+        TruncatedShift(t, {1: 1.0, 2: -0.5})
     with pytest.raises(ValueError):
-        WeightSystem.from_mapping(t, {1: 1.0, 2: float("nan")})
+        TruncatedShift(t, {1: 1.0, 2: float("nan")})
     with pytest.raises(ValueError):
-        WeightSystem.from_mapping(t, {1: 1.0, 2: 1.0, 3: 1.0})
-    ws = WeightSystem.from_mapping(t, {1: 1.0, 2: 0.0})
-    assert not ws.strictly_positive
+        TruncatedShift(t, {1: 1.0, 2: 1.0, 3: 1.0})
+    assert TruncatedShift(t, {1: 1.0, 2: 0.0}).lam.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_lambda_path_products():
@@ -253,7 +251,7 @@ def test_apply_shift_block_matches_columns():
         assert got.shape == (n, 5) and got.dtype == complex
         # Zero weights leave -0.0 where the sparse route prunes to +0.0.
         assert np.array_equal(got, want), trial
-        if s.weights.strictly_positive:
+        if np.all(s.lam[1:] > 0):
             assert got.tobytes() == want.tobytes(), trial
         assert block.tobytes() == before.tobytes(), trial
         assert not np.any(got[:, 1]) and not np.any(got[0])
@@ -285,9 +283,8 @@ def test_shift_constructor_revalidates_weights():
     with pytest.raises(ValueError):
         TruncatedShift(t, {1: 1.0, 2: 1.0})
     other = build_tree({"family": "unilateral", "depth": 4})
-    ws = WeightSystem.from_mapping(other, {v: 1.0 for v in range(1, 5)})
     with pytest.raises(ValueError):
-        TruncatedShift(t, ws)
+        TruncatedShift(t, {v: 1.0 for v in range(1, other.n_vertices)})
 
 
 def test_weight_sequence_and_mapping_share_validation():
@@ -297,7 +294,7 @@ def test_weight_sequence_and_mapping_share_validation():
     from_seq = TruncatedShift(t, lam.tolist())
     from_map = TruncatedShift(t, dict(zip(range(1, n), lam.tolist())))
     assert from_seq.lam.tobytes() == from_map.lam.tobytes() == np.concatenate(([0.0], lam)).tobytes()
-    assert from_seq.weights == from_map.weights
+    assert from_seq.lam.tolist() == from_map.lam.tolist()
     for bad, pos in ((-0.5, 3), (float("nan"), 5), (float("inf"), 2)):
         weights = lam.copy()
         weights[pos - 1] = bad
@@ -337,6 +334,24 @@ def test_depth_1e5_ray_builds_and_matches_closed_forms():
         for n in range(1, 6):
             assert abs(power_norm(s, 0, n) - n) <= REL * n
             assert abs(operator_norm_power(s, n).value - (n + 1)) <= REL * (n + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20, peak
+
+
+def test_million_vertex_random_build_is_array_only():
+    # A per-vertex tuple or dict of this tree would hold millions of Python objects.
+    tracemalloc.start()
+    try:
+        s = make(GallerySpec(family="random", depth=19, params={"seed": 0, "branching": [2]}))
+        assert s.tree.n_vertices == 2**20 - 1 and s.max_depth == 19
+        for n in range(1, 6):
+            # The root column of S^n sums the squared weight products down to generation n.
+            paths = [s.ancestor_products(v)[n][1] for v in s.tree.generations[n]]
+            want = sum(p * p for p in paths)
+            assert abs(power_norm(s, 0, n) ** 2 - want) <= REL * want
+            assert operator_norm_power(s, n).value >= power_norm(s, 0, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeshift import (
     DirectedTree,
@@ -24,9 +26,9 @@ def test_bfs_relabeling_and_generations():
     }
     t = build_tree(spec)
     assert t.labels[0] == "root"
-    assert t.parent[0] is None
-    assert t.depth == (0, 1, 1, 2, 2)
-    assert t.generations == ((0,), (1, 2), (3, 4))
+    assert t.parent[0] == -1
+    assert t.depth.tolist() == [0, 1, 1, 2, 2]
+    assert tuple(map(tuple, t.generations)) == ((0,), (1, 2), (3, 4))
     for d, gen in enumerate(t.generations):
         assert list(gen) == sorted(gen)
         assert all(t.depth[v] == d for v in gen)
@@ -165,21 +167,21 @@ def test_explicit_weights_follow_relabeling():
     }
     t, weights = parse_tree_spec(spec)
     assert t.labels == ("root", "a", "b")
-    assert weights == [0.25, 4.0]
+    assert weights.tolist() == [0.25, 4.0]
 
 
 def test_parents_array_schema():
     # Parents listed per vertex; weights[0] sits at the root and is ignored.
     spec = {"vertices": 4, "parents": [None, 0, 0, 1], "weights": [9.0, 1.0, 0.5, 0.25]}
     t, weights = parse_tree_spec(spec)
-    assert t.parent == (None, 0, 0, 1)
+    assert t.parent.tolist() == [-1, 0, 0, 1]
     assert t.labels == ("0", "1", "2", "3")
-    assert weights == [1.0, 0.5, 0.25]
+    assert weights.tolist() == [1.0, 0.5, 0.25]
     # Vertices are relabelled to BFS order, and weights follow them.
     t, weights = parse_tree_spec({"vertices": 3, "parents": [None, 2, 0],
                                   "weights": [0.0, 0.5, 2.0]})
-    assert t.labels == ("0", "2", "1") and t.parent == (None, 0, 1)
-    assert weights == [2.0, 0.5]
+    assert t.labels == ("0", "2", "1") and t.parent.tolist() == [-1, 0, 1]
+    assert weights.tolist() == [2.0, 0.5]
     assert parse_tree_spec({"vertices": 1, "parents": [None]})[0].n_vertices == 1
     for bad in (
         {"vertices": 3, "parents": [0, 0, 1]},  # parents[0] is not null
@@ -206,19 +208,64 @@ def test_interior_and_leaf_queries():
 
 def test_from_bfs_parents_derives_structure():
     t = DirectedTree.from_bfs_parents([-1, 0, 0, 1, 1, 1, 2])
-    assert t.parent == (None, 0, 0, 1, 1, 1, 2)
-    assert t.children == ((1, 2), (3, 4, 5), (6,), (), (), (), ())
-    assert t.depth == (0, 1, 1, 2, 2, 2, 2)
-    assert t.generations == ((0,), (1, 2), (3, 4, 5, 6))
+    assert t.parent.tolist() == [-1, 0, 0, 1, 1, 1, 2]
+    assert tuple(map(tuple, t.children)) == ((1, 2), (3, 4, 5), (6,), (), (), (), ())
+    assert t.depth.tolist() == [0, 1, 1, 2, 2, 2, 2]
+    assert tuple(map(tuple, t.generations)) == ((0,), (1, 2), (3, 4, 5, 6))
     assert t.labels == ("0", "1", "2", "3", "4", "5", "6")
     assert not t.genuine_leaves  # every childless vertex sits at the cut
     t = DirectedTree.from_bfs_parents([0, 0, 0, 1], labels="rabc", genuine_leaves=[2])
     assert t.labels == ("r", "a", "b", "c") and t.genuine_leaves == frozenset({2})
     assert DirectedTree.from_bfs_parents([0, 0, 0, 1]).genuine_leaves == frozenset({2})
-    assert DirectedTree.from_bfs_parents([-1]).generations == ((0,),)
-    for bad in ([0, 1], [0, 0, 2], [0, 0, 1, 0], [0, -1]):
+    assert tuple(map(tuple, DirectedTree.from_bfs_parents([-1]).generations)) == ((0,),)
+    for bad in ([], [0, 1], [0, 0, 2], [0, 0, 1, 0], [0, -1]):
         with pytest.raises(TreeSpecError):
             DirectedTree.from_bfs_parents(bad)
+
+
+@st.composite
+def bfs_parents(draw):
+    """A BFS parent array: vertices, in id order, take 0 to 3 children each."""
+    counts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=40))
+    parent = [-1]
+    for u, c in enumerate(counts):
+        if u == len(parent):
+            break
+        parent += [u] * c
+    return parent
+
+
+@settings(derandomize=True, deadline=None)
+@given(bfs_parents())
+def test_bfs_views_match_per_vertex_derivation(parent):
+    t = DirectedTree.from_bfs_parents(parent)
+    n = len(parent)
+    depth = [0] * n
+    for v in range(1, n):
+        depth[v] = depth[parent[v]] + 1
+    kids = [[v for v in range(n) if parent[v] == u] for u in range(n)]
+    assert t.parent.tolist() == parent
+    assert [list(c) for c in t.children] == kids
+    assert t.depth.tolist() == depth
+    assert [list(g) for g in t.generations] == [
+        [v for v in range(n) if depth[v] == d] for d in range(max(depth) + 1)
+    ]
+    assert t.genuine_leaves == {v for v in range(n) if not kids[v] and depth[v] < max(depth)}
+    assert t.labels == tuple(str(v) for v in range(n))
+    for u in range(n):
+        for k in range(t.max_depth - depth[u] + 2):
+            assert children_n(t, u, k) == children_n_brute(t, u, k)
+        below = []
+        for v in range(n):
+            x = v
+            while x not in (u, -1):
+                x = parent[x]
+            if x == u:
+                below.append(v)
+        assert descendants(t, u) == below
+    again = DirectedTree.from_bfs_parents(np.array(parent), [str(v) for v in range(n)])
+    assert t == again
+    assert t != DirectedTree.from_bfs_parents(parent, genuine_leaves=t.genuine_leaves | {n - 1})
 
 
 def test_build_tree_and_make_share_family_rules():
@@ -257,4 +304,4 @@ def test_build_tree_and_make_share_family_rules():
     with pytest.raises(TreeSpecError):
         parse_tree_spec({"family": "t2", "depth": 2})
     tree, weights = parse_tree_spec({"family": "t2", "depth": 2, "params": {"alpha": 0.5}})
-    assert weights == [1.0, 0.5, 1.0, 0.5]
+    assert weights.tolist() == [1.0, 0.5, 1.0, 0.5]

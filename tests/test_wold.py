@@ -222,7 +222,7 @@ def test_random_balanced_fixture_is_balanced():
     assert is_balanced(s).ok
     assert is_locally_power_balanced(s, 4).ok
     again = random_balanced(seed=11, branching=(1, 2, 3), depth=6)
-    assert s.weights.lam == again.weights.lam
+    assert s.lam.tolist() == again.lam.tolist()
 
 
 def test_gram_identity_at_zero_powers():
