@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .ops import TreeVector, TruncatedShift, _same_tree
+from .ops import TreeVector, TruncatedShift, _row_sums, _same_tree
 from .tree import VertexId
 
 
@@ -446,17 +446,6 @@ def circle_pair_integral(
         for w, re, im in zip(ws, pair_re.tolist(), pair_im.tolist()):
             total += q(w) * complex(re, im)
     return total / n_points
-
-
-def _row_sums(t: np.ndarray) -> np.ndarray:
-    """Each row summed left to right from 0.0, as ``sum()`` does.
-
-    A cumulative sum is sequential where ``np.sum`` is pairwise; adding
-    0.0 turns an all-negative-zero row into sum()'s +0.0.
-    """
-    if not t.shape[1]:
-        return np.zeros(len(t))
-    return np.cumsum(t, axis=1)[:, -1] + 0.0
 
 
 def _rotated_rows(phi: Symbol, ws: Sequence[complex], k_max: int) -> tuple[np.ndarray, np.ndarray]:

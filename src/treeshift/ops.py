@@ -110,7 +110,7 @@ class TreeVector:
         return sorted(self.coeffs)
 
     def norm(self) -> float:
-        return math.sqrt(sum((c * c.conjugate()).real for c in self.coeffs.values()))
+        return math.sqrt(_sum_sq(np.fromiter(self.coeffs.values(), complex, len(self.coeffs))))
 
     def inner(self, other: "TreeVector") -> complex:
         """<self, other> = sum of self(v) * conj(other(v))."""
@@ -120,15 +120,23 @@ class TreeVector:
             return sum(c.conjugate() * a[v] for v, c in b.items() if v in a)
         return sum(c * b[v].conjugate() for v, c in a.items() if v in b)
 
+    @classmethod
+    def _of(cls, tree: DirectedTree, coeffs: dict[VertexId, complex]) -> "TreeVector":
+        """A vector from valid ids and Python complex values; zeros are pruned."""
+        out = cls(tree)
+        out.coeffs = {v: c for v, c in coeffs.items() if c}
+        return out
+
     def plus(self, other: "TreeVector") -> "TreeVector":
         _same_tree(self, other)
         out = dict(self.coeffs)
         for v, c in other.coeffs.items():
             out[v] = out.get(v, 0j) + c
-        return TreeVector(self.tree, out)
+        return TreeVector._of(self.tree, out)
 
     def minus(self, other: "TreeVector") -> "TreeVector":
-        return self.plus(other.scaled(-1.0))
+        """self.plus(other.scaled(-1.0))."""
+        return self.plus(TreeVector._of(other.tree, {v: -1.0 * c for v, c in other.coeffs.items()}))
 
     def scaled(self, c: complex) -> "TreeVector":
         return TreeVector(self.tree, {v: c * x for v, x in self.coeffs.items()})
@@ -139,12 +147,34 @@ class TreeVector:
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.tree.n_vertices, dtype=complex)
-        for v, c in self.coeffs.items():
-            out[v] = c
+        n = len(self.coeffs)
+        out[np.fromiter(self.coeffs, np.intp, n)] = np.fromiter(self.coeffs.values(), complex, n)
+        return out
+
+    @classmethod
+    def from_dense(cls, tree: DirectedTree, arr: np.ndarray) -> "TreeVector":
+        """The nonzero entries of a complex (N,) array, in ascending id order."""
+        arr = np.asarray(arr, dtype=complex)
+        if arr.shape != (tree.n_vertices,):
+            raise ValueError(f"expected shape ({tree.n_vertices},), got {arr.shape}")
+        nz = np.flatnonzero(arr)
+        out = cls(tree)
+        out.coeffs = dict(zip(nz.tolist(), arr[nz].tolist()))
         return out
 
     def __repr__(self) -> str:
         return f"TreeVector(support={len(self.coeffs)}, norm={self.norm():.6g})"
+
+
+def _sum_sq(values: np.ndarray) -> float:
+    """sum((c * c.conjugate()).real for c in values), bit for bit.
+
+    Each term is CPython's re * re - im * (-im), and the sum runs left to
+    right from 0.0 as ``sum()`` does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass through as in sum()
+        sq = values.real * values.real - values.imag * -values.imag
+        return float(_row_sums(sq[None])[0])
 
 
 def _same_tree(a, b) -> None:
@@ -292,6 +322,38 @@ def lambda_path(s: TruncatedShift, u: VertexId, v: VertexId) -> float:
     return prod
 
 
+def _mixed_product(lam: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """lam * f as CPython multiplies a float by a complex.
+
+    The float is promoted to complex(lam, 0.0), so the parts are
+    lam * re - 0.0 * im and lam * im + 0.0 * re: the same values as
+    scaling each part by lam, except for the sign of a zero part.
+    """
+    out = np.empty(f.shape, dtype=complex)
+    out.real = lam * f.real - 0.0 * f.imag
+    out.imag = lam * f.imag + 0.0 * f.real
+    return out
+
+
+def _row_sums(t: np.ndarray) -> np.ndarray:
+    """Each row summed left to right from 0.0, as ``sum()`` does.
+
+    A cumulative sum is sequential where ``np.sum`` is pairwise; adding
+    0.0 turns an all-negative-zero row into sum()'s +0.0.
+    """
+    if not t.shape[1]:
+        return np.zeros(len(t))
+    return np.cumsum(t, axis=1)[:, -1] + 0.0
+
+
+def _check_array(s: TruncatedShift, f: np.ndarray) -> None:
+    if f.ndim not in (1, 2) or f.shape[0] != s.tree.n_vertices or f.dtype != np.complex128:
+        raise ValueError(
+            f"expected a complex ({s.tree.n_vertices},) vector or ({s.tree.n_vertices}, k) "
+            f"block, got {f.dtype} {f.shape}"
+        )
+
+
 def apply_shift(
     s: TruncatedShift, f: Union[TreeVector, np.ndarray]
 ) -> Union[TreeVector, np.ndarray]:
@@ -300,50 +362,71 @@ def apply_shift(
     Input mass at the deepest generation has no representable image and is
     dropped; ``boundary_mass`` measures how much.
 
-    ``f`` may also be a complex array of shape (N, k) whose rows are
-    indexed by breadth-first vertex id; each column is shifted and a new
-    array is returned. The block form is one row gather through the
-    parent array, then a scaling of the real and imaginary parts by lam
-    separately. For finite c that is exactly how CPython rounds
-    ``lam * c`` on the ``TreeVector`` route, so every finite entry agrees
-    bit for bit (up to the sign of a zero, which the sparse route prunes),
-    and it skips the promotion of lam to complex that numpy's complex
-    multiply would make.
+    ``f`` may also be a complex array indexed by breadth-first vertex id:
+    a vector of shape (N,) or a block of shape (N, k), whose columns are
+    shifted at once; a new array is returned. Both are one row gather
+    through the parent array. A vector is then multiplied as CPython
+    multiplies the float lam(v) by a complex, so it matches the
+    ``TreeVector`` route bit for bit, signs of zero parts included. A
+    block scales its real and imaginary parts by lam, which agrees with
+    it except for the sign of a zero part and skips two products per
+    entry. The ``TreeVector`` route costs O(support + children) per call.
     """
     if isinstance(f, np.ndarray):
-        if f.ndim != 2 or f.shape[0] != s.tree.n_vertices or f.dtype != np.complex128:
-            raise ValueError(
-                f"expected a complex ({s.tree.n_vertices}, k) block, got {f.dtype} {f.shape}"
-            )
+        _check_array(s, f)
         out = f[s.tree.parent]
-        parts = out.view(np.float64)
-        parts *= s.lam[:, None]
+        if f.ndim == 1:
+            out = _mixed_product(s.lam, out)
+        else:
+            parts = out.view(np.float64)
+            parts *= s.lam[:, None]
         out[0] = 0
         return out
     _same_tree(s, f)
-    lam = s.lam.tolist()
+    lam = s.lam
+    first = s.tree.first_child
     out: dict[VertexId, complex] = {}
-    children = s.tree.children
     for u, c in f.coeffs.items():
-        for w in children[u]:
-            out[w] = lam[w] * c
+        for w in range(first.item(u), first.item(u + 1)):
+            out[w] = lam.item(w) * c
     return TreeVector(s.tree, out)
 
 
-def apply_adjoint(s: TruncatedShift, f: TreeVector) -> TreeVector:
+def apply_adjoint(
+    s: TruncatedShift, f: Union[TreeVector, np.ndarray]
+) -> Union[TreeVector, np.ndarray]:
     """(S* f)(u) = sum over children v of u of lam(v) * f(v).
 
     Exact matrix adjoint of ``apply_shift`` on the truncated space; the
     weights are real so no conjugation appears.
+
+    On a complex (N,) vector or (N, k) block the products are CPython's
+    float-times-complex products and each parent's sum is one sequential
+    ``np.bincount`` over ascending child ids, real and imaginary parts
+    separately. That is the ``TreeVector`` route's arithmetic whenever
+    its input lists each parent's children in ascending id order, as
+    every input in ascending id order does. The ``TreeVector`` route
+    costs O(support) per call.
     """
+    if isinstance(f, np.ndarray):
+        _check_array(s, f)
+        n = s.tree.n_vertices
+        k = 1 if f.ndim == 1 else f.shape[1]
+        terms = _mixed_product(s.lam[1:] if f.ndim == 1 else s.lam[1:, None], f[1:])
+        # Entry (v, column) of the block is accumulated in position parent(v) * k + column.
+        slots = (s.tree.parent[1:, None] * k + np.arange(k)).ravel()
+        out = np.empty(f.shape, dtype=complex)
+        out.real = np.bincount(slots, terms.real.ravel(), minlength=n * k).reshape(f.shape)
+        out.imag = np.bincount(slots, terms.imag.ravel(), minlength=n * k).reshape(f.shape)
+        return out
     _same_tree(s, f)
-    lam = s.lam.tolist()
-    parent = s.tree.parent.tolist()
+    lam = s.lam
+    parent = s.tree.parent
     out: dict[VertexId, complex] = {}
     for v, c in f.coeffs.items():
-        p = parent[v]
+        p = parent.item(v)
         if p >= 0:
-            out[p] = out.get(p, 0j) + lam[v] * c
+            out[p] = out.get(p, 0j) + lam.item(v) * c
     return TreeVector(s.tree, out)
 
 
@@ -351,9 +434,9 @@ def boundary_mass(s: TruncatedShift, f: TreeVector) -> float:
     """Norm of the part of f sitting at the deepest generation."""
     _same_tree(s, f)
     deepest = s.tree.gen_offsets.item(-2)  # the first id at the deepest generation
-    return math.sqrt(
-        sum((c * c.conjugate()).real for v, c in f.coeffs.items() if v >= deepest)
-    )
+    n = len(f.coeffs)
+    ids = np.fromiter(f.coeffs, np.intp, n)
+    return math.sqrt(_sum_sq(np.fromiter(f.coeffs.values(), complex, n)[ids >= deepest]))
 
 
 def power_norm(s: TruncatedShift, u: VertexId, n: int) -> float:

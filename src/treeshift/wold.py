@@ -1,23 +1,48 @@
 """Wold-type decomposition machinery for the truncated shift.
 
 The kernel of the adjoint splits into blocks with pairwise disjoint
-supports: the root direction, plus one block per parent vertex whose
-children carry the single linear constraint sum of lam(v) * f(v) = 0 over
-the siblings. Blocks supported on the boundary generation are exact for
-the truncated operator but meaningless for the untruncated one, so kernel
-queries exclude them by default (interior_only=True).
+supports: the root direction, plus one block per parent vertex u, the
+orthogonal complement of lam^u in C^{Chi(u)}: the vectors on u's children
+with sum of lam(v) * f(v) = 0 over the siblings. Blocks supported on the
+boundary generation are exact for the truncated operator but meaningless
+for the untruncated one, so kernel queries exclude them by default
+(interior_only=True).
 
 Peeling walks a vector down the orthogonal ladder: project onto the
 kernel, left-invert the remainder through the diagonal of S* S, repeat.
 Reconstruction re-applies the shift Horner style and is exact on the
 truncated space (the residual carries the final remainder plus the
 boundary-block part of the input).
+
+Everything runs on arrays indexed by breadth-first id, where each sibling
+set is a contiguous id range. ``KernelBasis`` holds the blocks of all
+parents with c children and positive child weights as one
+(parents, c - 1, c) array over their sibling ranges, built by one
+modified Gram-Schmidt pass over the whole class; its ``blocks`` and
+``vectors()`` are ``TreeVector`` views built on first use. Projection,
+peeling and reconstruction work on dense complex (N,) vectors and convert
+``TreeVector``s once at each edge.
+
+Order contract. The arithmetic is the per-vertex ``TreeVector`` route's
+(kept in the test suite as the bitwise reference), spelled out on real
+and imaginary parts: CPython's complex products and quotients, a float
+promoted to complex(x, 0.0), and every sum sequential from 0.0 in the
+order that route visits its terms. ``project_kernel`` is bitwise equal to
+it for every input in ascending id order. ``peel`` and ``reconstruct``
+are bitwise equal to it when it walks each sibling set in ascending id
+order. It does for inputs in ascending id order that fill every
+generation they touch, unless an intermediate entry cancels to exactly
+zero; every CLI input is one. For other inputs the two routes add some
+terms in another order and agree to rounding. Non-finite coefficients
+are refused with ``ValueError``: a 0 * inf term would be NaN on the
+dense route where the scalar route skips it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cache, cached_property
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -26,12 +51,13 @@ from .ops import (
     HorizonError,
     TreeVector,
     TruncatedShift,
+    _row_sums,
     _same_tree,
     apply_adjoint,
     apply_shift,
     is_injective,
 )
-from .tree import VertexId
+from .tree import DirectedTree, VertexId
 
 
 @dataclass(frozen=True)
@@ -46,30 +72,109 @@ class KernelBlock:
         return len(self.vectors)
 
 
+@cache
+def _key_order(c: int) -> np.ndarray:
+    """Row j: the sibling positions of vector j's keys, (0, j + 1, 1, ..., j), then the rest.
+
+    That is the order the scalar Gram-Schmidt pass inserts them in.
+    """
+    return np.array([[0, j + 1, *range(1, j + 1), *range(j + 2, c)] for j in range(c - 1)])
+
+
 @dataclass(frozen=True)
+class _SiblingClass:
+    """The kernel blocks of every parent with c >= 2 children, all of positive weight."""
+
+    parents: np.ndarray  # (P,) ascending parent ids
+    first: np.ndarray  # (P,) id of each parent's first child
+    vecs: np.ndarray  # (P, c - 1, c) complex; zero off each vector's keys
+
+
+@dataclass(frozen=True, eq=False)
 class KernelBasis:
-    blocks: tuple[KernelBlock, ...]
+    """Orthonormal kernel basis: per-class sibling arrays plus scalar blocks.
+
+    ``classes`` holds the blocks of parents whose children all have
+    positive weight, one ``_SiblingClass`` per child count. ``scalar``
+    holds the root block and the blocks ``_sibling_block`` builds one by
+    one: sibling sets with a zero weight, and the rare sets where the
+    class pass would meet an exact zero. Blocks, and the
+    flattened column order of ``vectors()``, run by ascending parent with
+    the root first, then by vector within a block.
+    """
+
+    tree: DirectedTree
     interior_only: bool
+    classes: tuple[_SiblingClass, ...]
+    scalar: tuple[KernelBlock, ...]
+
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """Block parents in block order (-1 for the root) and each block's first column."""
+        parents = np.concatenate(
+            [[-1 if b.parent is None else b.parent for b in self.scalar]]
+            + [cls.parents for cls in self.classes]
+        ).astype(np.intp)
+        dims = np.concatenate(
+            [[b.dim for b in self.scalar]]
+            + [np.full(len(cls.parents), cls.vecs.shape[1]) for cls in self.classes]
+        ).astype(np.intp)
+        order = np.argsort(parents, kind="stable")
+        dims = dims[order]
+        return parents[order], np.cumsum(dims) - dims
 
     @property
     def total_dim(self) -> int:
-        return sum(b.dim for b in self.blocks)
+        dims = [b.dim for b in self.scalar] + [cls.vecs[..., 0].size for cls in self.classes]
+        return sum(dims)
+
+    @cached_property
+    def blocks(self) -> tuple[KernelBlock, ...]:
+        blocks = {-1 if b.parent is None else b.parent: b for b in self.scalar}
+        for cls in self.classes:
+            c = cls.vecs.shape[2]
+            order = _key_order(c)
+            keys = (cls.first[:, None, None] + order).tolist()
+            vals = cls.vecs[:, np.arange(c - 1)[:, None], order].tolist()
+            for u, ks, vs in zip(cls.parents.tolist(), keys, vals):
+                vectors = tuple(
+                    TreeVector(self.tree, dict(zip(k[: j + 2], v[: j + 2])))
+                    for j, (k, v) in enumerate(zip(ks, vs))
+                )
+                blocks[u] = KernelBlock(parent=u, vectors=vectors)
+        return tuple(blocks[u] for u in sorted(blocks))
 
     def vectors(self) -> list[TreeVector]:
         return [v for b in self.blocks for v in b.vectors]
 
     def support_depths(self, tree) -> list[int]:
         """Depth of the generation each block lives on."""
-        return [0 if b.parent is None else tree.depth.item(b.parent) + 1 for b in self.blocks]
+        parents = self._layout[0]
+        return np.where(parents < 0, 0, tree.depth[np.maximum(parents, 0)] + 1).tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WoldComponents:
-    """Kernel-valued layers f_k with f = sum of S^k f_k plus residual."""
+    """Kernel-valued layers f_k with f = sum of S^k f_k plus residual.
 
-    components: tuple[TreeVector, ...]
-    residual: TreeVector
+    ``layers`` is the read-only (horizon + 1, N) array of the f_k and
+    ``rest`` the residual as a read-only (N,) array, both indexed by
+    breadth-first id. ``components`` and ``residual`` are the same
+    vectors as ``TreeVector``s in ascending id order, built on first use.
+    """
+
+    tree: DirectedTree
+    layers: np.ndarray
+    rest: np.ndarray
     horizon: int
+
+    @cached_property
+    def components(self) -> tuple[TreeVector, ...]:
+        return tuple(TreeVector.from_dense(self.tree, x) for x in self.layers)
+
+    @cached_property
+    def residual(self) -> TreeVector:
+        return TreeVector.from_dense(self.tree, self.rest)
 
 
 @dataclass(frozen=True)
@@ -94,7 +199,25 @@ class GramResult:
         return float(np.max(np.abs(self.matrix))) if self.matrix.size else 0.0
 
 
+def _cmul(ar, ai, br, bi):
+    """CPython's complex product (ar + ai i)(br + bi i), on split parts."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _join(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _has_zero(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Rows holding an entry with both parts zero, which a ``TreeVector`` prunes."""
+    return ((re == 0) & (im == 0)).any(axis=-1)
+
+
 def _sibling_block(s: TruncatedShift, u: VertexId) -> Optional[KernelBlock]:
+    """The block of one parent by the scalar route; used for sibling sets with a zero weight."""
     tree = s.tree
     kids = tree.children[u]
     if not kids:
@@ -125,6 +248,54 @@ def _sibling_block(s: TruncatedShift, u: VertexId) -> Optional[KernelBlock]:
     return KernelBlock(parent=u, vectors=tuple(vecs))
 
 
+def _class_blocks(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_sibling_block`` for P parents with c >= 2 positive child weights at once.
+
+    ``w`` is the (P, c) array of the weights. The pivot is the first
+    child; candidate j is lam(v_(j+1)) e_(v_0) - lam(v_0) e_(v_(j+1)), and
+    the modified Gram-Schmidt pass runs across all parents together,
+    each operation spelled as the scalar route rounds it. Vector j's keys
+    sit at positions 0..j + 1, inserted as (0, j + 1, 1, ..., j); the
+    inner products with earlier vectors walk positions 0..k in ascending
+    order and the norm walks the insertion order.
+
+    Returns the (P, c - 1, c) vectors and a (P,) mask of parents where
+    the scalar route would prune an exact zero or drop a short vector,
+    which changes its key order; those parents go through
+    ``_sibling_block`` instead.
+    """
+    p, c = w.shape
+    re = np.zeros((p, c - 1, c))
+    im = np.zeros((p, c - 1, c))
+    bad = np.zeros(p, dtype=bool)
+    # Extreme weights can overflow, or divide by a zero norm; those parents
+    # come out marked and are rebuilt, so numpy's warnings would say nothing.
+    with np.errstate(all="ignore"):
+        for j in range(c - 1):
+            i = j + 1
+            wr = np.zeros((p, i + 1))
+            wi = np.zeros((p, i + 1))
+            wr[:, 0] = w[:, i]
+            wr[:, i] = -w[:, 0]
+            for k in range(j):
+                # Vector k's keys sit at positions 0..k + 1.
+                br, bi = re[:, k, : k + 2], im[:, k, : k + 2]
+                tr, ti = _cmul(wr[:, : k + 1], wi[:, : k + 1], br[:, : k + 1], -bi[:, : k + 1])
+                kr, ki = _row_sums(tr)[:, None], _row_sums(ti)[:, None]
+                xr, xi = _cmul(kr, ki, br, bi)
+                yr, yi = _cmul(-1.0, 0.0, xr, xi)
+                wr[:, : k + 2] += yr
+                wi[:, : k + 2] += yi
+                bad |= ((kr == 0) & (ki == 0))[:, 0] | _has_zero(xr, xi)
+                bad |= _has_zero(wr[:, : k + 2], wi[:, : k + 2])
+            sq = (wr * wr - wi * -wi)[:, [0, i, *range(1, i)]]
+            nrm = np.sqrt(_row_sums(sq))
+            bad |= ~(nrm > 1e-14)
+            re[:, j, : i + 1], im[:, j, : i + 1] = _cmul((1.0 / nrm)[:, None], 0.0, wr, wi)
+            bad |= _has_zero(re[:, j, : i + 1], im[:, j, : i + 1])
+    return _join(re, im), bad
+
+
 def kernel_basis(s: TruncatedShift, interior_only: bool = True) -> KernelBasis:
     """Blocked orthonormal basis of the kernel of the adjoint.
 
@@ -133,16 +304,94 @@ def kernel_basis(s: TruncatedShift, interior_only: bool = True) -> KernelBasis:
     comes from the fixed child order feeding a modified Gram-Schmidt pass.
     With interior_only the blocks supported on the boundary generation are
     dropped: their kernel membership is an artifact of cutting the tree.
+    The parents whose children all have positive weight are built one
+    child-count class at a time by ``_class_blocks``; the others, one by
+    one, by ``_sibling_block``.
     """
     tree = s.tree
-    blocks = [KernelBlock(parent=None, vectors=(TreeVector.basis(tree, 0),))]
     # The parents are the ids before generation max_depth - 1 (interior) or max_depth.
     end = tree.gen_offsets.item(max(0, tree.max_depth - (1 if interior_only else 0)))
-    for u in range(end):
-        block = _sibling_block(s, u)
-        if block is not None:
-            blocks.append(block)
-    return KernelBasis(blocks=tuple(blocks), interior_only=interior_only)
+    first = tree.first_child[:end]
+    count = tree.first_child[1 : end + 1] - first
+    classes = []
+    scalar = [KernelBlock(parent=None, vectors=(TreeVector.basis(tree, 0),))]
+    for c in np.unique(count[count > 0]).tolist():
+        parents = np.flatnonzero(count == c)
+        w = s.lam[first[parents, None] + np.arange(c)]
+        positive = (w > 0).all(axis=1)
+        loop = ~positive  # a zero weight moves the pivot or prunes a key
+        if c > 1 and positive.any():
+            vecs, bad = _class_blocks(w[positive])
+            loop[np.flatnonzero(positive)[bad]] = True
+            keep = parents[positive][~bad]
+            if keep.size:
+                classes.append(_SiblingClass(keep, first[keep], vecs[~bad]))
+        for u in parents[loop].tolist():
+            block = _sibling_block(s, u)
+            if block is not None:
+                scalar.append(block)
+    return KernelBasis(tree, interior_only, tuple(classes), tuple(scalar))
+
+
+def _dense(s: TruncatedShift, f: TreeVector, what: str) -> np.ndarray:
+    """f as a complex (N,) array; non-finite coefficients are refused."""
+    _same_tree(s, f)
+    x = f.to_dense()
+    bad = ~np.isfinite(x)
+    if bad.any():
+        v = int(np.argmax(bad))
+        raise ValueError(f"{what} needs finite coefficients; vertex {v} has {complex(x[v])}")
+    return x
+
+
+def _inner_sums(t: np.ndarray, nnz: int) -> np.ndarray:
+    """<x, b_j> from the (P, c - 1, c) terms x(v) * conj(b_j(v)) at sibling positions.
+
+    The scalar ``inner`` walks b_j's keys in insertion order, or x's
+    (ascending) when x has no more nonzeros than b_j has keys.
+    """
+    p, d, c = t.shape
+    j = np.arange(d)
+    sums = np.cumsum(t[:, j[:, None], _key_order(c)], axis=2)[:, j, j + 1]
+    if nnz <= c:
+        ascending = np.cumsum(t, axis=2)[:, j, j + 1]
+        sums = np.where(nnz <= j + 2, ascending, sums)
+    return sums + 0.0
+
+
+def _project(basis: KernelBasis, x: np.ndarray, upto: int) -> np.ndarray:
+    """Projection of x onto the root block and the blocks of parents below ``upto``.
+
+    Per block, each coefficient <x, b> is a sequential sum and the block's
+    image sums coefficient times vector over the vectors in order, from
+    0.0, as the scalar route accumulates it.
+    """
+    out = np.zeros_like(x)
+    nnz = int(np.count_nonzero(x))
+    for cls in basis.classes:
+        m = int(np.searchsorted(cls.parents, upto))
+        if not m:
+            continue
+        rows = cls.first[:m, None] + np.arange(cls.vecs.shape[2])
+        b = cls.vecs[:m]
+        tr, ti = _cmul(x.real[rows][:, None, :], x.imag[rows][:, None, :], b.real, -b.imag)
+        kr, ki = _inner_sums(tr, nnz)[:, :, None], _inner_sums(ti, nnz)[:, :, None]
+        pr, pi = _cmul(kr, ki, b.real, b.imag)
+        out.real[rows] = np.cumsum(pr, axis=1)[:, -1] + 0.0
+        out.imag[rows] = np.cumsum(pi, axis=1)[:, -1] + 0.0
+    for block in basis.scalar:
+        if block.parent is not None and block.parent >= upto:
+            continue
+        acc: dict[VertexId, complex] = {}
+        for b in block.vectors:
+            keys = list(b.coeffs)
+            walk = sorted(keys) if nnz <= len(keys) else keys
+            coeff = sum(x.item(v) * b.coeffs[v].conjugate() for v in walk)
+            for v, c in b.items():
+                acc[v] = acc.get(v, 0j) + coeff * c
+        for v, c in acc.items():
+            out[v] = c
+    return out
 
 
 def project_kernel(s: TruncatedShift, f: TreeVector, basis: Optional[KernelBasis] = None) -> TreeVector:
@@ -150,27 +399,28 @@ def project_kernel(s: TruncatedShift, f: TreeVector, basis: Optional[KernelBasis
 
     Defaults to the interior basis, built afresh. Blocks have disjoint
     supports, so the projection is a per-block expansion in the
-    orthonormal vectors.
+    orthonormal vectors. Non-finite coefficients raise ``ValueError``.
     """
-    _same_tree(s, f)
+    x = _dense(s, f, "project_kernel")
     if basis is None:
         basis = kernel_basis(s)
-    out: dict[VertexId, complex] = {}
-    for block in basis.blocks:
-        for b in block.vectors:
-            coeff = f.inner(b)
-            if coeff == 0:
-                continue
-            for v, c in b.items():
-                out[v] = out.get(v, 0j) + coeff * c
-    return TreeVector(s.tree, out)
+    return TreeVector.from_dense(s.tree, _project(basis, x, s.tree.n_vertices))
 
 
-def _boundary_basis(s: TruncatedShift) -> KernelBasis:
-    """The kernel blocks supported at the deepest generation, in id order."""
-    parents = s.tree.generations[s.max_depth - 1] if s.max_depth else ()
-    blocks = (_sibling_block(s, u) for u in parents)
-    return KernelBasis(blocks=tuple(b for b in blocks if b is not None), interior_only=False)
+def _pruned(x: np.ndarray) -> np.ndarray:
+    """Entries with both parts zero become +0, as a ``TreeVector`` drops them."""
+    x[x == 0] = 0
+    return x
+
+
+def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a.plus(b)``: b added where it has support, a kept elsewhere."""
+    return _pruned(np.where(b != 0, a + b, a))
+
+
+def _minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a.minus(b)``, which adds -1.0 * b with CPython's rounding."""
+    return _plus(a, _join(*_cmul(-1.0, 0.0, b.real, b.imag)))
 
 
 def peel(s: TruncatedShift, f: TreeVector, horizon: int) -> WoldComponents:
@@ -181,7 +431,8 @@ def peel(s: TruncatedShift, f: TreeVector, horizon: int) -> WoldComponents:
     S* S, which are the squared column norms. The residual collects the
     boundary-block part of f plus whatever survives ``horizon`` peels; for
     f supported strictly above the boundary and horizon = max_depth it
-    vanishes identically.
+    vanishes identically. A NaN or infinite coefficient in f raises
+    ``ValueError`` naming the first such vertex.
     """
     _same_tree(s, f)
     if not 0 <= horizon <= s.max_depth:
@@ -192,44 +443,60 @@ def peel(s: TruncatedShift, f: TreeVector, horizon: int) -> WoldComponents:
             f"column at vertex {inj.witness} has norm {inj.min_column_norm}"
         )
         raise ValueError(f"peel needs an injective shift: {reason}")
-    basis = kernel_basis(s)
-    boundary_part = project_kernel(s, f, _boundary_basis(s))
-    layer = project_kernel(s, f, basis)
-    components = [layer]
-    remainder = f.minus(layer).minus(boundary_part)
+    x = _dense(s, f, "peel")
+    # One basis for every peel step. Its boundary blocks live on the ids
+    # from ``cut`` on; the interior blocks are those of the parents below
+    # ``upto``.
+    basis = kernel_basis(s, interior_only=False)
+    upto = s.tree.gen_offsets.item(max(0, s.max_depth - 1))
+    cut = s.tree.gen_offsets.item(max(1, s.max_depth))
+    full = _project(basis, x, s.tree.n_vertices)
+    # The interior layer and the boundary part have disjoint supports, so
+    # subtracting both at once is subtracting one after the other.
+    remainder = _minus(x, full)
+    layer, boundary = full.copy(), full
+    layer[cut:] = 0
+    boundary[:cut] = 0
+    layers = [layer]
     for _ in range(horizon):
         lifted = _left_invert(s, remainder)
-        layer = project_kernel(s, lifted, basis)
-        components.append(layer)
-        remainder = lifted.minus(layer)
+        layer = _project(basis, lifted, upto)
+        layers.append(layer)
+        remainder = _minus(lifted, layer)
     tail = remainder
     for _ in range(horizon):
-        if not tail.coeffs:
+        if not tail.any():
             break
-        tail = apply_shift(s, tail)
-    return WoldComponents(
-        components=tuple(components), residual=boundary_part.plus(tail), horizon=horizon
-    )
+        tail = _pruned(apply_shift(s, tail))
+    stacked = np.array(layers)
+    rest = _plus(boundary, tail)
+    stacked.flags.writeable = False
+    rest.flags.writeable = False
+    return WoldComponents(tree=s.tree, layers=stacked, rest=rest, horizon=horizon)
 
 
-def _left_invert(s: TruncatedShift, r: TreeVector) -> TreeVector:
-    """Apply the diagonal left inverse (S* S)^(-1) S* to a range vector."""
+def _left_invert(s: TruncatedShift, r: np.ndarray) -> np.ndarray:
+    """Apply the diagonal left inverse (S* S)^(-1) S* to a range vector.
+
+    ``c / d`` divides by complex(d, 0.0) in CPython: (re + im * 0.0) / d
+    and (im - re * 0.0) / d. Peel has checked every interior d > 0.
+    """
     up = apply_adjoint(s, r)
     col = s.power_norms_sq(1)
-    out = {}
-    for u, c in up.items():
-        d = float(col[u])
-        if d > 0:
-            out[u] = c / d
-    return TreeVector(s.tree, out)
+    m = len(col)
+    out = np.zeros_like(up)
+    re, im = up.real[:m], up.imag[:m]
+    out.real[:m] = (re + im * 0.0) / col
+    out.imag[:m] = (im - re * 0.0) / col
+    return _pruned(out)
 
 
 def reconstruct(s: TruncatedShift, comp: WoldComponents) -> TreeVector:
-    """Sum of S^k components[k] plus the residual, Horner style."""
-    acc = TreeVector.zero(s.tree)
-    for layer in reversed(comp.components):
-        acc = layer.plus(apply_shift(s, acc)) if acc.coeffs else layer
-    return acc.plus(comp.residual)
+    """Sum of S^k components[k] plus the residual, Horner style, in ascending id order."""
+    acc = comp.layers[-1]
+    for layer in comp.layers[-2::-1]:
+        acc = _plus(layer, _pruned(apply_shift(s, acc)))
+    return TreeVector.from_dense(s.tree, _plus(acc, comp.rest))
 
 
 def _mismatch(val: np.ndarray, ref: np.ndarray, rel_tol: float, abs_tol: float) -> np.ndarray:
@@ -289,19 +556,21 @@ def is_locally_power_balanced(
 def _dense_images(s: TruncatedShift, n: int, basis: KernelBasis) -> np.ndarray:
     """S^n applied to the basis, as an N x dim block with one column per vector.
 
-    The block is scattered once from the basis vectors and shifted n
-    times as a whole by ``apply_shift``.
+    The block is scattered once from the basis arrays and shifted n times
+    as a whole by ``apply_shift``.
     """
-    rows: list[VertexId] = []
-    cols: list[int] = []
-    vals: list[complex] = []
-    for j, b in enumerate(basis.vectors()):
-        for v, c in b.items():
-            rows.append(v)
-            cols.append(j)
-            vals.append(c)
     block = np.zeros((s.tree.n_vertices, basis.total_dim), dtype=complex)
-    block[rows, cols] = vals
+    parents, starts = basis._layout
+    for cls in basis.classes:
+        p, d, c = cls.vecs.shape
+        cols = starts[np.searchsorted(parents, cls.parents)][:, None] + np.arange(d)
+        rows = cls.first[:, None] + np.arange(c)
+        block[rows[:, None, :], cols[:, :, None]] = cls.vecs
+    for b in basis.scalar:
+        col = starts.item(np.searchsorted(parents, -1 if b.parent is None else b.parent))
+        for j, vec in enumerate(b.vectors):
+            for v, c in vec.items():
+                block[v, col + j] = c
     for _ in range(n):
         block = apply_shift(s, block)
     return block

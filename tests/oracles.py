@@ -11,7 +11,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from treeshift import TreeVector, apply_shift, build_tree, gamma_apply, rotate_symbol
+from treeshift import (
+    KernelBlock,
+    TreeVector,
+    apply_adjoint,
+    apply_shift,
+    build_tree,
+    gamma_apply,
+    rotate_symbol,
+)
 
 
 def dense_shift_matrix(s):
@@ -88,6 +96,93 @@ def loop_dense_images(s, n, basis):
     if not cols:
         return np.zeros((s.tree.n_vertices, 0), dtype=complex)
     return np.column_stack(cols)
+
+
+def _loop_sibling_block(s, u):
+    """One parent's kernel block: modified Gram-Schmidt on TreeVectors."""
+    tree = s.tree
+    kids = tree.children[u]
+    if not kids:
+        return None
+    weights = s.lam[kids.start:kids.stop].tolist()
+    if all(w == 0 for w in weights):
+        return KernelBlock(parent=u, vectors=tuple(TreeVector.basis(tree, v) for v in kids))
+    pivot_pos = next(i for i, w in enumerate(weights) if w != 0)
+    pivot = kids[pivot_pos]
+    candidates = [
+        TreeVector(tree, {pivot: weights[i], v: -weights[pivot_pos]})
+        for i, v in enumerate(kids)
+        if i != pivot_pos
+    ]
+    vecs = []
+    for work in candidates:
+        for b in vecs:
+            work = work.minus(b.scaled(work.inner(b)))
+        nrm = work.norm()
+        if nrm > 1e-14:
+            vecs.append(work.scaled(1.0 / nrm))
+    return KernelBlock(parent=u, vectors=tuple(vecs)) if vecs else None
+
+
+def loop_kernel_basis(s, interior_only=True):
+    """The kernel blocks one parent at a time, as a list in id order, root first."""
+    tree = s.tree
+    blocks = [KernelBlock(parent=None, vectors=(TreeVector.basis(tree, 0),))]
+    end = tree.gen_offsets.item(max(0, tree.max_depth - (1 if interior_only else 0)))
+    for u in range(end):
+        block = _loop_sibling_block(s, u)
+        if block is not None:
+            blocks.append(block)
+    return blocks
+
+
+def loop_project_kernel(s, f, blocks):
+    """Sum over the basis vectors b of <f, b> b, accumulated in a dict."""
+    out = {}
+    for block in blocks:
+        for b in block.vectors:
+            coeff = f.inner(b)
+            if coeff == 0:
+                continue
+            for v, c in b.items():
+                out[v] = out.get(v, 0j) + coeff * c
+    return TreeVector(s.tree, out)
+
+
+def _loop_left_invert(s, r):
+    up = apply_adjoint(s, r)
+    col = s.power_norms_sq(1)
+    return TreeVector(s.tree, {u: c / float(col[u]) for u, c in up.items() if col[u] > 0})
+
+
+def loop_peel(s, f, horizon):
+    """(layers, residual) of the Wold peel on TreeVectors, step by step."""
+    interior = loop_kernel_basis(s)
+    parents = s.tree.generations[s.max_depth - 1] if s.max_depth else ()
+    boundary = [b for b in map(lambda u: _loop_sibling_block(s, u), parents) if b is not None]
+    boundary_part = loop_project_kernel(s, f, boundary)
+    layer = loop_project_kernel(s, f, interior)
+    layers = [layer]
+    remainder = f.minus(layer).minus(boundary_part)
+    for _ in range(horizon):
+        lifted = _loop_left_invert(s, remainder)
+        layer = loop_project_kernel(s, lifted, interior)
+        layers.append(layer)
+        remainder = lifted.minus(layer)
+    tail = remainder
+    for _ in range(horizon):
+        if not tail.coeffs:
+            break
+        tail = apply_shift(s, tail)
+    return layers, boundary_part.plus(tail)
+
+
+def loop_reconstruct(s, layers, residual):
+    """Sum of S^k layers[k] plus the residual, Horner style."""
+    acc = TreeVector.zero(s.tree)
+    for layer in reversed(layers):
+        acc = layer.plus(apply_shift(s, acc)) if acc.coeffs else layer
+    return acc.plus(residual)
 
 
 def _assembled(labels, edges, genuine_labels=None):

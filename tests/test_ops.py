@@ -258,7 +258,7 @@ def test_apply_shift_block_matches_columns():
     with pytest.raises(ValueError, match="block"):
         apply_shift(s, np.zeros((n + 1, 2), dtype=complex))
     with pytest.raises(ValueError, match="block"):
-        apply_shift(s, np.zeros(n, dtype=complex))
+        apply_shift(s, np.zeros(n + 1, dtype=complex))
 
 
 def test_close_combines_scales():
@@ -356,3 +356,54 @@ def test_million_vertex_random_build_is_array_only():
     finally:
         tracemalloc.stop()
     assert peak < 128 * 2**20, peak
+
+
+def _parts(x):
+    """Entries whose both parts are zero set to +0, as a TreeVector prunes them."""
+    x = x.copy()
+    x[x == 0] = 0
+    return x.tobytes()
+
+
+def test_vector_forms_match_tree_vector_route_bitwise():
+    # (N,) arrays multiply as CPython does, so even zero-part signs agree;
+    # the adjoint's bincount adds each parent's terms in ascending id order.
+    rng = np.random.default_rng([83, 0])
+    shifts = [_random_shift(int(rng.integers(10_000)), depth=4) for _ in range(4)]
+    shifts.append(make(GallerySpec(family="t2_zero", depth=4)))
+    for trial, s in enumerate(shifts):
+        n = s.tree.n_vertices
+        complex_x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        real_x = rng.standard_normal(n) + 0j
+        sparse_x = np.where(rng.random(n) < 0.3, complex_x, 0)
+        for x in (complex_x, real_x, -real_x, sparse_x):
+            f = TreeVector.from_dense(s.tree, x)
+            assert _parts(apply_shift(s, x)) == _parts(apply_shift(s, f).to_dense()), trial
+            assert _parts(apply_adjoint(s, x)) == _parts(apply_adjoint(s, f).to_dense()), trial
+            block = np.column_stack([x, x[::-1]])
+            adj = apply_adjoint(s, block)
+            assert adj.shape == (n, 2)
+            assert adj[:, 0].tobytes() == apply_adjoint(s, x).tobytes(), trial
+            assert adj[:, 1].tobytes() == apply_adjoint(s, block[:, 1].copy()).tobytes(), trial
+    with pytest.raises(ValueError, match="block"):
+        apply_adjoint(s, np.zeros(n + 1, dtype=complex))
+    with pytest.raises(ValueError, match="block"):
+        apply_adjoint(s, np.zeros((n, 2)))
+
+
+def test_sparse_shift_and_adjoint_cost_the_support():
+    # Reading the weights per touched vertex, not as one list of all N.
+    s = make(GallerySpec(family="random", depth=17, params={"seed": 1, "branching": [2]}))
+    u = s.tree.gen_offsets.item(9) + 7
+    f = TreeVector.basis(s.tree, u)
+    tracemalloc.start()
+    try:
+        down = apply_shift(s, f)
+        up = apply_adjoint(s, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    kids = range(s.tree.first_child.item(u), s.tree.first_child.item(u + 1))
+    assert down.coeffs == {w: s.lam.item(w) * (1 + 0j) for w in kids}
+    assert up.coeffs == {s.tree.parent.item(u): s.lam.item(u) * (1 + 0j)}

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeshift import (
+    DirectedTree,
     GallerySpec,
     HorizonError,
     TreeVector,
@@ -26,7 +29,15 @@ from treeshift import (
     wold_gram,
 )
 
-from oracles import dense_shift_matrix, loop_dense_images, random_vector
+from oracles import (
+    dense_shift_matrix,
+    loop_dense_images,
+    loop_kernel_basis,
+    loop_peel,
+    loop_project_kernel,
+    loop_reconstruct,
+    random_vector,
+)
 
 ALPHA = 0.5
 
@@ -310,3 +321,163 @@ def test_image_dims_on_counterexample_fixtures():
     t2 = _t2(depth=6)
     kb = kernel_basis(t2)
     assert image_intersection_dim(t2, 1, 2, kb) == 0
+
+
+def _bits(f):
+    """Per-vertex bit patterns of a TreeVector's real and imaginary parts."""
+    return {v: (c.real.hex(), c.imag.hex()) for v, c in f.items()}
+
+
+def _zero_weight_shift():
+    """Injective, with a zero weight inside two sibling sets of four."""
+    t = random_balanced(seed=1, branching=(4,), depth=3).tree
+    lam = np.linspace(0.5, 2.0, t.n_vertices - 1)
+    lam[[1, 6]] = 0.0
+    return TruncatedShift(t, lam)
+
+
+def _basis_fixtures():
+    broom = make(GallerySpec(family="broom", params={"arms": 4}))
+    # Weights far apart: the scalar route prunes an exact zero for these sets.
+    extreme = random_balanced(seed=2, branching=(3,), depth=3)
+    lam = extreme.lam[1:].copy()
+    lam[[0, 4, 12]] = [1e-9, 1e-300, 1e-200]
+    return [
+        random_balanced(seed=3, branching=(3,), depth=4),
+        random_balanced(seed=4, branching=(1, 2, 3), depth=5),
+        random_balanced(seed=5, branching=(2, 9), depth=3),
+        TruncatedShift(extreme.tree, lam),
+        _zero_weight_shift(),
+        _random_shift(5, depth=5),
+        make(GallerySpec(family="random", depth=5, params={"seed": 6, "branching": (2,)})),
+        make(GallerySpec(family="random", depth=4, params={"seed": 7, "branching": (1, 4)})),
+        make(GallerySpec(family="mad", depth=6)),
+        _t2(depth=6),
+        make(GallerySpec(family="t2_zero", depth=5)),
+        TruncatedShift(broom.tree, [1.0, 0.0, 0.5, 2.0]),
+        make(GallerySpec(family="broom_leaf", params={"arms": 4})),
+    ]
+
+
+def test_kernel_basis_bitwise_equals_scalar_route():
+    for case, s in enumerate(_basis_fixtures()):
+        for interior_only in (True, False):
+            got = kernel_basis(s, interior_only)
+            want = loop_kernel_basis(s, interior_only)
+            assert [b.parent for b in got.blocks] == [b.parent for b in want], case
+            assert got.total_dim == sum(b.dim for b in want), case
+            for gb, wb in zip(got.blocks, want):
+                assert len(gb.vectors) == len(wb.vectors), (case, gb.parent)
+                for gv, wv in zip(gb.vectors, wb.vectors):
+                    # Same keys in the same insertion order, same bits.
+                    assert list(gv.items()) == list(wv.items()), (case, gb.parent)
+                    assert _bits(gv) == _bits(wv), (case, gb.parent)
+
+
+def test_projection_and_peel_bitwise_equal_scalar_route():
+    shifts = [
+        random_balanced(seed=3, branching=(3,), depth=5),
+        random_balanced(seed=4, branching=(1, 2, 3), depth=5),
+        random_balanced(seed=5, branching=(2, 9), depth=3),
+        _zero_weight_shift(),
+        make(GallerySpec(family="random", depth=5, params={"seed": 6, "branching": (2,)})),
+        make(GallerySpec(family="random", depth=4, params={"seed": 7, "branching": (1, 4)})),
+        make(GallerySpec(family="mad", depth=6)),
+        _t2(depth=6),
+    ]
+    rng = np.random.default_rng([34, 0])
+    for case, s in enumerate(shifts):
+        tree = s.tree
+        x = rng.standard_normal(tree.n_vertices) + 1j * rng.standard_normal(tree.n_vertices)
+        inputs = {
+            "unit": random_vector(tree, rng, unit=True),
+            "real": TreeVector.from_dense(tree, x.real + 0j),
+            "negated real, imaginary -0.0": TreeVector.from_dense(tree, np.conj(-x.real + 0j)),
+            "root": TreeVector.basis(tree, 0),
+            "siblings": TreeVector.from_dense(tree, np.where(tree.parent == 0, x, 0)),
+            "generation": TreeVector.from_dense(tree, np.where(tree.depth == 2, x, 0)),
+        }
+        interior, full = loop_kernel_basis(s), loop_kernel_basis(s, False)
+        for name, f in inputs.items():
+            assert list(f.coeffs) == sorted(f.coeffs)
+            assert _bits(project_kernel(s, f)) == _bits(loop_project_kernel(s, f, interior))
+            assert _bits(project_kernel(s, f, kernel_basis(s, False))) == _bits(
+                loop_project_kernel(s, f, full)
+            ), (case, name)
+            for horizon in sorted({0, 1, s.max_depth}):
+                comp = peel(s, f, horizon)
+                layers, residual = loop_peel(s, f, horizon)
+                assert [_bits(c) for c in comp.components] == [_bits(c) for c in layers], (case, name)
+                assert _bits(comp.residual) == _bits(residual), (case, name, horizon)
+                assert _bits(reconstruct(s, comp)) == _bits(loop_reconstruct(s, layers, residual))
+        # A sparse input in ascending order projects bitwise too.
+        f = TreeVector.from_dense(tree, np.where(rng.random(tree.n_vertices) < 0.3, x, 0))
+        assert _bits(project_kernel(s, f)) == _bits(loop_project_kernel(s, f, interior)), case
+    # The root of random_balanced (3,) has three children: one sibling set of 3.
+    assert len(shifts[0].tree.children[0]) == 3
+
+
+def test_peel_and_projection_reject_non_finite():
+    s = _t2(depth=4)
+    f = TreeVector(s.tree, {0: 1.0, 3: float("nan"), 5: complex(1.0, float("inf"))})
+    with pytest.raises(ValueError, match="vertex 3"):
+        peel(s, f, 2)
+    with pytest.raises(ValueError, match="vertex 3"):
+        project_kernel(s, f)
+    g = TreeVector(s.tree, {2: complex(float("-inf"), 0.0)})
+    with pytest.raises(ValueError, match="vertex 2 has"):
+        peel(s, g, 2)
+
+
+@st.composite
+def weighted_trees(draw, min_children=0):
+    """A shift on a BFS tree: each vertex above the deepest generation takes
+    min_children to 3 children; child weights positive."""
+    depth = draw(st.integers(0, 4))
+    parent, frontier = [-1], [0]
+    for _ in range(depth):
+        nxt = []
+        for u in frontier:
+            for _ in range(draw(st.integers(min_children, 3))):
+                nxt.append(len(parent))
+                parent.append(u)
+        if not nxt:
+            break
+        frontier = nxt
+    weights = draw(st.lists(st.floats(0.25, 4.0), min_size=len(parent) - 1, max_size=len(parent) - 1))
+    return TruncatedShift(DirectedTree.from_bfs_parents(parent), weights)
+
+
+def _random_complex(n, seed, k=None):
+    rng = np.random.default_rng(seed)
+    shape = n if k is None else (n, k)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(derandomize=True, deadline=None)
+@given(weighted_trees(min_children=1), st.integers(0, 2**32 - 1), st.integers(-2, 6))
+def test_peel_properties(s, seed, horizon):
+    f = TreeVector.from_dense(s.tree, _random_complex(s.tree.n_vertices, seed))
+    if not 0 <= horizon <= s.max_depth:
+        with pytest.raises(HorizonError):
+            peel(s, f, horizon)
+        return
+    comp = peel(s, f, horizon)
+    assert reconstruct(s, comp).minus(f).norm() <= 1e-10 * f.norm()
+
+
+@settings(derandomize=True, deadline=None)
+@given(weighted_trees(), st.integers(0, 2**32 - 1))
+def test_kernel_and_adjoint_properties(s, seed):
+    n = s.tree.n_vertices
+    for b in kernel_basis(s, interior_only=False).vectors():
+        assert apply_adjoint(s, b).norm() <= 1e-12
+    x, y = _random_complex(n, seed), _random_complex(n, seed + 1)
+    f, g = TreeVector.from_dense(s.tree, x), TreeVector.from_dense(s.tree, y)
+    scale = max(1.0, f.norm() * g.norm())
+    assert abs(apply_shift(s, f).inner(g) - f.inner(apply_adjoint(s, g))) <= 1e-12 * scale
+    assert abs(np.vdot(y, apply_shift(s, x)) - np.vdot(apply_adjoint(s, y), x)) <= 1e-12 * scale
+    a, b = _random_complex(n, seed, 2), _random_complex(n, seed + 1, 2)
+    lhs = apply_shift(s, a).T @ b.conj()
+    rhs = a.T @ apply_adjoint(s, b).conj()
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.linalg.norm(a) * np.linalg.norm(b))
