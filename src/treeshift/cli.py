@@ -12,7 +12,8 @@ builds its own fixtures and takes only --seed and --out. A run writes
 report.json plus one CSV per table under the output directory, prints a
 one-line verdict, and returns exit code 0 on pass or evidence-only, 1 on
 fail, 2 on usage errors, which include every input that would leave a
-verdict resting on zero checks (see the README's exit codes).
+verdict resting on zero checks, and on a report holding a NaN or an
+infinity, which is then not written (see the README's exit codes).
 The TREESHIFT_OUT environment variable overrides --out. For fixed
 arguments and seed the written bytes are identical across runs.
 
@@ -89,11 +90,19 @@ def _table(name: str, rows: Sequence[Sequence], *columns: tuple) -> dict:
 
 
 def _write_report(out_dir: str, report: dict) -> str:
+    """Write report.json and one CSV per table into out_dir.
+
+    A NaN or infinite number, which JSON cannot hold, raises ``ValueError``
+    before any file or directory is created.
+    """
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise ValueError("the report holds a non-finite number; nothing was written") from None
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
     for tab in report["tables"]:
         csv_path = os.path.join(out_dir, f"{tab['name']}.csv")
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
@@ -668,13 +677,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         s, family, inputs = _build_shift(args) if exp.builds_shift else (None, None, {})
         body = exp.run(args, s, family)
+        report = {**body, "schema": 1, "experiment": args.command,
+                  "inputs": {**inputs, **body["inputs"]}}
+        path = _write_report(os.environ.get("TREESHIFT_OUT") or args.out, report)
     except (TreeSpecError, HorizonError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = {**body, "schema": 1, "experiment": args.command,
-              "inputs": {**inputs, **body["inputs"]}}
-    out_dir = os.environ.get("TREESHIFT_OUT") or args.out
-    path = _write_report(out_dir, report)
     print(f"{args.command}: {report['verdict']} ({path})")
     return 0 if report["verdict"] in ("pass", "evidence-only") else 1
 

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .ops import TreeVector, TruncatedShift, _row_sums, _same_tree
+from .ops import TreeVector, TruncatedShift, _cmul, _join, _row_sums, _same_tree
 from .tree import VertexId
 
 
@@ -252,26 +252,10 @@ def gamma_apply(s: TruncatedShift, phi: Symbol, f: TreeVector) -> TreeVector:
     bitwise that of the scalar formula summed over k in ascending order.
     """
     _same_tree(s, f)
-    vals = phi.values_upto(min(phi.degree, s.max_depth))
-    p_re = np.array([[c.real for c in vals]])
-    p_im = np.array([[c.imag for c in vals]])
-    acc_re, acc_im = _gamma_rows(s, p_re, p_im, *_split(f))
-    acc_re, acc_im = acc_re[0], acc_im[0]
-    nz = np.flatnonzero((acc_re != 0) | (acc_im != 0))
-    values = map(complex, acc_re[nz].tolist(), acc_im[nz].tolist())
-    return TreeVector(s.tree, dict(zip(nz.tolist(), values)))
-
-
-def _split(f: TreeVector) -> tuple[np.ndarray, np.ndarray]:
-    """Dense real and imaginary float64 arrays of f, indexed by vertex id."""
-    n = f.tree.n_vertices
-    re = np.zeros(n)
-    im = np.zeros(n)
-    ids = np.fromiter(f.coeffs, dtype=np.intp, count=len(f.coeffs))
-    cs = np.fromiter(f.coeffs.values(), dtype=complex, count=len(f.coeffs))
-    re[ids] = cs.real
-    im[ids] = cs.imag
-    return re, im
+    p = np.array([phi.values_upto(min(phi.degree, s.max_depth))], dtype=complex)
+    x = f.to_dense()
+    acc_re, acc_im = _gamma_rows(s, p.real, p.imag, x.real, x.imag)
+    return TreeVector.from_dense(s.tree, _join(acc_re[0], acc_im[0]))
 
 
 def _gamma_rows(
@@ -285,10 +269,9 @@ def _gamma_rows(
     weight products and f values through the parent array, over the
     vertices of depth >= k; those gathers are shared by every row.
     Complex values are kept as separate real and imaginary float64
-    arrays and every product is spelled out as Python's scalar complex
-    arithmetic rounds it (numpy's complex multiply rounds differently).
-    A row whose order-k coefficient is zero skips that order, as the
-    scalar formula does.
+    arrays and every product is ``_cmul``, CPython's rounding. A row
+    whose order-k coefficient is zero skips that order, as the scalar
+    formula does.
     """
     n = len(f_re)
     offsets = s.tree.gen_offsets
@@ -306,14 +289,12 @@ def _gamma_rows(
         if not live.any():
             continue
         rows = slice(None) if live.all() else live
-        pk_re = p_re[rows, k, None]
-        pk_im = p_im[rows, k, None]
         # (prod * pk) * f with prod promoted to prod + 0j, as in CPython.
-        t_re = prod * pk_re - 0.0 * pk_im
-        t_im = prod * pk_im + 0.0 * pk_re
+        t_re, t_im = _cmul(prod, 0.0, p_re[rows, k, None], p_im[rows, k, None])
+        m_re, m_im = _cmul(t_re, t_im, f_re, f_im)
         tail = slice(int(offsets[k]), n)
-        acc_re[rows, tail] += t_re * f_re - t_im * f_im
-        acc_im[rows, tail] += t_re * f_im + t_im * f_re
+        acc_re[rows, tail] += m_re
+        acc_im[rows, tail] += m_im
     return acc_re, acc_im
 
 
@@ -398,10 +379,10 @@ def circle_pair_integral(
     (K + 1) matrix, with ``rotate_symbol``'s rounding, and applies them
     all at once through ``_gamma_rows``, the kernel ``gamma_apply`` runs
     on one row. Each row is paired with g by a sequential sum of the
-    terms M f(v) * conj(g(v)) in the order ``TreeVector.inner`` visits
-    them, and q(w) times the pairing is accumulated over ascending roots,
-    so the result is bitwise that of one ``gamma_apply`` and one
-    ``inner`` per root.
+    terms M f(v) * conj(g(v)) over g's entries in insertion order, as
+    ``TreeVector.inner`` walks them, and q(w) times the pairing is
+    accumulated over ascending roots, so the result is bitwise that of
+    one ``gamma_apply`` and one ``inner`` per root.
     """
     _same_tree(s, f)
     _same_tree(s, g)
@@ -414,24 +395,19 @@ def circle_pair_integral(
             f"quadrature with {n_points} points cannot integrate orders up to {needed}"
         )
     roots = [cmath.exp(2j * math.pi * j / n_points) for j in range(n_points)]
-    f_re, f_im = _split(f)
+    x = f.to_dense()
     cols = np.fromiter(g.coeffs, dtype=np.intp, count=len(g.coeffs))
     gs = np.fromiter(g.coeffs.values(), dtype=complex, count=len(g.coeffs))
     gc_re, gc_im = gs.real, -gs.imag  # conj(g), in g's insertion order
-    # inner() walks g in insertion order when g has the smaller support,
-    # and M f in ascending id order otherwise.
-    by_id = None if np.all(cols[1:] > cols[:-1]) else np.argsort(cols)
     finite_g = bool(np.isfinite(gs).all())
     chunk = max(1, _CHUNK_ENTRIES // s.tree.n_vertices)
     total = 0j
     for lo in range(0, n_points, chunk):
         ws = roots[lo:lo + chunk]
         p_re, p_im = _rotated_rows(phi, ws, k_max)
-        acc_re, acc_im = _gamma_rows(s, p_re, p_im, f_re, f_im)
+        acc_re, acc_im = _gamma_rows(s, p_re, p_im, x.real, x.imag)
         a_re, a_im = acc_re[:, cols], acc_im[:, cols]
-        # The terms M f(v) * conj(g(v)) as CPython's complex multiply.
-        t_re = a_re * gc_re - a_im * gc_im
-        t_im = a_re * gc_im + a_im * gc_re
+        t_re, t_im = _cmul(a_re, a_im, gc_re, gc_im)
         if not finite_g:
             # inner() skips vertices where M f vanishes; a zero term
             # leaves the running sum unchanged unless g(v) is not finite.
@@ -439,10 +415,6 @@ def circle_pair_integral(
             t_re = np.where(live, t_re, 0.0)
             t_im = np.where(live, t_im, 0.0)
         pair_re, pair_im = _row_sums(t_re), _row_sums(t_im)
-        if by_id is not None:
-            walk_g = ((acc_re != 0) | (acc_im != 0)).sum(axis=1) > len(cols)
-            pair_re = np.where(walk_g, pair_re, _row_sums(t_re[:, by_id]))
-            pair_im = np.where(walk_g, pair_im, _row_sums(t_im[:, by_id]))
         for w, re, im in zip(ws, pair_re.tolist(), pair_im.tolist()):
             total += q(w) * complex(re, im)
     return total / n_points
@@ -460,11 +432,10 @@ def _rotated_rows(phi: Symbol, ws: Sequence[complex], k_max: int) -> tuple[np.nd
     p_im = np.zeros((len(ws), k_max + 1))
     for k in range(k_max + 1):
         if k:
-            pw_re, pw_im = pw_re * w_re - pw_im * w_im, pw_re * w_im + pw_im * w_re
+            pw_re, pw_im = _cmul(pw_re, pw_im, w_re, w_im)
         c = phi.values.get(k)
         if c is not None:
-            p_re[:, k] = pw_re * c.real - pw_im * c.imag
-            p_im[:, k] = pw_re * c.imag + pw_im * c.real
+            p_re[:, k], p_im[:, k] = _cmul(pw_re, pw_im, c.real, c.imag)
     return p_re, p_im
 
 

@@ -44,7 +44,9 @@ def _weight_array(
     """Validate child weights against ``tree``; entry 0 (the root) is 0.
 
     ``weights`` maps each child id 1..N-1 to its weight, or lists the
-    weights of vertices 1..N-1 in id order. The result is read-only.
+    weights of vertices 1..N-1 in id order. A weight must be >= 0 with a
+    finite square, since the power norms are built from the squares. The
+    result is read-only.
     """
     n = tree.n_vertices
     if isinstance(weights, Mapping):
@@ -58,10 +60,14 @@ def _weight_array(
     vals = np.asarray(weights, dtype=float)
     if vals.shape != (n - 1,):
         raise ValueError(f"expected {n - 1} weights for vertices 1..{n - 1}, got shape {vals.shape}")
-    bad = ~(vals >= 0) | ~np.isfinite(vals)
+    with np.errstate(over="ignore"):
+        bad = ~(vals >= 0) | ~np.isfinite(vals * vals)
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValueError(f"weight at vertex {i + 1} must be finite and >= 0, got {float(vals[i])}")
+        raise ValueError(
+            f"weight at vertex {i + 1} must be finite and >= 0 with a finite square, "
+            f"got {float(vals[i])}"
+        )
     lam = np.zeros(n)
     lam[1:] = vals
     lam.flags.writeable = False
@@ -113,12 +119,15 @@ class TreeVector:
         return math.sqrt(_sum_sq(np.fromiter(self.coeffs.values(), complex, len(self.coeffs))))
 
     def inner(self, other: "TreeVector") -> complex:
-        """<self, other> = sum of self(v) * conj(other(v))."""
+        """<self, other> = sum of self(v) * conj(other(v)).
+
+        The sum runs from 0 over ``other``'s entries in insertion order,
+        skipping the vertices outside ``self``'s support, so it costs
+        O(len(other)) whatever the size of ``self``.
+        """
         _same_tree(self, other)
-        a, b = self.coeffs, other.coeffs
-        if len(b) < len(a):
-            return sum(c.conjugate() * a[v] for v, c in b.items() if v in a)
-        return sum(c * b[v].conjugate() for v, c in a.items() if v in b)
+        a = self.coeffs
+        return sum(a[v] * c.conjugate() for v, c in other.coeffs.items() if v in a)
 
     @classmethod
     def _of(cls, tree: DirectedTree, coeffs: dict[VertexId, complex]) -> "TreeVector":
@@ -322,17 +331,31 @@ def lambda_path(s: TruncatedShift, u: VertexId, v: VertexId) -> float:
     return prod
 
 
+def _cmul(ar, ai, br, bi):
+    """CPython's complex product (ar + ai i)(br + bi i), on split parts.
+
+    numpy's complex multiply rounds differently, so every product that
+    must match the per-vertex ``TreeVector`` route bit for bit is spelled
+    out here. A float x enters as the parts (x, 0.0), as CPython promotes it.
+    """
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _join(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """One complex array from its real and imaginary parts."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
 def _mixed_product(lam: np.ndarray, f: np.ndarray) -> np.ndarray:
     """lam * f as CPython multiplies a float by a complex.
 
-    The float is promoted to complex(lam, 0.0), so the parts are
-    lam * re - 0.0 * im and lam * im + 0.0 * re: the same values as
-    scaling each part by lam, except for the sign of a zero part.
+    The parts are lam * re - 0.0 * im and lam * im + 0.0 * re: the same
+    values as scaling each part by lam, except for the sign of a zero part.
     """
-    out = np.empty(f.shape, dtype=complex)
-    out.real = lam * f.real - 0.0 * f.imag
-    out.imag = lam * f.imag + 0.0 * f.real
-    return out
+    return _join(*_cmul(lam, 0.0, f.real, f.imag))
 
 
 def _row_sums(t: np.ndarray) -> np.ndarray:

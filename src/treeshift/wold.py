@@ -25,10 +25,12 @@ peeling and reconstruction work on dense complex (N,) vectors and convert
 
 Order contract. The arithmetic is the per-vertex ``TreeVector`` route's
 (kept in the test suite as the bitwise reference), spelled out on real
-and imaginary parts: CPython's complex products and quotients, a float
-promoted to complex(x, 0.0), and every sum sequential from 0.0 in the
-order that route visits its terms. ``project_kernel`` is bitwise equal to
-it for every input in ascending id order. ``peel`` and ``reconstruct``
+and imaginary parts: CPython's complex products (``ops._cmul``) and
+quotients, a float promoted to complex(x, 0.0), and every sum sequential
+from 0.0 in the order that route visits its terms. Every inner product
+walks the basis vector's keys in insertion order, as ``TreeVector.inner``
+does, so ``project_kernel`` is bitwise equal to that route for every
+finite input, in any order. ``peel`` and ``reconstruct``
 are bitwise equal to it when it walks each sibling set in ascending id
 order. It does for inputs in ascending id order that fill every
 generation they touch, unless an intermediate entry cancels to exactly
@@ -51,6 +53,9 @@ from .ops import (
     HorizonError,
     TreeVector,
     TruncatedShift,
+    _cmul,
+    _join,
+    _mixed_product,
     _row_sums,
     _same_tree,
     apply_adjoint,
@@ -199,18 +204,6 @@ class GramResult:
         return float(np.max(np.abs(self.matrix))) if self.matrix.size else 0.0
 
 
-def _cmul(ar, ai, br, bi):
-    """CPython's complex product (ar + ai i)(br + bi i), on split parts."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _join(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
-
-
 def _has_zero(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Rows holding an entry with both parts zero, which a ``TreeVector`` prunes."""
     return ((re == 0) & (im == 0)).any(axis=-1)
@@ -344,19 +337,15 @@ def _dense(s: TruncatedShift, f: TreeVector, what: str) -> np.ndarray:
     return x
 
 
-def _inner_sums(t: np.ndarray, nnz: int) -> np.ndarray:
+def _inner_sums(t: np.ndarray) -> np.ndarray:
     """<x, b_j> from the (P, c - 1, c) terms x(v) * conj(b_j(v)) at sibling positions.
 
-    The scalar ``inner`` walks b_j's keys in insertion order, or x's
-    (ascending) when x has no more nonzeros than b_j has keys.
+    Each sum walks b_j's keys in insertion order, as ``TreeVector.inner``
+    does; a zero term at a key outside x's support leaves it unchanged.
     """
     p, d, c = t.shape
     j = np.arange(d)
-    sums = np.cumsum(t[:, j[:, None], _key_order(c)], axis=2)[:, j, j + 1]
-    if nnz <= c:
-        ascending = np.cumsum(t, axis=2)[:, j, j + 1]
-        sums = np.where(nnz <= j + 2, ascending, sums)
-    return sums + 0.0
+    return np.cumsum(t[:, j[:, None], _key_order(c)], axis=2)[:, j, j + 1] + 0.0
 
 
 def _project(basis: KernelBasis, x: np.ndarray, upto: int) -> np.ndarray:
@@ -367,7 +356,6 @@ def _project(basis: KernelBasis, x: np.ndarray, upto: int) -> np.ndarray:
     0.0, as the scalar route accumulates it.
     """
     out = np.zeros_like(x)
-    nnz = int(np.count_nonzero(x))
     for cls in basis.classes:
         m = int(np.searchsorted(cls.parents, upto))
         if not m:
@@ -375,7 +363,7 @@ def _project(basis: KernelBasis, x: np.ndarray, upto: int) -> np.ndarray:
         rows = cls.first[:m, None] + np.arange(cls.vecs.shape[2])
         b = cls.vecs[:m]
         tr, ti = _cmul(x.real[rows][:, None, :], x.imag[rows][:, None, :], b.real, -b.imag)
-        kr, ki = _inner_sums(tr, nnz)[:, :, None], _inner_sums(ti, nnz)[:, :, None]
+        kr, ki = _inner_sums(tr)[:, :, None], _inner_sums(ti)[:, :, None]
         pr, pi = _cmul(kr, ki, b.real, b.imag)
         out.real[rows] = np.cumsum(pr, axis=1)[:, -1] + 0.0
         out.imag[rows] = np.cumsum(pi, axis=1)[:, -1] + 0.0
@@ -384,9 +372,7 @@ def _project(basis: KernelBasis, x: np.ndarray, upto: int) -> np.ndarray:
             continue
         acc: dict[VertexId, complex] = {}
         for b in block.vectors:
-            keys = list(b.coeffs)
-            walk = sorted(keys) if nnz <= len(keys) else keys
-            coeff = sum(x.item(v) * b.coeffs[v].conjugate() for v in walk)
+            coeff = sum(x.item(v) * c.conjugate() for v, c in b.items())
             for v, c in b.items():
                 acc[v] = acc.get(v, 0j) + coeff * c
         for v, c in acc.items():
@@ -399,11 +385,13 @@ def project_kernel(s: TruncatedShift, f: TreeVector, basis: Optional[KernelBasis
 
     Defaults to the interior basis, built afresh. Blocks have disjoint
     supports, so the projection is a per-block expansion in the
-    orthonormal vectors. Non-finite coefficients raise ``ValueError``.
+    orthonormal vectors. Non-finite coefficients, and a basis of another
+    tree, raise ``ValueError``.
     """
     x = _dense(s, f, "project_kernel")
     if basis is None:
         basis = kernel_basis(s)
+    _same_tree(s, basis)
     return TreeVector.from_dense(s.tree, _project(basis, x, s.tree.n_vertices))
 
 
@@ -420,7 +408,7 @@ def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a.minus(b)``, which adds -1.0 * b with CPython's rounding."""
-    return _plus(a, _join(*_cmul(-1.0, 0.0, b.real, b.imag)))
+    return _plus(a, _mixed_product(-1.0, b))
 
 
 def peel(s: TruncatedShift, f: TreeVector, horizon: int) -> WoldComponents:
@@ -603,8 +591,10 @@ def wold_gram(
     strict=True.
 
     The basis block is built once, for the lower power; the higher
-    power's image is shifted on from it.
+    power's image is shifted on from it. A basis of another tree raises
+    ``ValueError``.
     """
+    _same_tree(s, basis)
     if n < 0 or m < 0:
         raise ValueError("powers must be nonnegative")
     depths = basis.support_depths(s.tree)
@@ -619,6 +609,7 @@ def wold_gram(
 
 def image_dim(s: TruncatedShift, n: int, basis: KernelBasis, tol: Optional[float] = None) -> int:
     """Numerical rank of S^n applied to the kernel-basis span."""
+    _same_tree(s, basis)
     a = _dense_images(s, n, basis)
     if a.size == 0:
         return 0
@@ -633,6 +624,7 @@ def image_intersection_dim(
     Orthonormalizes both images and counts principal-angle cosines at
     least 1 - tol.
     """
+    _same_tree(s, basis)
     a, b = (scipy.linalg.orth(x) for x in _image_pair(s, n, m, basis))
     if a.shape[1] == 0 or b.shape[1] == 0:
         return 0

@@ -92,6 +92,21 @@ def test_non_finite_symbol_exits_two(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("doc", [
+    # A weight whose square overflows.
+    {"vertices": 3, "parents": [None, 0, 0], "weights": [0, 1e200, 1.0]},
+    # Finite squares, but the order-2 power norms overflow.
+    {"vertices": 4, "parents": [None, 0, 1, 2], "weights": [0, 1e100, 1e100, 1e100]},
+], ids=["square", "power_norms"])
+def test_overflow_exits_two_without_report(tmp_path, capsys, doc):
+    spec = tmp_path / "tree.json"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    out = str(tmp_path / "r")
+    assert _run(["norms", "--tree", str(spec), "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(out)
+
+
 def test_norms_evidence_only_for_random(tmp_path):
     out = str(tmp_path / "r")
     assert _run(["norms", "--family", "random", "--depth", "5", "--seed", "3", "--out", out]) == 0

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeshift import (
     GallerySpec,
@@ -26,6 +28,7 @@ from treeshift import (
 
 from treeshift import multiplier
 from oracles import dense_mult_matrix, loop_circle_pair_integral, random_vector
+from test_wold import weighted_trees
 
 
 def _random_shift(seed, depth=5, branching=(1, 2, 3)):
@@ -111,6 +114,36 @@ def test_routes_vs_dense_oracle():
         for u in (0, s.tree.n_vertices // 2):
             col = mult_column(s, phi, u).to_dense()
             assert np.max(np.abs(col - dense[:, u])) <= 1e-13, (trial, u)
+
+
+symbols = st.lists(
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=7,
+).map(lambda coeffs: Symbol.from_support(enumerate(coeffs)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(weighted_trees(), symbols, st.integers(0, 2**32 - 1))
+def test_gamma_apply_matches_dense_matrix(s, phi, seed):
+    # The routes multiply each weight product in another order and the
+    # matrix product sums in BLAS order, so the bound scales with the terms.
+    n = s.tree.n_vertices
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x[rng.random(n) < 0.3] = 0
+    dense = dense_mult_matrix(s, phi)
+    got = gamma_apply(s, phi, TreeVector.from_dense(s.tree, x)).to_dense()
+    scale = np.max(np.abs(dense) @ np.abs(x))
+    assert np.max(np.abs(got - dense @ x)) <= 1e-13 * max(1.0, scale)
+
+
+@settings(derandomize=True, deadline=None)
+@given(weighted_trees(), symbols, st.data())
+def test_mult_column_matches_dense_matrix(s, phi, data):
+    u = data.draw(st.integers(0, s.tree.n_vertices - 1))
+    col = dense_mult_matrix(s, phi)[:, u]
+    got = mult_column(s, phi, u).to_dense()
+    assert np.max(np.abs(got - col)) <= 1e-13 * max(1.0, np.max(np.abs(col)))
 
 
 def test_rotation_preserves_norm():

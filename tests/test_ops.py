@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,29 @@ def test_tree_vector_basics():
         f.inner(TreeVector.basis(other, 0))
     with pytest.raises(ValueError):
         TreeVector(t, {99: 1.0})
+
+
+def test_inner_walks_other_in_insertion_order():
+    t = build_tree({"family": "unilateral", "depth": 3})
+    f = TreeVector(t, {0: 1e16, 1: 1.0, 2: -1e16})
+    g = TreeVector(t, {2: 1, 0: 1, 1: 1, 3: 1})
+    want = 0
+    for v, c in g.items():  # vertex 3 lies outside f's support and is skipped
+        if v in f.coeffs:
+            want += f.get(v) * c.conjugate()
+    got = f.inner(g)
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+    # Walking f's entries instead would absorb the 1.0 into 1e16 and give 0j.
+    assert got == 1 + 0j
+
+
+def test_weight_with_overflowing_square_rejected():
+    t = build_tree({"vertices": 3, "parents": [None, 0, 0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected without numpy's overflow warning
+        with pytest.raises(ValueError, match="vertex 1 must be finite and >= 0 with a finite square"):
+            TruncatedShift(t, [1e200, 1.0])
+    assert TruncatedShift(t, [1e154, 1.0]).lam.tolist() == [0.0, 1e154, 1.0]
 
 
 def test_weight_system_validation():

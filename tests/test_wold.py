@@ -323,6 +323,23 @@ def test_image_dims_on_counterexample_fixtures():
     assert image_intersection_dim(t2, 1, 2, kb) == 0
 
 
+def test_basis_from_another_tree_refused():
+    shallow = make(GallerySpec(family="random", depth=3))
+    deep = make(GallerySpec(family="random", depth=5))
+    for s, other in ((deep, shallow), (shallow, deep)):
+        basis = kernel_basis(other)
+        f = TreeVector.basis(s.tree, 0)
+        calls = (
+            lambda: wold_gram(s, 1, 2, basis),
+            lambda: image_dim(s, 1, basis),
+            lambda: image_intersection_dim(s, 1, 2, basis),
+            lambda: project_kernel(s, f, basis),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="tree mismatch"):
+                call()
+
+
 def _bits(f):
     """Per-vertex bit patterns of a TreeVector's real and imaginary parts."""
     return {v: (c.real.hex(), c.imag.hex()) for v, c in f.items()}
@@ -415,6 +432,27 @@ def test_projection_and_peel_bitwise_equal_scalar_route():
         assert _bits(project_kernel(s, f)) == _bits(loop_project_kernel(s, f, interior)), case
     # The root of random_balanced (3,) has three children: one sibling set of 3.
     assert len(shifts[0].tree.children[0]) == 3
+
+
+def test_projection_bitwise_equal_scalar_route_in_any_order():
+    # Every inner product walks the basis vector, so neither the input's
+    # key order nor its size changes the bits. Inputs: a few entries of one
+    # sibling set at far-apart scales, and dense ones, each in shuffled order.
+    rng = np.random.default_rng([35, 0])
+    for case, s in enumerate(_basis_fixtures()):
+        n = s.tree.n_vertices
+        blocks = loop_kernel_basis(s, False)
+        basis = kernel_basis(s, False)
+        sets = [kids for kids in s.tree.children if len(kids) >= 3]
+        for trial in range(20):
+            x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.integers(-8, 9, n)
+            if sets and trial % 2:
+                kids = sets[rng.integers(len(sets))]
+                x[np.setdiff1d(np.arange(n), rng.choice(kids, 3, replace=False))] = 0
+            ids = rng.permutation(np.flatnonzero(x)).tolist()
+            f = TreeVector(s.tree, {v: complex(x[v]) for v in ids})
+            got = project_kernel(s, f, basis)
+            assert _bits(got) == _bits(loop_project_kernel(s, f, blocks)), (case, trial)
 
 
 def test_peel_and_projection_reject_non_finite():
