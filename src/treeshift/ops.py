@@ -369,12 +369,19 @@ def _row_sums(t: np.ndarray) -> np.ndarray:
     return np.cumsum(t, axis=1)[:, -1] + 0.0
 
 
-def _check_array(s: TruncatedShift, f: np.ndarray) -> None:
-    if f.ndim not in (1, 2) or f.shape[0] != s.tree.n_vertices or f.dtype != np.complex128:
+def _prefix(s: TruncatedShift, f: np.ndarray) -> int:
+    """The length L of an array operand: N, or ``gen_offsets[d + 1]`` for a depth d."""
+    offsets = s.tree.gen_offsets
+    size = f.shape[0] if f.ndim in (1, 2) else 0
+    ok = size == s.tree.n_vertices
+    if not ok and size > 0:
+        ok = offsets.item(min(int(np.searchsorted(offsets, size)), len(offsets) - 1)) == size
+    if f.dtype != np.complex128 or not ok:
         raise ValueError(
-            f"expected a complex ({s.tree.n_vertices},) vector or ({s.tree.n_vertices}, k) "
-            f"block, got {f.dtype} {f.shape}"
+            f"expected a complex (L,) vector or (L, k) block, L = {s.tree.n_vertices} or another "
+            f"generation boundary, got {f.dtype} {f.shape}"
         )
+    return size
 
 
 def apply_shift(
@@ -386,23 +393,27 @@ def apply_shift(
     dropped; ``boundary_mass`` measures how much.
 
     ``f`` may also be a complex array indexed by breadth-first vertex id:
-    a vector of shape (N,) or a block of shape (N, k), whose columns are
-    shifted at once; a new array is returned. Both are one row gather
-    through the parent array. A vector is then multiplied as CPython
-    multiplies the float lam(v) by a complex, so it matches the
-    ``TreeVector`` route bit for bit, signs of zero parts included. A
-    block scales its real and imaginary parts by lam, which agrees with
-    it except for the sign of a zero part and skips two products per
-    entry. The ``TreeVector`` route costs O(support + children) per call.
+    a vector of shape (L,) or a block of shape (L, k), whose columns are
+    shifted at once; a new array of the same shape is returned. L is N,
+    or more generally ``gen_offsets[d + 1]`` for a depth d: the array is
+    then the prefix of ids at depth <= d and the shift acts on that
+    depth-d truncation, so its result is the full-size result cut to L.
+    Both are one row gather through the parent array. A vector is then
+    multiplied as CPython multiplies the float lam(v) by a complex, so it
+    matches the ``TreeVector`` route bit for bit, signs of zero parts
+    included. A block scales its real and imaginary parts by lam, which
+    agrees with it except for the sign of a zero part and skips two
+    products per entry. The ``TreeVector`` route costs O(support +
+    children) per call.
     """
     if isinstance(f, np.ndarray):
-        _check_array(s, f)
-        out = f[s.tree.parent]
+        size = _prefix(s, f)
+        out = f[s.tree.parent[:size]]
         if f.ndim == 1:
-            out = _mixed_product(s.lam, out)
+            out = _mixed_product(s.lam[:size], out)
         else:
             parts = out.view(np.float64)
-            parts *= s.lam[:, None]
+            parts *= s.lam[:size, None]
         out[0] = 0
         return out
     _same_tree(s, f)
@@ -423,24 +434,26 @@ def apply_adjoint(
     Exact matrix adjoint of ``apply_shift`` on the truncated space; the
     weights are real so no conjugation appears.
 
-    On a complex (N,) vector or (N, k) block the products are CPython's
-    float-times-complex products and each parent's sum is one sequential
-    ``np.bincount`` over ascending child ids, real and imaginary parts
-    separately. That is the ``TreeVector`` route's arithmetic whenever
-    its input lists each parent's children in ascending id order, as
-    every input in ascending id order does. The ``TreeVector`` route
-    costs O(support) per call.
+    On a complex (L,) vector or (L, k) block, with L as in
+    ``apply_shift``, the products are CPython's float-times-complex
+    products and each parent's sum is one sequential ``np.bincount`` over
+    ascending child ids, real and imaginary parts separately. That is the
+    ``TreeVector`` route's arithmetic whenever its input lists each
+    parent's children in ascending id order, as every input in ascending
+    id order does. On a prefix the result is the full-size result of the
+    zero-padded input, cut to L. The ``TreeVector`` route costs
+    O(support) per call.
     """
     if isinstance(f, np.ndarray):
-        _check_array(s, f)
-        n = s.tree.n_vertices
+        size = _prefix(s, f)
         k = 1 if f.ndim == 1 else f.shape[1]
-        terms = _mixed_product(s.lam[1:] if f.ndim == 1 else s.lam[1:, None], f[1:])
+        lam = s.lam[1:size]
+        terms = _mixed_product(lam if f.ndim == 1 else lam[:, None], f[1:])
         # Entry (v, column) of the block is accumulated in position parent(v) * k + column.
-        slots = (s.tree.parent[1:, None] * k + np.arange(k)).ravel()
+        slots = (s.tree.parent[1:size, None] * k + np.arange(k)).ravel()
         out = np.empty(f.shape, dtype=complex)
-        out.real = np.bincount(slots, terms.real.ravel(), minlength=n * k).reshape(f.shape)
-        out.imag = np.bincount(slots, terms.imag.ravel(), minlength=n * k).reshape(f.shape)
+        out.real = np.bincount(slots, terms.real.ravel(), minlength=size * k).reshape(f.shape)
+        out.imag = np.bincount(slots, terms.imag.ravel(), minlength=size * k).reshape(f.shape)
         return out
     _same_tree(s, f)
     lam = s.lam

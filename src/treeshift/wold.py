@@ -20,8 +20,16 @@ parents with c children and positive child weights as one
 (parents, c - 1, c) array over their sibling ranges, built by one
 modified Gram-Schmidt pass over the whole class; its ``blocks`` and
 ``vectors()`` are ``TreeVector`` views built on first use. Projection,
-peeling and reconstruction work on dense complex (N,) vectors and convert
-``TreeVector``s once at each edge.
+peeling and reconstruction work on dense complex vectors and convert
+``TreeVector``s once at each edge. After k lifts a peel remainder lives
+on the ids at depth <= max_depth - k, a prefix of the breadth-first ids,
+and ``apply_shift``/``apply_adjoint`` act on such a prefix as on the
+tree cut at that depth; so peel step k and the matching Horner step of
+reconstruction run on that prefix only. Peel time is the sum over
+generations t of N_t (max_depth - t + 1) for N_t vertices at depth t:
+O(N) on a tree that branches geometrically, O(max_depth^2) on a ray.
+The layers are stored on the kernel basis' support only, O(N) entries
+in all.
 
 Order contract. The arithmetic is the per-vertex ``TreeVector`` route's
 (kept in the test suite as the bitwise reference), spelled out on real
@@ -128,6 +136,19 @@ class KernelBasis:
         dims = dims[order]
         return parents[order], np.cumsum(dims) - dims
 
+    @cached_property
+    def _support(self) -> np.ndarray:
+        """Read-only ascending ids of the union of the block supports."""
+        mask = np.zeros(self.tree.n_vertices, dtype=bool)
+        for cls in self.classes:
+            mask[cls.first[:, None] + np.arange(cls.vecs.shape[2])] = True
+        for b in self.scalar:
+            for vec in b.vectors:
+                mask[list(vec.coeffs)] = True
+        ids = np.flatnonzero(mask)
+        ids.flags.writeable = False
+        return ids
+
     @property
     def total_dim(self) -> int:
         dims = [b.dim for b in self.scalar] + [cls.vecs[..., 0].size for cls in self.classes]
@@ -162,20 +183,29 @@ class KernelBasis:
 class WoldComponents:
     """Kernel-valued layers f_k with f = sum of S^k f_k plus residual.
 
-    ``layers`` is the read-only (horizon + 1, N) array of the f_k and
-    ``rest`` the residual as a read-only (N,) array, both indexed by
-    breadth-first id. ``components`` and ``residual`` are the same
-    vectors as ``TreeVector``s in ascending id order, built on first use.
+    ``kernel_ids`` holds the read-only ascending ids of the kernel basis'
+    support: the root and every sibling set that carries a block. Layer k
+    lives there at depth <= max_depth - k, a prefix of those ids, and
+    ``layers[k]`` is a read-only 1-D array of its values at
+    ``kernel_ids[:len(layers[k])]``; all layers together hold at most
+    2N + max_depth + 1 entries. ``rest`` is the residual as a read-only
+    (N,) array indexed by breadth-first id. ``components`` and
+    ``residual`` are the same vectors as ``TreeVector``s in ascending id
+    order, built on first use.
     """
 
     tree: DirectedTree
-    layers: np.ndarray
+    kernel_ids: np.ndarray
+    layers: tuple[np.ndarray, ...]
     rest: np.ndarray
     horizon: int
 
     @cached_property
     def components(self) -> tuple[TreeVector, ...]:
-        return tuple(TreeVector.from_dense(self.tree, x) for x in self.layers)
+        ids = self.kernel_ids
+        return tuple(
+            TreeVector._of(self.tree, dict(zip(ids[: len(x)].tolist(), x.tolist()))) for x in self.layers
+        )
 
     @cached_property
     def residual(self) -> TreeVector:
@@ -411,6 +441,13 @@ def _minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _plus(a, _mixed_product(-1.0, b))
 
 
+def _placed(size: int, at, vals: np.ndarray) -> np.ndarray:
+    """A complex (size,) array of zeros with ``vals`` written at ``at``."""
+    out = np.zeros(size, dtype=complex)
+    out[at] = vals
+    return out
+
+
 def peel(s: TruncatedShift, f: TreeVector, horizon: int) -> WoldComponents:
     """Split f into kernel-valued layers along powers of the shift.
 
@@ -421,6 +458,9 @@ def peel(s: TruncatedShift, f: TreeVector, horizon: int) -> WoldComponents:
     f supported strictly above the boundary and horizon = max_depth it
     vanishes identically. A NaN or infinite coefficient in f raises
     ``ValueError`` naming the first such vertex.
+
+    Step k runs on the ids at depth <= max_depth - k, where the lifted
+    remainder lives, and stores its layer on the kernel ids there.
     """
     _same_tree(s, f)
     if not 0 <= horizon <= s.max_depth:
@@ -432,58 +472,69 @@ def peel(s: TruncatedShift, f: TreeVector, horizon: int) -> WoldComponents:
         )
         raise ValueError(f"peel needs an injective shift: {reason}")
     x = _dense(s, f, "peel")
+    offsets, depth = s.tree.gen_offsets, s.max_depth
     # One basis for every peel step. Its boundary blocks live on the ids
-    # from ``cut`` on; the interior blocks are those of the parents below
-    # ``upto``.
+    # from ``cut`` on.
     basis = kernel_basis(s, interior_only=False)
-    upto = s.tree.gen_offsets.item(max(0, s.max_depth - 1))
-    cut = s.tree.gen_offsets.item(max(1, s.max_depth))
+    ids = basis._support
+    cut = offsets.item(max(1, depth))
     full = _project(basis, x, s.tree.n_vertices)
     # The interior layer and the boundary part have disjoint supports, so
     # subtracting both at once is subtracting one after the other.
     remainder = _minus(x, full)
-    layer, boundary = full.copy(), full
-    layer[cut:] = 0
+    layers = [full[ids[: np.searchsorted(ids, cut)]]]
+    boundary = full
     boundary[:cut] = 0
-    layers = [layer]
-    for _ in range(horizon):
-        lifted = _left_invert(s, remainder)
-        layer = _project(basis, lifted, upto)
-        layers.append(layer)
+    for k in range(1, horizon + 1):
+        # Lifting moves the remainder from depth <= depth - k + 1 up one
+        # generation; the blocks it meets are those of parents above it.
+        size = offsets.item(depth - k + 1)
+        lifted = _left_invert(s, remainder, size)
+        layer = _project(basis, lifted, offsets.item(depth - k))
+        layers.append(layer[ids[: np.searchsorted(ids, size)]])
         remainder = _minus(lifted, layer)
     tail = remainder
-    for _ in range(horizon):
+    for d in range(depth - horizon + 1, depth + 1):
         if not tail.any():
             break
-        tail = _pruned(apply_shift(s, tail))
-    stacked = np.array(layers)
-    rest = _plus(boundary, tail)
-    stacked.flags.writeable = False
-    rest.flags.writeable = False
-    return WoldComponents(tree=s.tree, layers=stacked, rest=rest, horizon=horizon)
+        tail = _pruned(apply_shift(s, _placed(offsets.item(d + 1), slice(len(tail)), tail)))
+    rest = _plus(boundary, _placed(len(boundary), slice(len(tail)), tail))
+    for arr in (*layers, rest):
+        arr.flags.writeable = False
+    return WoldComponents(s.tree, ids, tuple(layers), rest, horizon)
 
 
-def _left_invert(s: TruncatedShift, r: np.ndarray) -> np.ndarray:
+def _left_invert(s: TruncatedShift, r: np.ndarray, size: int) -> np.ndarray:
     """Apply the diagonal left inverse (S* S)^(-1) S* to a range vector.
 
-    ``c / d`` divides by complex(d, 0.0) in CPython: (re + im * 0.0) / d
-    and (im - re * 0.0) / d. Peel has checked every interior d > 0.
+    ``r`` holds the ids at depth <= t and the result the first
+    ``size`` = ``gen_offsets[t]`` ids, those at depth <= t - 1. ``c / d``
+    divides by complex(d, 0.0) in CPython: (re + im * 0.0) / d and
+    (im - re * 0.0) / d. Peel has checked every interior d > 0.
     """
-    up = apply_adjoint(s, r)
-    col = s.power_norms_sq(1)
-    m = len(col)
-    out = np.zeros_like(up)
-    re, im = up.real[:m], up.imag[:m]
-    out.real[:m] = (re + im * 0.0) / col
-    out.imag[:m] = (im - re * 0.0) / col
+    up = apply_adjoint(s, r)[:size]
+    col = s.power_norms_sq(1)[:size]
+    out = np.empty_like(up)
+    re, im = up.real, up.imag
+    out.real = (re + im * 0.0) / col
+    out.imag = (im - re * 0.0) / col
     return _pruned(out)
 
 
 def reconstruct(s: TruncatedShift, comp: WoldComponents) -> TreeVector:
-    """Sum of S^k components[k] plus the residual, Horner style, in ascending id order."""
-    acc = comp.layers[-1]
-    for layer in comp.layers[-2::-1]:
-        acc = _plus(layer, _pruned(apply_shift(s, acc)))
+    """Sum of S^k components[k] plus the residual, Horner style, in ascending id order.
+
+    The partial sum from layer k on lives on depth <= max_depth - k, so
+    each step runs on that prefix of the ids.
+    """
+    offsets, ids = s.tree.gen_offsets, comp.kernel_ids
+    acc = None
+    for k in range(comp.horizon, -1, -1):
+        size = offsets.item(s.max_depth - k + 1)
+        layer = _placed(size, ids[: len(comp.layers[k])], comp.layers[k])
+        if acc is not None:
+            layer = _plus(layer, _pruned(apply_shift(s, _placed(size, slice(len(acc)), acc))))
+        acc = layer
     return TreeVector.from_dense(s.tree, _plus(acc, comp.rest))
 
 

@@ -276,3 +276,49 @@ def loop_family(family, depth=None, params=None):
                     for v, share in zip(kids, shares):
                         lam[v] = math.sqrt(target * float(share))
     return t, [lam[v] for v in range(1, t.n_vertices)]
+
+
+def closed_form_gram(s, n, m, vectors):
+    """<S^n g_i, S^m h_j> over ``vectors`` from the diagonal of S*^k S^k.
+
+    Distinct vertices have disjoint S^k-images, so S*^k S^k is diagonal,
+    with entry norm(S^k e_v)^2 at v: the sum of squared weight products
+    over the walks k steps up from every vertex that end at v. For n <= m
+    the entry is the sum over v of that diagonal (k = n) times g(v) times
+    conj((S^(m - n) h)(v)), where (S^j h)(v) is the weight product down
+    from the j-th ancestor a of v times h(a), and 0 when v has no such
+    ancestor. n > m is the conjugate of the swapped pair.
+    """
+    tree = s.tree
+
+    def up(v, j):
+        """(j-th ancestor of v, weight product down from it to v), or None."""
+        prod = 1.0
+        for _ in range(j):
+            if v == 0:
+                return None
+            prod *= float(s.lam[v])
+            v = int(tree.parent[v])
+        return v, prod
+
+    diag = np.zeros(tree.n_vertices)
+    for w in range(tree.n_vertices):
+        hit = up(w, min(n, m))
+        if hit is not None:
+            diag[hit[0]] += hit[1] ** 2
+
+    def pairing(g, h, j):
+        """<S^k g, S^(k + j) h> for k = min(n, m)."""
+        total = 0j
+        for v, c in g.items():
+            hit = up(v, j)
+            if hit is not None:
+                a, prod = hit
+                total += diag[v] * c * (prod * h.get(a)).conjugate()
+        return total
+
+    mat = np.zeros((len(vectors), len(vectors)), dtype=complex)
+    for i, g in enumerate(vectors):
+        for j, h in enumerate(vectors):
+            mat[i, j] = pairing(g, h, m - n) if n <= m else pairing(h, g, n - m).conjugate()
+    return mat

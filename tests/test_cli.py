@@ -1,5 +1,8 @@
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -302,3 +305,23 @@ def test_registry_and_flags_agree(tmp_path, capsys):
         assert _run(argv + ["--out", out]) == 2, argv
         assert not os.path.exists(out), argv
     capsys.readouterr()
+
+
+def test_out_of_memory_exits_two_without_report(tmp_path):
+    # The gram image block of this tree needs about 68 GB; the child runs
+    # under a 1 GiB address-space cap, set in that child only.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = tmp_path / "r"
+    argv = ["gram", "--family", "random", "--branching", "2", "--depth", "16", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "treeshift.cli", *argv],
+        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: out of memory"), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

@@ -431,3 +431,35 @@ def test_sparse_shift_and_adjoint_cost_the_support():
     kids = range(s.tree.first_child.item(u), s.tree.first_child.item(u + 1))
     assert down.coeffs == {w: s.lam.item(w) * (1 + 0j) for w in kids}
     assert up.coeffs == {s.tree.parent.item(u): s.lam.item(u) * (1 + 0j)}
+
+
+def test_prefix_shift_and_adjoint_equal_padded_full_call():
+    # On the ids at depth <= d the operators act on the depth-d truncation:
+    # the full-size call on the zero-padded input, cut to the prefix.
+    rng = np.random.default_rng([36, 0])
+    shifts = [
+        _random_shift(3),
+        make(GallerySpec(family="random_balanced", depth=4, params={"seed": 2, "branching": (3,)})),
+        make(GallerySpec(family="mad", depth=7)),
+        make(GallerySpec(family="t2", depth=5, params={"alpha": 0.5})),
+    ]
+    for case, s in enumerate(shifts):
+        n, offsets = s.tree.n_vertices, s.tree.gen_offsets
+        for d in range(s.max_depth + 1):
+            size = offsets.item(d + 1)
+            for shape in ((size,), (size, 3)):
+                x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                padded = np.zeros((n,) + shape[1:], dtype=complex)
+                padded[:size] = x
+                for op in (apply_shift, apply_adjoint):
+                    got = op(s, x)
+                    assert got.shape == shape, (case, d, op.__name__)
+                    assert got.tobytes() == op(s, padded)[:size].tobytes(), (case, d, op.__name__)
+        wide = [size for size in range(n + 2) if size not in offsets[1:]]
+        for size in wide:
+            for op in (apply_shift, apply_adjoint):
+                with pytest.raises(ValueError, match="generation boundary"):
+                    op(s, np.zeros(size, dtype=complex))
+        assert 0 in wide and n + 1 in wide
+    # The t2 tree has two vertices per generation below the root.
+    assert any(size not in (0, n + 1) for size in wide)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from treeshift import (
 )
 
 from oracles import (
+    closed_form_gram,
     dense_shift_matrix,
     loop_dense_images,
     loop_kernel_basis,
@@ -519,3 +521,62 @@ def test_kernel_and_adjoint_properties(s, seed):
     lhs = apply_shift(s, a).T @ b.conj()
     rhs = a.T @ apply_adjoint(s, b).conj()
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.linalg.norm(a) * np.linalg.norm(b))
+
+
+@settings(derandomize=True, deadline=None)
+@given(weighted_trees(min_children=1), st.integers(0, 2**32 - 1))
+def test_peel_layers_live_on_kernel_ids_and_match_scalar_route(s, seed):
+    # Layer k is stored on the kernel ids at depth <= D - k, and every
+    # horizon gives the scalar route's bits.
+    tree, depth = s.tree, s.max_depth
+    f = TreeVector.from_dense(tree, _random_complex(tree.n_vertices, seed))
+    support = np.zeros(tree.n_vertices, dtype=bool)
+    for b in kernel_basis(s, interior_only=False).vectors():
+        support[list(b.coeffs)] = True
+    for horizon in range(depth + 1):
+        comp = peel(s, f, horizon)
+        ids = comp.kernel_ids
+        assert ids.tolist() == np.flatnonzero(support).tolist()
+        assert not ids.flags.writeable
+        assert len(comp.layers) == horizon + 1
+        assert sum(map(len, comp.layers)) <= 2 * tree.n_vertices + depth + 1
+        for k, (layer, vec) in enumerate(zip(comp.layers, comp.components)):
+            assert layer.ndim == 1 and not layer.flags.writeable
+            assert (tree.depth[ids[: len(layer)]] <= depth - k).all(), (horizon, k)
+            assert all(support[v] and tree.depth[v] <= depth - k for v in vec.coeffs), (horizon, k)
+        layers, residual = loop_peel(s, f, horizon)
+        assert [_bits(c) for c in comp.components] == [_bits(c) for c in layers], horizon
+        assert _bits(comp.residual) == _bits(residual), horizon
+        assert _bits(reconstruct(s, comp)) == _bits(loop_reconstruct(s, layers, residual)), horizon
+
+
+def test_deep_ray_peel_and_reconstruct_stay_linear_in_memory():
+    # Dense layers here would take (D + 1)^2 complex entries, about 144 MB.
+    s = make(GallerySpec(family="mad", depth=3000))
+    f = TreeVector.from_dense(s.tree, _random_complex(s.tree.n_vertices, 3000))
+    tracemalloc.start()
+    try:
+        comp = peel(s, f, s.max_depth)
+        back = reconstruct(s, comp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+    assert back.minus(f).norm() <= 1e-10 * f.norm()
+
+
+@settings(derandomize=True, deadline=None)
+@given(weighted_trees(), st.booleans())
+def test_gram_matches_closed_form_oracle(s, interior_only):
+    basis = kernel_basis(s, interior_only)
+    vectors = basis.vectors()
+    mat = dense_shift_matrix(s)
+    powers = range(s.max_depth + 2)
+    op_norms = [np.linalg.norm(np.linalg.matrix_power(mat, k), 2) for k in powers]
+    for n in powers:
+        for m in powers:
+            got = wold_gram(s, n, m, basis).matrix
+            want = closed_form_gram(s, n, m, vectors)
+            # Entry scale: |<S^n g, S^m h>| <= norm(S^n) norm(S^m) for unit g and h.
+            err = np.max(np.abs(got - want), initial=0.0)
+            assert err <= 1e-13 * op_norms[n] * op_norms[m], (n, m, err)
