@@ -69,6 +69,7 @@ from .wold import (
     is_locally_power_balanced,
     kernel_basis,
     peel,
+    power_images,
     reconstruct,
     wold_gram,
 )
@@ -415,13 +416,15 @@ def _run_gram(args, s: TruncatedShift, family: Optional[str]) -> dict:
     basis = kernel_basis(s)
     bal = is_balanced(s)
     inj = is_injective(s)
+    ladder = power_images(s, basis, max_p)
     rows = []
     overall_max = 0.0
     for n in range(0, max_p + 1):
         for m in range(n + 1, max_p + 1):
-            g = wold_gram(s, n, m, basis)
-            overall_max = max(overall_max, g.max_abs)
-            rows.append([n, m, g.max_abs, g.exceeds_horizon])
+            g = wold_gram(s, n, m, basis, ladder=ladder)
+            max_abs = g.max_abs
+            overall_max = max(overall_max, max_abs)
+            rows.append([n, m, max_abs, g.exceeds_horizon])
     if bal.ok:
         regime = "orthogonal-factors"
         verdict = "pass" if overall_max <= args.tol else "fail"

@@ -209,7 +209,9 @@ class TruncatedShift:
     ``np.bincount`` over the parent array. Order 1 is kept for the
     lifetime of the shift; a single cursor holds the most recent higher
     order and moves forward from it, or restarts from order 1 when a
-    lower order is asked for. Memory stays O(vertices) at any depth. The
+    lower order is asked for. Memory stays O(vertices) at any depth. An
+    order with an entry that overflows float64 raises ``ValueError``, at
+    construction for order 1 and in ``power_norms_sq`` above it. The
     weights (a mapping from child id to weight, or the weights of vertices
     1..N-1 in id order) are validated once, against this tree, when
     ``lam`` is filled.
@@ -225,17 +227,35 @@ class TruncatedShift:
         self.lam = _weight_array(tree, weights)
         self.norm_attained_within_depth = norm_attained_within_depth
         self._lam2 = self.lam * self.lam
+        self._safe_orders = 0.0
         self._order1 = self._next_order(np.ones(tree.n_vertices), 1)
         self._order1.flags.writeable = False
         self._cursor = (1, self._order1)
         interior = self._order1[: tree.gen_offsets[tree.max_depth]]
         self.column_bound = float(interior.max()) if interior.size else 0.0
+        # Every entry of order n is at most column_bound ** n, which stays
+        # below 1e300, far from overflow, up to order _safe_orders.
+        self._safe_orders = math.inf if self.column_bound <= 1 else 300 / math.log10(self.column_bound)
 
     def _next_order(self, prev: np.ndarray, n: int) -> np.ndarray:
-        """Order n from order n - 1, on the prefix with depth <= max_depth - n."""
+        """Order n from order n - 1, on the prefix with depth <= max_depth - n.
+
+        Above ``_safe_orders``, an entry that overflows float64, in a
+        product or in the sum over the children, raises ``ValueError``
+        naming the first such vertex. Up to it, nothing can overflow and
+        the check is skipped.
+        """
         size = int(self.tree.gen_offsets[self.tree.max_depth - n + 1])
         m = len(prev)
-        return np.bincount(self.tree.parent[1:m], self._lam2[1:m] * prev[1:], minlength=size)
+        if n <= self._safe_orders:
+            return np.bincount(self.tree.parent[1:m], self._lam2[1:m] * prev[1:], minlength=size)
+        with np.errstate(over="ignore"):
+            out = np.bincount(self.tree.parent[1:m], self._lam2[1:m] * prev[1:], minlength=size)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            v = int(np.argmax(bad))
+            raise ValueError(f"norm(S^{n} e_{v})^2 overflows float64 (power norms of order {n})")
+        return out
 
     def power_norms_sq(self, n: int) -> np.ndarray:
         """Read-only array of norm(S^n e_u)^2 for every u with depth(u) + n <= max_depth.

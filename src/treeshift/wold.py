@@ -52,7 +52,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -592,12 +593,8 @@ def is_locally_power_balanced(
     return found or BalanceResult(ok=True)
 
 
-def _dense_images(s: TruncatedShift, n: int, basis: KernelBasis) -> np.ndarray:
-    """S^n applied to the basis, as an N x dim block with one column per vector.
-
-    The block is scattered once from the basis arrays and shifted n times
-    as a whole by ``apply_shift``.
-    """
+def _basis_block(s: TruncatedShift, basis: KernelBasis) -> np.ndarray:
+    """The basis as an N x dim block, one column per vector, scattered from its arrays."""
     block = np.zeros((s.tree.n_vertices, basis.total_dim), dtype=complex)
     parents, starts = basis._layout
     for cls in basis.classes:
@@ -610,28 +607,44 @@ def _dense_images(s: TruncatedShift, n: int, basis: KernelBasis) -> np.ndarray:
         for j, vec in enumerate(b.vectors):
             for v, c in vec.items():
                 block[v, col + j] = c
-    for _ in range(n):
-        block = apply_shift(s, block)
     return block
 
 
-def _image_pair(
-    s: TruncatedShift, n: int, m: int, basis: KernelBasis
-) -> tuple[np.ndarray, np.ndarray]:
-    """The n-th and m-th power images; the higher one is shifted on from the lower.
+def _ladder(s: TruncatedShift, basis: KernelBasis) -> Iterator[np.ndarray]:
+    """S^0 B, S^1 B, ...: the basis block, then each block shifted on from the one before."""
+    block = _basis_block(s, basis)
+    while True:
+        yield block
+        block = apply_shift(s, block)
 
-    S^m B = S^(m-n) S^n B multiplies the same weights in the same order,
-    so both blocks are bitwise what ``_dense_images`` gives for each power.
+
+def power_images(s: TruncatedShift, basis: KernelBasis, top: int) -> list[np.ndarray]:
+    """The ladder [S^0 B, ..., S^top B] of power images of the basis.
+
+    Entry k is an N x dim block with one column per basis vector, in the
+    column order of ``vectors()``. The basis is scattered once and each
+    block is shifted on from the one before by ``apply_shift``, so the
+    ladder costs ``top`` block shifts and holds top + 1 blocks. A basis of
+    another tree raises ``ValueError``.
     """
-    low = _dense_images(s, min(n, m), basis)
-    high = low
-    for _ in range(abs(m - n)):
-        high = apply_shift(s, high)
-    return (low, high) if n <= m else (high, low)
+    _same_tree(s, basis)
+    if top < 0:
+        raise ValueError("top power must be nonnegative")
+    return list(islice(_ladder(s, basis), top + 1))
+
+
+def _images_at(s: TruncatedShift, basis: KernelBasis, *powers: int) -> dict[int, np.ndarray]:
+    """The blocks S^k B for k in ``powers``; the others are dropped as the ladder climbs."""
+    return {k: b for k, b in zip(range(max(powers) + 1), _ladder(s, basis)) if k in powers}
 
 
 def wold_gram(
-    s: TruncatedShift, n: int, m: int, basis: KernelBasis, strict: bool = False
+    s: TruncatedShift,
+    n: int,
+    m: int,
+    basis: KernelBasis,
+    strict: bool = False,
+    ladder: Optional[Sequence[np.ndarray]] = None,
 ) -> GramResult:
     """Pairings <S^n g_i, S^m h_j> over the flattened kernel basis.
 
@@ -641,27 +654,30 @@ def wold_gram(
     the untruncated one. Such gram matrices are flagged, and rejected when
     strict=True.
 
-    The basis block is built once, for the lower power; the higher
-    power's image is shifted on from it. A basis of another tree raises
+    ``ladder`` is ``power_images(s, basis, top)`` for some top >= max(n,
+    m); one ladder serves every pair up to its top. Without it the two
+    blocks are shifted on from the basis here. Either way the matrix is
+    ``ladder[n].T @ conj(ladder[m])`` with the same bits. A basis of
+    another tree, or a ladder that stops short of max(n, m), raises
     ``ValueError``.
     """
     _same_tree(s, basis)
     if n < 0 or m < 0:
         raise ValueError("powers must be nonnegative")
-    depths = basis.support_depths(s.tree)
-    exceeds = any(d + max(n, m) > s.max_depth for d in depths)
+    if ladder is not None and len(ladder) <= max(n, m):
+        raise ValueError(f"the ladder stops at power {len(ladder) - 1}, below {max(n, m)}")
+    deepest = max(basis.support_depths(s.tree))
+    exceeds = deepest + max(n, m) > s.max_depth
     if strict and exceeds:
-        raise HorizonError(
-            f"gram orders ({n}, {m}) pass the horizon for a block at depth {max(depths)}"
-        )
-    a, b = _image_pair(s, n, m, basis)
-    return GramResult(matrix=a.T @ np.conj(b), n=n, m=m, exceeds_horizon=exceeds)
+        raise HorizonError(f"gram orders ({n}, {m}) pass the horizon for a block at depth {deepest}")
+    images = _images_at(s, basis, n, m) if ladder is None else ladder
+    return GramResult(matrix=images[n].T @ np.conj(images[m]), n=n, m=m, exceeds_horizon=exceeds)
 
 
 def image_dim(s: TruncatedShift, n: int, basis: KernelBasis, tol: Optional[float] = None) -> int:
     """Numerical rank of S^n applied to the kernel-basis span."""
     _same_tree(s, basis)
-    a = _dense_images(s, n, basis)
+    a = _images_at(s, basis, n)[n]
     if a.size == 0:
         return 0
     return int(np.linalg.matrix_rank(a, tol=tol))
@@ -676,7 +692,8 @@ def image_intersection_dim(
     least 1 - tol.
     """
     _same_tree(s, basis)
-    a, b = (scipy.linalg.orth(x) for x in _image_pair(s, n, m, basis))
+    images = _images_at(s, basis, n, m)
+    a, b = scipy.linalg.orth(images[n]), scipy.linalg.orth(images[m])
     if a.shape[1] == 0 or b.shape[1] == 0:
         return 0
     cosines = scipy.linalg.svdvals(a.conj().T @ b)

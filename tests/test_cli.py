@@ -4,8 +4,11 @@ import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import treeshift.wold as wold
+from treeshift import GallerySpec, kernel_basis, make, wold_gram
 from treeshift.cli import main
 
 pytestmark = pytest.mark.usefixtures("clean_env")
@@ -305,6 +308,46 @@ def test_registry_and_flags_agree(tmp_path, capsys):
         assert _run(argv + ["--out", out]) == 2, argv
         assert not os.path.exists(out), argv
     capsys.readouterr()
+
+
+def test_gram_scatters_once_and_shifts_once_per_power(tmp_path, monkeypatch):
+    calls = {"apply_shift": 0, "_basis_block": 0}
+
+    def counted(name):
+        fn = getattr(wold, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(wold, name, wrapper)
+
+    counted("apply_shift")
+    counted("_basis_block")
+    out = str(tmp_path / "r")
+    assert _run(["gram", "--family", "random", "--branching", "2", "--depth", "8", "--out", out]) == 0
+    assert len(_read_report(out)["tables"][0]["rows"]) == 10
+    assert calls == {"apply_shift": 4, "_basis_block": 1}
+
+
+def test_gram_max_power_above_depth_clamps(tmp_path):
+    argv = ["gram", "--family", "random", "--depth", "3", "--seed", "4"]
+    wide, exact = tmp_path / "wide", tmp_path / "exact"
+    assert _run(argv + ["--max-power", "7", "--out", str(wide)]) == 0
+    assert _run(argv + ["--max-power", "3", "--out", str(exact)]) == 0
+    for name in ("report.json", "gram_pairings.csv"):
+        assert (wide / name).read_bytes() == (exact / name).read_bytes(), name
+    report = _read_report(str(wide))
+    assert report["inputs"]["max_power"] == 3
+    # Each row is what one ladder-free wold_gram call gives for its pair.
+    s = make(GallerySpec(family="random", depth=3, params={"seed": 4}))
+    basis = kernel_basis(s)
+    want = []
+    for n in range(4):
+        for m in range(n + 1, 4):
+            g = wold_gram(s, n, m, basis)
+            want.append([n, m, float(np.max(np.abs(g.matrix))), g.exceeds_horizon])
+    assert report["tables"][0]["rows"] == want
 
 
 def test_out_of_memory_exits_two_without_report(tmp_path):

@@ -79,6 +79,28 @@ def test_weight_with_overflowing_square_rejected():
     assert TruncatedShift(t, [1e154, 1.0]).lam.tolist() == [0.0, 1e154, 1.0]
 
 
+def test_power_norms_that_overflow_rejected():
+    ray = build_tree({"vertices": 4, "parents": [None, 0, 1, 2]})
+    star = build_tree({"vertices": 4, "parents": [None, 0, 0, 0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected without numpy's overflow warning
+        s = TruncatedShift(ray, [1e100] * 3)
+        assert np.isfinite(s.power_norms_sq(1)).all()
+        with pytest.raises(ValueError, match=r"norm\(S\^2 e_0\)\^2 overflows .*order 2"):
+            s.power_norms_sq(2)
+        with pytest.raises(ValueError, match="order 2"):
+            operator_norm_power(s, 2)
+        # Each square is finite; their sum over the three children is not.
+        with pytest.raises(ValueError, match=r"norm\(S\^1 e_0\)\^2 overflows .*order 1"):
+            TruncatedShift(star, [1e154] * 3)
+        # Orders 1-3 stay at most 1e240; order 4 would be 1e320.
+        long_ray = TruncatedShift(build_tree({"vertices": 6, "parents": [None, 0, 1, 2, 3, 4]}), [1e40] * 5)
+        assert np.isfinite(long_ray.power_norms_sq(3)).all()
+        with pytest.raises(ValueError, match=r"norm\(S\^4 e_0\)\^2 overflows .*order 4"):
+            long_ray.power_norms_sq(4)
+    assert TruncatedShift(star, [1e154, 1.0, 1.0]).column_bound == 1e308
+
+
 def test_weight_system_validation():
     t = build_tree({"family": "unilateral", "depth": 2})
     with pytest.raises(ValueError):

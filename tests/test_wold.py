@@ -23,6 +23,7 @@ from treeshift import (
     kernel_basis,
     make,
     peel,
+    power_images,
     project_kernel,
     random_balanced,
     reconstruct,
@@ -284,8 +285,8 @@ def _oracle_intersection_dim(a, b, tol=1e-8):
     return int(np.sum(np.clip(scipy.linalg.svdvals(a.conj().T @ b), 0.0, 1.0) >= 1.0 - tol))
 
 
-def test_gram_and_images_bitwise_equal_per_vector_loop():
-    shifts = [
+def _image_fixtures():
+    return [
         make(GallerySpec(family="random", depth=5, params={"seed": 3, "branching": (1, 2, 3)})),
         random_balanced(seed=8, branching=(2, 3), depth=4),
         _t2(depth=5),
@@ -293,7 +294,10 @@ def test_gram_and_images_bitwise_equal_per_vector_loop():
         make(GallerySpec(family="broom_leaf", params={"arms": 4})),
         make(GallerySpec(family="mad", depth=6)),
     ]
-    for case, s in enumerate(shifts):
+
+
+def test_gram_and_images_bitwise_equal_per_vector_loop():
+    for case, s in enumerate(_image_fixtures()):
         for interior_only in (True, False):
             kb = kernel_basis(s, interior_only)
             powers = range(s.max_depth + 2)
@@ -307,6 +311,38 @@ def test_gram_and_images_bitwise_equal_per_vector_loop():
                     assert got.tobytes() == (a.T @ np.conj(b)).tobytes(), (case, n, m)
                     want = _oracle_intersection_dim(a, b)
                     assert image_intersection_dim(s, n, m, kb) == want, (case, n, m)
+
+
+def test_power_ladder_bitwise_equal_per_vector_loop():
+    for case, s in enumerate(_image_fixtures()):
+        for interior_only in (True, False):
+            kb = kernel_basis(s, interior_only)
+            top = s.max_depth + 1
+            ladder = power_images(s, kb, top)
+            assert len(ladder) == top + 1
+            for n, block in enumerate(ladder):
+                # Equal entries; a zero part may differ in sign, as ``apply_shift``
+                # documents for blocks.
+                want = loop_dense_images(s, n, kb)
+                assert block.shape == want.shape and np.array_equal(block, want), (case, n)
+            for n in range(top + 1):
+                for m in range(top + 1):
+                    got = wold_gram(s, n, m, kb, ladder=ladder)
+                    alone = wold_gram(s, n, m, kb)
+                    assert got.matrix.shape == alone.matrix.shape, (case, n, m)
+                    assert got.matrix.tobytes() == alone.matrix.tobytes(), (case, n, m)
+                    assert got.exceeds_horizon == alone.exceeds_horizon, (case, n, m)
+
+
+def test_short_ladder_refused():
+    s = _t2(depth=5)
+    kb = kernel_basis(s)
+    ladder = power_images(s, kb, 2)
+    assert wold_gram(s, 1, 2, kb, ladder=ladder).matrix.shape == (kb.total_dim, kb.total_dim)
+    with pytest.raises(ValueError, match="stops at power 2"):
+        wold_gram(s, 1, 3, kb, ladder=ladder)
+    with pytest.raises(ValueError, match="nonnegative"):
+        power_images(s, kb, -1)
 
 
 def test_image_dims_on_counterexample_fixtures():
@@ -333,6 +369,7 @@ def test_basis_from_another_tree_refused():
         f = TreeVector.basis(s.tree, 0)
         calls = (
             lambda: wold_gram(s, 1, 2, basis),
+            lambda: power_images(s, basis, 2),
             lambda: image_dim(s, 1, basis),
             lambda: image_intersection_dim(s, 1, 2, basis),
             lambda: project_kernel(s, f, basis),
