@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -61,7 +62,6 @@ from .ops import (
     _sum_sq,
     is_injective,
     operator_norm_power,
-    power_norm,
 )
 from .tree import FAMILIES, TreeSpecError, enumerate_paths, load_tree_file
 from .wold import (
@@ -74,14 +74,6 @@ from .wold import (
     wold_gram,
 )
 
-def _fmt_cell(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return "%.17g" % x
-    return str(x)
-
-
 def _table(name: str, rows: Sequence[Sequence], *columns: tuple) -> dict:
     """columns: (name, op, tol or None) triples; rows parallel to them."""
     return {
@@ -91,14 +83,72 @@ def _table(name: str, rows: Sequence[Sequence], *columns: tuple) -> dict:
     }
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+# CSV text of a cell by its exact type; every other scalar is str().
+_CSV_CELL = {float: "%.17g".__mod__, bool: ("false", "true").__getitem__}
+
+
+def _json(value, pad: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=2, allow_nan=False) nested at indentation pad.
+
+    Encoded strings escape their newlines, so every newline in the text is
+    layout and one replace re-indents it.
+    """
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n" + pad)
+
+
+def _block(brackets: str, items: list, pad: str) -> str:
+    """Encoded items laid out as indent=2 lays out a container nested at pad."""
+    if not items:
+        return brackets
+    inner = "\n" + pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
+
+
+def _object(d: dict, pad: str, encoders: dict) -> str:
+    """_json(d, pad), with the value of each key in encoders encoded by it."""
+    inner = pad + "  "
+    fields = [f"{json.dumps(k)}: {encoders.get(k, _json)(d[k], inner)}" for k in sorted(d)]
+    return _block("{}", fields, pad)
+
+
+def _rows_json(rows: list, pad: str) -> str:
+    """_json(rows, pad) for flat rows of scalars, through the C encoder.
+
+    With indent=None, ``json`` encodes in C; an item separator carrying
+    the cell indentation makes the rows [a,SEP b],SEP [c]. No scalar
+    starts or ends with a bracket, so a bracket next to a separator is a
+    row boundary, and the row layout is spliced in there.
+    """
+    if not rows:
+        return "[]"
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= _SCALARS:
+        raise TypeError("table cells must be str, int, float, bool or None")
+    row, cell = "\n" + pad + "  ", "\n" + pad + "    "
+    sep = "," + cell
+    text = json.JSONEncoder(allow_nan=False, separators=(sep, ": ")).encode(rows)
+    text = text[2:-2].replace("]" + sep + "[", f"{row}],{row}[{cell}")
+    return f"[{row}[{cell}{text}{row}]\n{pad}]".replace(f"[{cell}{row}]", "[]")
+
+
+def _tables_json(tables: list, pad: str) -> str:
+    """_json(tables, pad) for the report's list of tables."""
+    return _block("[]", [_object(t, pad + "  ", {"rows": _rows_json}) for t in tables], pad)
+
+
 def _write_report(out_dir: str, report: dict) -> str:
     """Write report.json and one CSV per table into out_dir.
 
-    A NaN or infinite number, which JSON cannot hold, raises ``ValueError``
-    before any file or directory is created.
+    report.json holds exactly the text of ``json.dumps(report,
+    sort_keys=True, indent=2, allow_nan=False)`` plus a newline. Table rows,
+    flat lists of scalars, are encoded by the C encoder (``_rows_json``);
+    everything else by ``json.dumps`` itself. A CSV cell is "%.17g" of a
+    float, true/false of a bool and str() of anything else, quoted by
+    ``csv.writer``. A NaN or infinite number, which JSON cannot hold,
+    raises ``ValueError`` before any file or directory is created.
     """
     try:
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+        text = _object(report, "", {"tables": _tables_json})
     except ValueError:
         raise ValueError("the report holds a non-finite number; nothing was written") from None
     os.makedirs(out_dir, exist_ok=True)
@@ -110,8 +160,7 @@ def _write_report(out_dir: str, report: dict) -> str:
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow([c["name"] for c in tab["columns"]])
-            for row in tab["rows"]:
-                writer.writerow([_fmt_cell(x) for x in row])
+            writer.writerows([[_CSV_CELL.get(type(x), str)(x) for x in row] for row in tab["rows"]])
     return path
 
 
@@ -182,7 +231,7 @@ def _run_norms(args, s: TruncatedShift, family: Optional[str]) -> dict:
     failures = 0
     for n in range(1, max_n + 1):
         est = operator_norm_power(s, n)
-        e0 = power_norm(s, 0, n)
+        e0 = math.sqrt(s.power_norms_sq(n).item(0))  # power_norm(s, 0, n), as n <= max_depth
         surrogate = est.value ** (1.0 / n)
         rows.append([n, e0, est.value, est.attained_at, est.may_grow_beyond_horizon, surrogate])
         if family == "mad":
@@ -369,10 +418,13 @@ def _run_balanced(args, s: TruncatedShift, family: Optional[str]) -> dict:
         raise ValueError("a depth-0 tree has no interior generation to compare")
     bal = is_balanced(s)
     loc = is_locally_power_balanced(s, max_n)
+    norms = np.sqrt(s.power_norms_sq(1))  # power_norm(s, u, 1) of every interior u
+    offsets = s.tree.gen_offsets.tolist()
     rows = []
-    for d, gen in enumerate(s.tree.generations[:-1]):
-        norms = [power_norm(s, u, 1) for u in gen]
-        rows.append([d, len(gen), min(norms), max(norms), max(norms) - min(norms)])
+    for d in range(s.max_depth):
+        gen = norms[offsets[d]:offsets[d + 1]]
+        lo, hi = gen.min().item(), gen.max().item()
+        rows.append([d, offsets[d + 1] - offsets[d], lo, hi, hi - lo])
     # Constant first norms force constant higher power norms, so a balanced
     # shift failing the sibling check would be an internal contradiction.
     consistent = loc.ok or not bal.ok

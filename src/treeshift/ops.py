@@ -265,13 +265,16 @@ class TruncatedShift:
         """
         if n < 0:
             raise ValueError("n must be nonnegative")
-        if n > self.max_depth:
-            raise HorizonError(f"no column survives {n} shifts at depth {self.max_depth}")
+        depth = self.tree.max_depth
+        if n > depth:
+            raise HorizonError(f"no column survives {n} shifts at depth {depth}")
+        k, arr = self._cursor
+        if n == k:
+            return arr
         if n == 0:
             out = np.ones(self.tree.n_vertices)
             out.flags.writeable = False
             return out
-        k, arr = self._cursor
         if n < k:
             k, arr = 1, self._order1
         while k < n:
@@ -509,14 +512,10 @@ def operator_norm_power(s: TruncatedShift, n: int) -> PowerNormEstimate:
     families that know where the sup is attained clear it.
     """
     col = s.power_norms_sq(n)
-    best_u = int(np.argmax(col))  # the first maximum, as a strict scan in id order finds
-    best = col[best_u]
+    best_u = int(col.argmax())  # the first maximum, as a strict scan in id order finds
     bound = s.norm_attained_within_depth
-    if n == 0:
-        may_grow = False
-    else:
-        may_grow = bound is None or bound + n > s.max_depth
-    return PowerNormEstimate(value=math.sqrt(best), attained_at=best_u, may_grow_beyond_horizon=may_grow)
+    may_grow = n > 0 and (bound is None or bound + n > s.tree.max_depth)
+    return PowerNormEstimate(math.sqrt(col.item(best_u)), best_u, may_grow)
 
 
 def spectral_radius_estimate(s: TruncatedShift, n: int) -> float:

@@ -6,6 +6,8 @@ two-route check rather than a tautology.
 """
 
 import cmath
+import csv
+import io
 import math
 from dataclasses import replace
 
@@ -322,3 +324,22 @@ def closed_form_gram(s, n, m, vectors):
         for j, h in enumerate(vectors):
             mat[i, j] = pairing(g, h, m - n) if n <= m else pairing(h, g, n - m).conjugate()
     return mat
+
+
+def _fmt_cell(x):
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return "%.17g" % x
+    return str(x)
+
+
+def loop_csv_text(table):
+    """A report table as CSV text: the header, then one writerow per row of
+    cells formatted one by one through an isinstance chain."""
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow([c["name"] for c in table["columns"]])
+    for row in table["rows"]:
+        writer.writerow([_fmt_cell(x) for x in row])
+    return fh.getvalue()

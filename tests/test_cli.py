@@ -1,15 +1,22 @@
+import argparse
 import json
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import treeshift.wold as wold
-from treeshift import GallerySpec, kernel_basis, make, wold_gram
-from treeshift.cli import main
+from treeshift import GallerySpec, kernel_basis, make, operator_norm_power, power_norm, wold_gram
+from treeshift.cli import _run_norms, _write_report, main
+
+from oracles import loop_csv_text
+from test_wold import weighted_trees
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 
@@ -111,6 +118,102 @@ def test_overflow_exits_two_without_report(tmp_path, capsys, doc):
     assert _run(["norms", "--tree", str(spec), "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not os.path.exists(out)
+
+
+_texts = st.text(max_size=6) | st.sampled_from([
+    '', '"', '\\', 'a,b', 'say "hi"', 'x\ny', '\r\n', '\x00\x1f\x7f', 'é ü ∞ 🌲', ' ', '[]', '],\n[',
+])
+_scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(-2**100, 2**100) | _texts
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 5e-324, 1e308, 1e16, 1e-7, 0.1, -2.5])
+)
+_values = st.recursive(
+    _scalars, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_texts, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _reports(draw):
+    """Dicts shaped like a report: schema keys, nested inputs, tables of flat rows."""
+    tables = []
+    for i in range(draw(st.integers(0, 3))):
+        width = draw(st.integers(0, 4))
+        columns = [{"name": draw(_texts), "op": draw(_texts), "tol": draw(st.none() | st.floats(0, 1))}
+                   for _ in range(width)]
+        rows = draw(st.lists(st.lists(_scalars, min_size=width, max_size=width), max_size=4))
+        tables.append({"name": f"t{i}", "columns": columns, "rows": rows})
+    extra = draw(st.dictionaries(st.sampled_from(["balanced", "monotone", "regime", "zz"]), _values))
+    return {**extra, "schema": 1, "experiment": draw(_texts),
+            "inputs": {"tree_spec": draw(_values), "max_power": draw(st.integers(1, 9))},
+            "tolerances": draw(st.dictionaries(_texts, st.none() | st.floats(0, 1), max_size=2)),
+            "verdict": draw(_texts), "tables": tables}
+
+
+_ONE_CELL = {"name": "c", "op": "", "tol": None}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_reports())
+@example({"schema": 1, "experiment": "", "inputs": {}, "tolerances": {}, "verdict": "", "tables": []})
+@example({"schema": 1, "experiment": "e", "inputs": {"tree_spec": {"labels": ['q"', "a,b", "é"]}},
+          "tolerances": {}, "verdict": "pass", "tables": [
+              {"name": "empty", "columns": [_ONE_CELL], "rows": []},
+              {"name": "one", "columns": [_ONE_CELL], "rows": [[-0.0], [5e-324], [1e308], [1e16],
+                                                              [2**70], ["x\ny"], [None], [True]]},
+              {"name": "none", "columns": [], "rows": [[], []]},
+          ]})
+def test_report_writer_matches_json_dumps(report):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "r")
+        assert _write_report(out, report) == os.path.join(out, "report.json")
+        with open(os.path.join(out, "report.json"), "r", encoding="utf-8", newline="") as fh:
+            assert fh.read() == json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        names = ["report.json"] + [f"{t['name']}.csv" for t in report["tables"]]
+        assert sorted(os.listdir(out)) == sorted(names)
+        for tab in report["tables"]:
+            with open(os.path.join(out, f"{tab['name']}.csv"), "rb") as fh:
+                assert fh.read() == loop_csv_text(tab).encode("utf-8")
+
+
+@pytest.mark.parametrize("where", ["row", "inputs"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_report_writer_refuses_non_finite_before_writing(tmp_path, where, bad):
+    table = {"name": "t", "columns": [_ONE_CELL], "rows": [[1.0], [bad if where == "row" else 2.0]]}
+    report = {"schema": 1, "inputs": {"x": [bad] if where == "inputs" else 0.5}, "tables": [table]}
+    out = tmp_path / "r"
+    with pytest.raises(ValueError, match="non-finite"):
+        _write_report(str(out), report)
+    assert not out.exists()
+
+
+def test_report_writer_refuses_non_scalar_cells(tmp_path):
+    table = {"name": "t", "columns": [_ONE_CELL], "rows": [[1], [[2]]]}
+    with pytest.raises(TypeError, match="cells"):
+        _write_report(str(tmp_path / "r"), {"schema": 1, "tables": [table]})
+    assert not (tmp_path / "r").exists()
+
+
+def _bits(rows):
+    return [[(type(x), x.hex() if type(x) is float else x) for x in row] for row in rows]
+
+
+@settings(derandomize=True, deadline=None)
+@given(weighted_trees())
+def test_norms_rows_match_per_row_queries(s):
+    for shift in (s, make(GallerySpec(family="mad", depth=s.max_depth + 1))):
+        for max_n in range(1, shift.max_depth + 1):
+            args = argparse.Namespace(max_power=max_n, tol=1e-12)
+            rows = _run_norms(args, shift, None)["tables"][0]["rows"]
+            want = []
+            # Descending, so every order is rebuilt from order 1 rather than read at the cursor.
+            for n in range(max_n, 0, -1):
+                est = operator_norm_power(shift, n)
+                e0 = power_norm(shift, 0, n)
+                want.insert(0, [n, e0, est.value, est.attained_at, est.may_grow_beyond_horizon,
+                                est.value ** (1.0 / n)])
+            assert _bits(rows) == _bits(want)
 
 
 def test_norms_evidence_only_for_random(tmp_path):

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from treeshift import (
     GallerySpec,
@@ -24,6 +25,7 @@ from treeshift import (
 )
 
 from oracles import dense_shift_matrix, random_vector, vector_from_dense
+from test_wold import weighted_trees
 
 REL = 1e-12
 
@@ -99,6 +101,24 @@ def test_power_norms_that_overflow_rejected():
         with pytest.raises(ValueError, match=r"norm\(S\^4 e_0\)\^2 overflows .*order 4"):
             long_ray.power_norms_sq(4)
     assert TruncatedShift(star, [1e154, 1.0, 1.0]).column_bound == 1e308
+
+
+@settings(derandomize=True, deadline=None)
+@given(weighted_trees())
+def test_power_norms_sq_refusals_survive_the_cursor(s):
+    depth = s.max_depth
+    fresh = TruncatedShift(s.tree, s.lam[1:])
+    # None: the cursor as built, at order 1 (past the horizon of a depth-0 tree).
+    for k in (None, *range(1, depth + 1), *range(depth, 0, -1)):
+        if k is not None:
+            col = s.power_norms_sq(k)
+            assert s.power_norms_sq(k) is col  # a cursor hit
+            assert col.tobytes() == fresh.power_norms_sq(k).tobytes()
+        with pytest.raises(ValueError, match="nonnegative"):
+            s.power_norms_sq(-1)
+        for n in (depth + 1, depth + 2):
+            with pytest.raises(HorizonError):
+                s.power_norms_sq(n)
 
 
 def test_weight_system_validation():
