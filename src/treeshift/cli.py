@@ -738,11 +738,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     exp = EXPERIMENTS[args.command]
     try:
-        s, family, inputs = _build_shift(args) if exp.builds_shift else (None, None, {})
-        body = exp.run(args, s, family)
-        report = {**body, "schema": 1, "experiment": args.command,
-                  "inputs": {**inputs, **body["inputs"]}}
-        path = _write_report(os.environ.get("TREESHIFT_OUT") or args.out, report)
+        # An overflow or NaN reaches the report, whose writer refuses it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            s, family, inputs = _build_shift(args) if exp.builds_shift else (None, None, {})
+            body = exp.run(args, s, family)
+            report = {**body, "schema": 1, "experiment": args.command,
+                      "inputs": {**inputs, **body["inputs"]}}
+            path = _write_report(os.environ.get("TREESHIFT_OUT") or args.out, report)
     except (TreeSpecError, HorizonError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

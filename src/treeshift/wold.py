@@ -15,16 +15,18 @@ truncated space (the residual carries the final remainder plus the
 boundary-block part of the input).
 
 Everything runs on arrays indexed by breadth-first id, where each sibling
-set is a contiguous id range. ``KernelBasis`` holds the blocks of all
-parents with c children and positive child weights as one
-(parents, c - 1, c) array over their sibling ranges, built by one
-modified Gram-Schmidt pass over the whole class; its ``blocks`` and
-``vectors()`` are ``TreeVector`` views built on first use. Projection,
-peeling and reconstruction work on dense complex vectors and convert
-``TreeVector``s once at each edge. After k lifts a peel remainder lives
-on the ids at depth <= max_depth - k, a prefix of the breadth-first ids,
-and ``apply_shift``/``apply_adjoint`` act on such a prefix as on the
-tree cut at that depth; so peel step k and the matching Horner step of
+set is a contiguous id range; the root is the one child of a virtual
+parent -1. ``KernelBasis`` holds every block in one form, a (parents, d,
+c) array per class of sibling sets with c children: one class per c for
+the sets of positive weights, built by one modified Gram-Schmidt pass;
+one identity class per c for the sets of zero weights, the root's among
+them; a class of its own for each other set. ``blocks`` and ``vectors()``
+are ``TreeVector`` views built on first use. Projection, peeling and
+reconstruction work on dense complex vectors and convert ``TreeVector``s
+once at each edge. After k lifts a peel remainder lives on the ids at
+depth <= max_depth - k, a prefix of the breadth-first ids, and
+``apply_shift``/``apply_adjoint`` act on such a prefix as on the tree cut
+at that depth; so peel step k and the matching Horner step of
 reconstruction run on that prefix only. Peel time is the sum over
 generations t of N_t (max_depth - t + 1) for N_t vertices at depth t:
 O(N) on a tree that branches geometrically, O(max_depth^2) on a ray.
@@ -97,22 +99,32 @@ def _key_order(c: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _SiblingClass:
-    """The kernel blocks of every parent with c >= 2 children, all of positive weight."""
+    """The kernel blocks of parents with c children in one vector layout (the root's parent: -1)."""
 
     parents: np.ndarray  # (P,) ascending parent ids
     first: np.ndarray  # (P,) id of each parent's first child
-    vecs: np.ndarray  # (P, c - 1, c) complex; zero off each vector's keys
+    vecs: np.ndarray  # (P, d, c) complex; zero off each vector's keys
+    order: np.ndarray  # (d, c) row j: vector j's key positions in insertion order, then the rest
+    nkeys: np.ndarray  # (d,) key count of each vector
+
+    @cached_property
+    def walk(self) -> tuple[np.ndarray, ...]:
+        """What ``_project`` reads of the class, built on first use.
+
+        The (P, c) sibling ids; the (P, d, c) ids and the parts of conj(b_j)
+        there, each vector's keys first; the (d,) flat index of each last key.
+        """
+        j, c = np.arange(len(self.nkeys)), self.order.shape[1]
+        conj = np.conj(self.vecs[:, j[:, None], self.order])
+        rows = self.first[:, None] + np.arange(c)
+        return rows, rows[:, self.order], conj.real, conj.imag, j * c + self.nkeys - 1
 
 
 @dataclass(frozen=True, eq=False)
 class KernelBasis:
-    """Orthonormal kernel basis: per-class sibling arrays plus scalar blocks.
+    """Orthonormal kernel basis, every block held in a ``_SiblingClass``.
 
-    ``classes`` holds the blocks of parents whose children all have
-    positive weight, one ``_SiblingClass`` per child count. ``scalar``
-    holds the root block and the blocks ``_sibling_block`` builds one by
-    one: sibling sets with a zero weight, and the rare sets where the
-    class pass would meet an exact zero. Blocks, and the
+    ``kernel_basis`` says which sibling sets share a class. Blocks, and the
     flattened column order of ``vectors()``, run by ascending parent with
     the root first, then by vector within a block.
     """
@@ -120,55 +132,43 @@ class KernelBasis:
     tree: DirectedTree
     interior_only: bool
     classes: tuple[_SiblingClass, ...]
-    scalar: tuple[KernelBlock, ...]
 
     @cached_property
     def _layout(self) -> tuple[np.ndarray, np.ndarray]:
-        """Block parents in block order (-1 for the root) and each block's first column."""
-        parents = np.concatenate(
-            [[-1 if b.parent is None else b.parent for b in self.scalar]]
-            + [cls.parents for cls in self.classes]
-        ).astype(np.intp)
-        dims = np.concatenate(
-            [[b.dim for b in self.scalar]]
-            + [np.full(len(cls.parents), cls.vecs.shape[1]) for cls in self.classes]
-        ).astype(np.intp)
-        order = np.argsort(parents, kind="stable")
+        """Each block's first child, in block order, and each block's first column."""
+        first = np.concatenate([cls.first for cls in self.classes])
+        dims = np.concatenate([np.full(len(cls.first), len(cls.nkeys)) for cls in self.classes])
+        order = np.argsort(first)
         dims = dims[order]
-        return parents[order], np.cumsum(dims) - dims
+        return first[order], np.cumsum(dims) - dims
 
     @cached_property
     def _support(self) -> np.ndarray:
         """Read-only ascending ids of the union of the block supports."""
         mask = np.zeros(self.tree.n_vertices, dtype=bool)
         for cls in self.classes:
-            mask[cls.first[:, None] + np.arange(cls.vecs.shape[2])] = True
-        for b in self.scalar:
-            for vec in b.vectors:
-                mask[list(vec.coeffs)] = True
+            keys = cls.order[np.arange(cls.order.shape[1]) < cls.nkeys[:, None]]
+            mask[cls.first[:, None] + keys] = True
         ids = np.flatnonzero(mask)
         ids.flags.writeable = False
         return ids
 
     @property
     def total_dim(self) -> int:
-        dims = [b.dim for b in self.scalar] + [cls.vecs[..., 0].size for cls in self.classes]
-        return sum(dims)
+        return sum(cls.vecs[..., 0].size for cls in self.classes)
 
     @cached_property
     def blocks(self) -> tuple[KernelBlock, ...]:
-        blocks = {-1 if b.parent is None else b.parent: b for b in self.scalar}
+        blocks = {}
         for cls in self.classes:
-            c = cls.vecs.shape[2]
-            order = _key_order(c)
-            keys = (cls.first[:, None, None] + order).tolist()
-            vals = cls.vecs[:, np.arange(c - 1)[:, None], order].tolist()
+            keys = (cls.first[:, None, None] + cls.order).tolist()
+            vals = cls.vecs[:, np.arange(len(cls.nkeys))[:, None], cls.order].tolist()
             for u, ks, vs in zip(cls.parents.tolist(), keys, vals):
                 vectors = tuple(
-                    TreeVector(self.tree, dict(zip(k[: j + 2], v[: j + 2])))
-                    for j, (k, v) in enumerate(zip(ks, vs))
+                    TreeVector(self.tree, dict(zip(k[:n], v[:n])))
+                    for n, k, v in zip(cls.nkeys.tolist(), ks, vs)
                 )
-                blocks[u] = KernelBlock(parent=u, vectors=vectors)
+                blocks[u] = KernelBlock(parent=None if u < 0 else u, vectors=vectors)
         return tuple(blocks[u] for u in sorted(blocks))
 
     def vectors(self) -> list[TreeVector]:
@@ -176,8 +176,7 @@ class KernelBasis:
 
     def support_depths(self, tree) -> list[int]:
         """Depth of the generation each block lives on."""
-        parents = self._layout[0]
-        return np.where(parents < 0, 0, tree.depth[np.maximum(parents, 0)] + 1).tolist()
+        return tree.depth[self._layout[0]].tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,28 +239,25 @@ def _has_zero(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return ((re == 0) & (im == 0)).any(axis=-1)
 
 
-def _sibling_block(s: TruncatedShift, u: VertexId) -> Optional[KernelBlock]:
-    """The block of one parent by the scalar route; used for sibling sets with a zero weight."""
+def _sibling_block(s: TruncatedShift, u: VertexId) -> Optional[_SiblingClass]:
+    """The block of one parent by the scalar route, as a class of one parent.
+
+    Used for the sibling sets with both zero and positive weights, and for
+    the rare positive sets where ``_class_blocks`` meets an exact zero.
+    """
     tree = s.tree
     kids = tree.children[u]
-    if not kids:
-        return None
     weights = s.lam[kids.start:kids.stop].tolist()
-    if all(w == 0 for w in weights):
-        # Vacuous constraint: every sibling direction lies in the kernel.
-        vecs = tuple(TreeVector.basis(tree, v) for v in kids)
-        return KernelBlock(parent=u, vectors=vecs)
     pivot_pos = next(i for i, w in enumerate(weights) if w != 0)
     pivot = kids[pivot_pos]
-    candidates = []
-    for i, v in enumerate(kids):
-        if i == pivot_pos:
-            continue
-        # lam(v) e_pivot - lam(pivot) e_v is annihilated exactly.
-        candidates.append(TreeVector(tree, {pivot: weights[i], v: -weights[pivot_pos]}))
+    # lam(v) e_pivot - lam(pivot) e_v is annihilated exactly.
+    candidates = [
+        TreeVector(tree, {pivot: weights[i], v: -weights[pivot_pos]})
+        for i, v in enumerate(kids)
+        if i != pivot_pos
+    ]
     vecs: list[TreeVector] = []
-    for cand in candidates:
-        work = cand
+    for work in candidates:
         for b in vecs:
             work = work.minus(b.scaled(work.inner(b)))
         nrm = work.norm()
@@ -269,7 +265,11 @@ def _sibling_block(s: TruncatedShift, u: VertexId) -> Optional[KernelBlock]:
             vecs.append(work.scaled(1.0 / nrm))
     if not vecs:
         return None
-    return KernelBlock(parent=u, vectors=tuple(vecs))
+    keys = [[v - kids.start for v in b.coeffs] for b in vecs]
+    order = np.array([k + [i for i in range(len(kids)) if i not in k] for k in keys])
+    block = np.array([[[b.get(v) for v in kids] for b in vecs]])
+    nkeys = np.array([len(k) for k in keys])
+    return _SiblingClass(np.array([u]), np.array([kids.start]), block, order, nkeys)
 
 
 def _class_blocks(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,33 +328,43 @@ def kernel_basis(s: TruncatedShift, interior_only: bool = True) -> KernelBasis:
     comes from the fixed child order feeding a modified Gram-Schmidt pass.
     With interior_only the blocks supported on the boundary generation are
     dropped: their kernel membership is an artifact of cutting the tree.
-    The parents whose children all have positive weight are built one
-    child-count class at a time by ``_class_blocks``; the others, one by
-    one, by ``_sibling_block``.
+    The root is the one child of a virtual parent -1, of weight
+    ``lam[0] == 0``. Sibling sets whose weights are all positive are built
+    one child-count class at a time by ``_class_blocks``, those whose
+    weights are all zero as one identity class per child count, and the
+    others one by one by ``_sibling_block``.
     """
     tree = s.tree
     # The parents are the ids before generation max_depth - 1 (interior) or max_depth.
     end = tree.gen_offsets.item(max(0, tree.max_depth - (1 if interior_only else 0)))
-    first = tree.first_child[:end]
-    count = tree.first_child[1 : end + 1] - first
+    # Entry i is the sibling set of parent i - 1.
+    bounds = np.concatenate([[0], tree.first_child[: end + 1]])
+    first, count = bounds[:-1], np.diff(bounds)
     classes = []
-    scalar = [KernelBlock(parent=None, vectors=(TreeVector.basis(tree, 0),))]
     for c in np.unique(count[count > 0]).tolist():
-        parents = np.flatnonzero(count == c)
-        w = s.lam[first[parents, None] + np.arange(c)]
-        positive = (w > 0).all(axis=1)
-        loop = ~positive  # a zero weight moves the pivot or prunes a key
+        sets = np.flatnonzero(count == c)
+        w = s.lam[first[sets, None] + np.arange(c)]
+        npos = (w > 0).sum(axis=1)  # weights are >= 0
+        zero, positive = npos == 0, npos == c
+        if zero.any():
+            # Vacuous constraint: every sibling direction lies in the kernel.
+            eye = np.tile(np.eye(c, dtype=complex), (int(zero.sum()), 1, 1))
+            order = (np.arange(c)[:, None] + np.arange(c)) % c  # row j starts at j
+            keep = sets[zero]
+            classes.append(_SiblingClass(keep - 1, first[keep], eye, order, np.ones(c, dtype=int)))
+        loop = ~(zero | positive)  # a zero weight moves the pivot or prunes a key
         if c > 1 and positive.any():
             vecs, bad = _class_blocks(w[positive])
             loop[np.flatnonzero(positive)[bad]] = True
-            keep = parents[positive][~bad]
+            keep = sets[positive][~bad]
             if keep.size:
-                classes.append(_SiblingClass(keep, first[keep], vecs[~bad]))
-        for u in parents[loop].tolist():
-            block = _sibling_block(s, u)
-            if block is not None:
-                scalar.append(block)
-    return KernelBasis(tree, interior_only, tuple(classes), tuple(scalar))
+                nkeys = np.arange(2, c + 1)
+                classes.append(_SiblingClass(keep - 1, first[keep], vecs[~bad], _key_order(c), nkeys))
+        for i in sets[loop].tolist():
+            cls = _sibling_block(s, i - 1)
+            if cls is not None:
+                classes.append(cls)
+    return KernelBasis(tree, interior_only, tuple(classes))
 
 
 def _dense(s: TruncatedShift, f: TreeVector, what: str) -> np.ndarray:
@@ -368,21 +378,11 @@ def _dense(s: TruncatedShift, f: TreeVector, what: str) -> np.ndarray:
     return x
 
 
-def _inner_sums(t: np.ndarray) -> np.ndarray:
-    """<x, b_j> from the (P, c - 1, c) terms x(v) * conj(b_j(v)) at sibling positions.
-
-    Each sum walks b_j's keys in insertion order, as ``TreeVector.inner``
-    does; a zero term at a key outside x's support leaves it unchanged.
-    """
-    p, d, c = t.shape
-    j = np.arange(d)
-    return np.cumsum(t[:, j[:, None], _key_order(c)], axis=2)[:, j, j + 1] + 0.0
-
-
 def _project(basis: KernelBasis, x: np.ndarray, upto: int) -> np.ndarray:
     """Projection of x onto the root block and the blocks of parents below ``upto``.
 
-    Per block, each coefficient <x, b> is a sequential sum and the block's
+    Per block, each coefficient <x, b> is a sequential sum over b's keys in
+    insertion order, as ``TreeVector.inner`` walks them, and the block's
     image sums coefficient times vector over the vectors in order, from
     0.0, as the scalar route accumulates it.
     """
@@ -391,23 +391,14 @@ def _project(basis: KernelBasis, x: np.ndarray, upto: int) -> np.ndarray:
         m = int(np.searchsorted(cls.parents, upto))
         if not m:
             continue
-        rows = cls.first[:m, None] + np.arange(cls.vecs.shape[2])
-        b = cls.vecs[:m]
-        tr, ti = _cmul(x.real[rows][:, None, :], x.imag[rows][:, None, :], b.real, -b.imag)
-        kr, ki = _inner_sums(tr)[:, :, None], _inner_sums(ti)[:, :, None]
+        rows, ids, cr, ci, last = cls.walk
+        rows, ids, b = rows[:m], ids[:m], cls.vecs[:m]
+        tr, ti = _cmul(x.real[ids], x.imag[ids], cr[:m], ci[:m])
+        kr = np.cumsum(tr, axis=2).reshape(m, -1)[:, last, None] + 0.0
+        ki = np.cumsum(ti, axis=2).reshape(m, -1)[:, last, None] + 0.0
         pr, pi = _cmul(kr, ki, b.real, b.imag)
         out.real[rows] = np.cumsum(pr, axis=1)[:, -1] + 0.0
         out.imag[rows] = np.cumsum(pi, axis=1)[:, -1] + 0.0
-    for block in basis.scalar:
-        if block.parent is not None and block.parent >= upto:
-            continue
-        acc: dict[VertexId, complex] = {}
-        for b in block.vectors:
-            coeff = sum(x.item(v) * c.conjugate() for v, c in b.items())
-            for v, c in b.items():
-                acc[v] = acc.get(v, 0j) + coeff * c
-        for v, c in acc.items():
-            out[v] = c
     return out
 
 
@@ -511,7 +502,9 @@ def _left_invert(s: TruncatedShift, r: np.ndarray, size: int) -> np.ndarray:
     ``r`` holds the ids at depth <= t and the result the first
     ``size`` = ``gen_offsets[t]`` ids, those at depth <= t - 1. ``c / d``
     divides by complex(d, 0.0) in CPython: (re + im * 0.0) / d and
-    (im - re * 0.0) / d. Peel has checked every interior d > 0.
+    (im - re * 0.0) / d. Peel has checked every interior d > 0. A nonzero
+    entry whose quotient underflows to exactly 0 raises ``ValueError``:
+    the round trip would lose it; a subnormal quotient is kept.
     """
     up = apply_adjoint(s, r)[:size]
     col = s.power_norms_sq(1)[:size]
@@ -519,6 +512,9 @@ def _left_invert(s: TruncatedShift, r: np.ndarray, size: int) -> np.ndarray:
     re, im = up.real, up.imag
     out.real = (re + im * 0.0) / col
     out.imag = (im - re * 0.0) / col
+    if np.count_nonzero(out) < np.count_nonzero(up):
+        v = int(np.argmax((out == 0) & (up != 0)))
+        raise ValueError(f"peel lift underflows at vertex {v}: {complex(up[v])} / {col[v]} is 0")
     return _pruned(out)
 
 
@@ -596,17 +592,12 @@ def is_locally_power_balanced(
 def _basis_block(s: TruncatedShift, basis: KernelBasis) -> np.ndarray:
     """The basis as an N x dim block, one column per vector, scattered from its arrays."""
     block = np.zeros((s.tree.n_vertices, basis.total_dim), dtype=complex)
-    parents, starts = basis._layout
+    first, starts = basis._layout
     for cls in basis.classes:
         p, d, c = cls.vecs.shape
-        cols = starts[np.searchsorted(parents, cls.parents)][:, None] + np.arange(d)
+        cols = starts[np.searchsorted(first, cls.first)][:, None] + np.arange(d)
         rows = cls.first[:, None] + np.arange(c)
         block[rows[:, None, :], cols[:, :, None]] = cls.vecs
-    for b in basis.scalar:
-        col = starts.item(np.searchsorted(parents, -1 if b.parent is None else b.parent))
-        for j, vec in enumerate(b.vectors):
-            for v, c in vec.items():
-                block[v, col + j] = c
     return block
 
 

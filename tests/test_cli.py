@@ -120,6 +120,40 @@ def test_overflow_exits_two_without_report(tmp_path, capsys, doc):
     assert not os.path.exists(out)
 
 
+def _ray_file(tmp_path, weight):
+    """A depth-3 ray with every weight equal to ``weight``, as a tree file."""
+    spec = tmp_path / "ray.json"
+    doc = {"vertices": 4, "parents": [None, 0, 1, 2], "weights": [0, weight, weight, weight]}
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    return str(spec)
+
+
+@pytest.mark.parametrize("argv", [["approx", "--levels", "1,2"], ["gram"], ["integral", "--cases", "1"]],
+                         ids=["approx", "gram", "integral"])
+def test_non_finite_report_exits_two_without_numpy_warnings(tmp_path, capsys, argv):
+    # Powers of 1e150 overflow; the report would hold inf or NaN.
+    out = str(tmp_path / "r")
+    assert _run(argv + ["--tree", _ray_file(tmp_path, 1e150), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "RuntimeWarning" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("weight", [1e100, 1e103, 1e104, 1e110, 1e150])
+def test_wold_refuses_a_lift_that_underflows(tmp_path, capsys, weight):
+    # Each lift divides by weight^2: a quotient below the subnormals is lost,
+    # and the round trip would miss it; a subnormal one still passes.
+    out = str(tmp_path / "r")
+    code = _run(["wold", "--tree", _ray_file(tmp_path, weight), "--cases", "1", "--out", out])
+    if weight < 1e105:
+        assert code == 0
+        assert _read_report(out)["verdict"] == "pass"
+    else:
+        assert code == 2
+        assert "error: peel lift underflows at vertex 0" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 _texts = st.text(max_size=6) | st.sampled_from([
     '', '"', '\\', 'a,b', 'say "hi"', 'x\ny', '\r\n', '\x00\x1f\x7f', 'é ü ∞ 🌲', ' ', '[]', '],\n[',
 ])

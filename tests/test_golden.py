@@ -4,7 +4,10 @@ Each file under tests/golden/ was written by the code as it stood before
 the change that added it, starting with the dict-based operator core
 that predates the array-backed one: ``<case>.json`` is the report,
 ``<case>.<table>.csv`` one CSV per table, and ``list.txt`` the stdout of
-``treeshift list``. Any change to the numerics, the verdict logic, the
+``treeshift list``. ``zero_weight_tree.json`` is the input of the
+``--tree`` case: sibling sets with zero weights beside positive ones.
+Each case runs inside tests/golden/, so the echoed ``tree_file`` is the
+bare file name. Any change to the numerics, the verdict logic, the
 report layout or the CSV writer shows up here as a byte difference.
 """
 
@@ -39,6 +42,7 @@ CASES = {
     "gram_t2_zero": ["gram", "--family", "t2_zero", "--depth", "5"],
     "wold_random_balanced": ["wold", "--family", "random_balanced", "--branching", "3",
                              "--depth", "4", "--cases", "2"],
+    "wold_zero_weight": ["wold", "--tree", "zero_weight_tree.json", "--cases", "2"],
     "balanced_random": ["balanced", "--family", "random", "--branching", "1,2,3",
                         "--depth", "5", "--seed", "4"],
     "peel_t2": ["peel", "--family", "t2", "--alpha", "0.5", "--depth", "12"],
@@ -55,6 +59,7 @@ def _read(path):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, tmp_path, monkeypatch):
     monkeypatch.delenv("TREESHIFT_OUT", raising=False)
+    monkeypatch.chdir(GOLDEN_DIR)
     out = str(tmp_path / name)
     assert main(CASES[name] + ["--out", out]) == 0
     with open(os.path.join(out, "report.json"), "rb") as fh:
@@ -67,6 +72,7 @@ def test_report_matches_golden(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_csvs_match_golden(name, tmp_path, monkeypatch):
     monkeypatch.delenv("TREESHIFT_OUT", raising=False)
+    monkeypatch.chdir(GOLDEN_DIR)
     out = str(tmp_path / name)
     assert main(CASES[name] + ["--out", out]) == 0
     want = sorted(glob.glob(os.path.join(GOLDEN_DIR, f"{name}.*.csv")))

@@ -285,6 +285,19 @@ def _oracle_intersection_dim(a, b, tol=1e-8):
     return int(np.sum(np.clip(scipy.linalg.svdvals(a.conj().T @ b), 0.0, 1.0) >= 1.0 - tol))
 
 
+def _zero_set_shift():
+    """Sibling sets of zero weights, and sets [w, 0, 0] whose pivot is in no kernel vector.
+
+    One of each is interior (parents 1 and 2), one of each on the boundary
+    (parents 5 and 6); the other sets are positive.
+    """
+    t = random_balanced(seed=1, branching=(3,), depth=3).tree
+    lam = np.linspace(0.5, 2.0, t.n_vertices)
+    for u, w in ((1, 0.0), (2, 1.5), (5, 0.0), (6, 0.7)):
+        lam[t.children[u]] = [w, 0.0, 0.0]
+    return TruncatedShift(t, lam[1:])
+
+
 def _image_fixtures():
     return [
         make(GallerySpec(family="random", depth=5, params={"seed": 3, "branching": (1, 2, 3)})),
@@ -293,6 +306,7 @@ def _image_fixtures():
         make(GallerySpec(family="t2_zero", depth=5)),
         make(GallerySpec(family="broom_leaf", params={"arms": 4})),
         make(GallerySpec(family="mad", depth=6)),
+        _zero_set_shift(),
     ]
 
 
@@ -412,6 +426,7 @@ def _basis_fixtures():
         make(GallerySpec(family="t2_zero", depth=5)),
         TruncatedShift(broom.tree, [1.0, 0.0, 0.5, 2.0]),
         make(GallerySpec(family="broom_leaf", params={"arms": 4})),
+        _zero_set_shift(),
     ]
 
 
@@ -507,9 +522,9 @@ def test_peel_and_projection_reject_non_finite():
 
 
 @st.composite
-def weighted_trees(draw, min_children=0):
+def weighted_trees(draw, min_children=0, weights=st.floats(0.25, 4.0)):
     """A shift on a BFS tree: each vertex above the deepest generation takes
-    min_children to 3 children; child weights positive."""
+    min_children to 3 children; child weights drawn from ``weights``."""
     depth = draw(st.integers(0, 4))
     parent, frontier = [-1], [0]
     for _ in range(depth):
@@ -521,8 +536,8 @@ def weighted_trees(draw, min_children=0):
         if not nxt:
             break
         frontier = nxt
-    weights = draw(st.lists(st.floats(0.25, 4.0), min_size=len(parent) - 1, max_size=len(parent) - 1))
-    return TruncatedShift(DirectedTree.from_bfs_parents(parent), weights)
+    lam = draw(st.lists(weights, min_size=len(parent) - 1, max_size=len(parent) - 1))
+    return TruncatedShift(DirectedTree.from_bfs_parents(parent), lam)
 
 
 def _random_complex(n, seed, k=None):
@@ -617,3 +632,31 @@ def test_gram_matches_closed_form_oracle(s, interior_only):
             # Entry scale: |<S^n g, S^m h>| <= norm(S^n) norm(S^m) for unit g and h.
             err = np.max(np.abs(got - want), initial=0.0)
             assert err <= 1e-13 * op_norms[n] * op_norms[m], (n, m, err)
+
+
+@settings(derandomize=True, deadline=None)
+@given(weighted_trees(weights=st.just(0.0) | st.floats(0.25, 4.0)), st.integers(0, 2**32 - 1))
+def test_basis_projection_and_images_with_zero_weights_match_scalar_route(s, seed):
+    # Zero weights put sibling sets on the identity and per-parent classes.
+    f = TreeVector.from_dense(s.tree, _random_complex(s.tree.n_vertices, seed))
+    for interior_only in (True, False):
+        got, want = kernel_basis(s, interior_only), loop_kernel_basis(s, interior_only)
+        assert [b.parent for b in got.blocks] == [b.parent for b in want]
+        assert got.total_dim == sum(b.dim for b in want)
+        for gb, wb in zip(got.blocks, want):
+            assert [list(v.items()) for v in gb.vectors] == [list(v.items()) for v in wb.vectors]
+            assert [_bits(v) for v in gb.vectors] == [_bits(v) for v in wb.vectors]
+        assert _bits(project_kernel(s, f, got)) == _bits(loop_project_kernel(s, f, want))
+        # Equal entries; a zero part may differ in sign, as for every block shift.
+        for n, block in enumerate(power_images(s, got, s.max_depth + 1)):
+            assert np.array_equal(block, loop_dense_images(s, n, got)), (interior_only, n)
+
+
+def test_peel_refuses_a_lift_that_underflows():
+    tree = DirectedTree.from_bfs_parents([-1, 0, 1, 2])
+    f = TreeVector.from_dense(tree, _random_complex(4, 7))
+    ok = TruncatedShift(tree, [1e104] * 3)
+    assert reconstruct(ok, peel(ok, f, 3)).minus(f).norm() <= 1e-10
+    lost = TruncatedShift(tree, [1e150] * 3)
+    with pytest.raises(ValueError, match="underflows at vertex 0"):
+        peel(lost, f, 3)
