@@ -78,13 +78,16 @@ class TreeVector:
     """A sparse vector over the vertex set, coefficients complex.
 
     Exact-zero coefficients are pruned at construction so the stored
-    support is the true support.
+    support is the true support. A vector made by ``from_dense`` keeps a
+    pruned copy of its array and builds the ``coeffs`` dict when
+    ``coeffs`` is first read; from then on the dict is its only form.
     """
 
-    __slots__ = ("tree", "coeffs")
+    __slots__ = ("tree", "coeffs", "_array")
 
     def __init__(self, tree: DirectedTree, coeffs: Optional[Mapping[VertexId, complex]] = None):
         self.tree = tree
+        self._array = None
         clean: dict[VertexId, complex] = {}
         if coeffs:
             n = tree.n_vertices
@@ -95,6 +98,16 @@ class TreeVector:
                 if c != 0:
                     clean[v] = c
         self.coeffs = clean
+
+    def __getattr__(self, name: str):
+        # Reached only while the ``coeffs`` slot is unset: the vector holds its array.
+        if name != "coeffs":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        arr = self._array
+        nz = np.flatnonzero(arr)
+        self.coeffs = dict(zip(nz.tolist(), arr[nz].tolist()))
+        self._array = None
+        return self.coeffs
 
     @classmethod
     def zero(cls, tree: DirectedTree) -> "TreeVector":
@@ -155,6 +168,8 @@ class TreeVector:
         return TreeVector(self.tree, {v: c for v, c in self.coeffs.items() if v in keep})
 
     def to_dense(self) -> np.ndarray:
+        if self._array is not None:
+            return self._array.copy()
         out = np.zeros(self.tree.n_vertices, dtype=complex)
         n = len(self.coeffs)
         out[np.fromiter(self.coeffs, np.intp, n)] = np.fromiter(self.coeffs.values(), complex, n)
@@ -162,13 +177,18 @@ class TreeVector:
 
     @classmethod
     def from_dense(cls, tree: DirectedTree, arr: np.ndarray) -> "TreeVector":
-        """The nonzero entries of a complex (N,) array, in ascending id order."""
-        arr = np.asarray(arr, dtype=complex)
-        if arr.shape != (tree.n_vertices,):
-            raise ValueError(f"expected shape ({tree.n_vertices},), got {arr.shape}")
-        nz = np.flatnonzero(arr)
-        out = cls(tree)
-        out.coeffs = dict(zip(nz.tolist(), arr[nz].tolist()))
+        """The nonzero entries of a complex (N,) array, in ascending id order.
+
+        The vector keeps a copy of ``arr`` in which the entries with both
+        parts zero are +0, and builds its dict on first read of ``coeffs``.
+        """
+        dense = np.array(arr, dtype=complex)
+        if dense.shape != (tree.n_vertices,):
+            raise ValueError(f"expected shape ({tree.n_vertices},), got {dense.shape}")
+        dense[dense == 0] = 0
+        out = cls.__new__(cls)
+        out.tree = tree
+        out._array = dense
         return out
 
     def __repr__(self) -> str:

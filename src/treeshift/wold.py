@@ -108,16 +108,23 @@ class _SiblingClass:
     nkeys: np.ndarray  # (d,) key count of each vector
 
     @cached_property
-    def walk(self) -> tuple[np.ndarray, ...]:
+    def walk(self) -> tuple:
         """What ``_project`` reads of the class, built on first use.
 
         The (P, c) sibling ids; the (P, d, c) ids and the parts of conj(b_j)
-        there, each vector's keys first; the (d,) flat index of each last key.
+        there, each vector's keys first; and the stops of the key walk, one
+        (t, vectors) pair per key position t that is some vector's last key,
+        in ascending t, the vectors as a slice where they are consecutive.
         """
         j, c = np.arange(len(self.nkeys)), self.order.shape[1]
         conj = np.conj(self.vecs[:, j[:, None], self.order])
         rows = self.first[:, None] + np.arange(c)
-        return rows, rows[:, self.order], conj.real, conj.imag, j * c + self.nkeys - 1
+        stops = []
+        for t in np.unique(self.nkeys - 1).tolist():
+            sel = np.flatnonzero(self.nkeys - 1 == t)
+            consecutive = sel.item(-1) - sel.item(0) + 1 == len(sel)
+            stops.append((t, slice(sel.item(0), sel.item(-1) + 1) if consecutive else sel))
+        return rows, rows[:, self.order], conj.real, conj.imag, tuple(stops)
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,21 +391,35 @@ def _project(basis: KernelBasis, x: np.ndarray, upto: int) -> np.ndarray:
     Per block, each coefficient <x, b> is a sequential sum over b's keys in
     insertion order, as ``TreeVector.inner`` walks them, and the block's
     image sums coefficient times vector over the vectors in order, from
-    0.0, as the scalar route accumulates it.
+    0.0, as the scalar route accumulates it. Both sums are spelled as
+    left-to-right adds over the key positions and over the vectors, each
+    vector's running sum read at its last key.
     """
     out = np.zeros_like(x)
+    xr, xi = x.real, x.imag
     for cls in basis.classes:
         m = int(np.searchsorted(cls.parents, upto))
         if not m:
             continue
-        rows, ids, cr, ci, last = cls.walk
-        rows, ids, b = rows[:m], ids[:m], cls.vecs[:m]
-        tr, ti = _cmul(x.real[ids], x.imag[ids], cr[:m], ci[:m])
-        kr = np.cumsum(tr, axis=2).reshape(m, -1)[:, last, None] + 0.0
-        ki = np.cumsum(ti, axis=2).reshape(m, -1)[:, last, None] + 0.0
-        pr, pi = _cmul(kr, ki, b.real, b.imag)
-        out.real[rows] = np.cumsum(pr, axis=1)[:, -1] + 0.0
-        out.imag[rows] = np.cumsum(pi, axis=1)[:, -1] + 0.0
+        rows, ids, cr, ci, stops = cls.walk
+        b = cls.vecs
+        if m < len(rows):
+            rows, ids, cr, ci, b = rows[:m], ids[:m], cr[:m], ci[:m], b[:m]
+        tr, ti = _cmul(xr[ids], xi[ids], cr, ci)
+        sr, si = tr[:, :, 0], ti[:, :, 0]
+        kr, ki = np.empty_like(sr), np.empty_like(si)
+        t = 0
+        for stop, sel in stops:
+            while t < stop:
+                t += 1
+                sr, si = sr + tr[:, :, t], si + ti[:, :, t]
+            kr[:, sel], ki[:, sel] = sr[:, sel], si[:, sel]
+        pr, pi = _cmul(kr[:, :, None] + 0.0, ki[:, :, None] + 0.0, b.real, b.imag)
+        ir, ii = pr[:, 0], pi[:, 0]
+        for j in range(1, b.shape[1]):
+            ir, ii = ir + pr[:, j], ii + pi[:, j]
+        out.real[rows] = ir + 0.0
+        out.imag[rows] = ii + 0.0
     return out
 
 

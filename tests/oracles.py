@@ -22,6 +22,7 @@ from treeshift import (
     gamma_apply,
     rotate_symbol,
 )
+from treeshift.ops import _cmul
 
 
 def dense_shift_matrix(s):
@@ -149,6 +150,28 @@ def loop_project_kernel(s, f, blocks):
             for v, c in b.items():
                 out[v] = out.get(v, 0j) + coeff * c
     return TreeVector(s.tree, out)
+
+
+def cumsum_project(basis, x, upto):
+    """``wold._project`` with each sum as one ``np.cumsum``: the coefficient
+    <x, b> read at b's last key of a cumulative sum over its keys in
+    insertion order, the image a cumulative sum over the vectors."""
+    out = np.zeros_like(x)
+    for cls in basis.classes:
+        m = int(np.searchsorted(cls.parents, upto))
+        if not m:
+            continue
+        j, c = np.arange(len(cls.nkeys)), cls.order.shape[1]
+        conj = np.conj(cls.vecs[:m, j[:, None], cls.order])
+        rows = cls.first[:m, None] + np.arange(c)
+        ids, last, b = rows[:, cls.order], j * c + cls.nkeys - 1, cls.vecs[:m]
+        tr, ti = _cmul(x.real[ids], x.imag[ids], conj.real, conj.imag)
+        kr = np.cumsum(tr, axis=2).reshape(m, -1)[:, last, None] + 0.0
+        ki = np.cumsum(ti, axis=2).reshape(m, -1)[:, last, None] + 0.0
+        pr, pi = _cmul(kr, ki, b.real, b.imag)
+        out.real[rows] = np.cumsum(pr, axis=1)[:, -1] + 0.0
+        out.imag[rows] = np.cumsum(pi, axis=1)[:, -1] + 0.0
+    return out
 
 
 def _loop_left_invert(s, r):

@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -505,3 +506,17 @@ def test_out_of_memory_exits_two_without_report(tmp_path):
     assert proc.stderr.startswith("error: out of memory"), proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_wold_round_trip_builds_no_per_vertex_dict(tmp_path, capsys):
+    # N = 131 071: a per-vertex TreeVector dict of f or of reconstruct's
+    # result would take about 17 MB on its own under tracemalloc.
+    argv = ["wold", "--family", "random", "--branching", "2", "--depth", "16", "--cases", "1"]
+    tracemalloc.start()
+    try:
+        rc = _run([*argv, "--out", str(tmp_path / "r")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0, capsys.readouterr().err
+    assert peak < 40 * 2**20, peak

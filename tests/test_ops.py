@@ -5,8 +5,10 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeshift import (
+    DirectedTree,
     GallerySpec,
     HorizonError,
     TreeVector,
@@ -455,6 +457,35 @@ def test_vector_forms_match_tree_vector_route_bitwise():
         apply_adjoint(s, np.zeros(n + 1, dtype=complex))
     with pytest.raises(ValueError, match="block"):
         apply_adjoint(s, np.zeros((n, 2)))
+
+
+# Parts of either sign: zero, subnormal, tiny, ordinary, huge and non-finite.
+_PARTS = st.sampled_from([0.0, 5e-324, 2.5e-310, 1e-300, 0.5, 1.0, 3.25, 1e300, math.inf, math.nan])
+_SIGNED_PARTS = st.builds(lambda x, neg: -x if neg else x, _PARTS, st.booleans())
+
+
+def _cbits(values):
+    return np.array(list(values), dtype=complex).view(np.uint64).tolist()
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.tuples(_SIGNED_PARTS, _SIGNED_PARTS), min_size=1, max_size=24))
+def test_from_dense_matches_per_vertex_route(parts):
+    n = len(parts)
+    tree = DirectedTree.from_bfs_parents([-1] + [0] * (n - 1))
+    arr = np.array([complex(re, im) for re, im in parts])
+    source = arr.copy()
+    want = vector_from_dense(tree, arr)
+    f = TreeVector.from_dense(tree, source)
+    source[:] = 7.0  # the vector keeps its own copy
+    dense = f.to_dense()
+    assert dense.view(np.uint64).tolist() == want.to_dense().view(np.uint64).tolist()
+    dense[:] = 7.0
+    assert list(f.coeffs) == sorted(f.coeffs) == list(want.coeffs)
+    assert _cbits(f.coeffs.values()) == _cbits(want.coeffs.values())
+    assert f.to_dense().view(np.uint64).tolist() == want.to_dense().view(np.uint64).tolist()
+    f.to_dense()[:] = 7.0
+    assert _cbits(f.coeffs.values()) == _cbits(want.coeffs.values())
 
 
 def test_sparse_shift_and_adjoint_cost_the_support():

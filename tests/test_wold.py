@@ -30,9 +30,11 @@ from treeshift import (
     t2_expected_peel_coefficient,
     wold_gram,
 )
+from treeshift.wold import _project
 
 from oracles import (
     closed_form_gram,
+    cumsum_project,
     dense_shift_matrix,
     loop_dense_images,
     loop_kernel_basis,
@@ -507,6 +509,37 @@ def test_projection_bitwise_equal_scalar_route_in_any_order():
             f = TreeVector(s.tree, {v: complex(x[v]) for v in ids})
             got = project_kernel(s, f, basis)
             assert _bits(got) == _bits(loop_project_kernel(s, f, blocks)), (case, trial)
+
+
+def _part_bits(x):
+    """The bit patterns of a complex array's parts; every NaN counts as one
+    pattern, since the sign a NaN takes depends on the hardware loop."""
+    parts = x.view(np.float64).copy()
+    parts[np.isnan(parts)] = np.nan
+    return parts.view(np.uint64).tolist()
+
+
+def test_project_bitwise_equals_cumsum_oracle_at_every_generation_boundary():
+    # Inputs at far-apart scales, with zero entries and zero parts of both
+    # signs; the last trial adds infinities and NaNs, so a sum that ran on
+    # past a vector's last key would meet inf * 0.
+    rng = np.random.default_rng([36, 0])
+    for case, s in enumerate(_basis_fixtures()):
+        n = s.tree.n_vertices
+        for trial in range(5):
+            x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.integers(-8, 9, n)
+            x[rng.random(n) < 0.2] = 0
+            x.real[rng.random(n) < 0.2] = -0.0
+            x.imag[rng.random(n) < 0.2] = 0.0 if trial % 2 else -0.0
+            if trial == 4:
+                x.real[rng.random(n) < 0.1] = np.inf
+                x.imag[rng.random(n) < 0.1] = np.nan
+            for interior_only in (True, False):
+                basis = kernel_basis(s, interior_only)
+                for upto in s.tree.gen_offsets.tolist():
+                    with np.errstate(invalid="ignore"):
+                        got, want = _project(basis, x, upto), cumsum_project(basis, x, upto)
+                    assert _part_bits(got) == _part_bits(want), (case, trial, interior_only, upto)
 
 
 def test_peel_and_projection_reject_non_finite():
