@@ -164,8 +164,8 @@ def _write_report(out_dir: str, report: dict) -> str:
     return path
 
 
-def _branching(text: str) -> tuple:
-    """argparse type of --branching: comma-separated child counts."""
+def _integers(text: str) -> tuple:
+    """argparse type of --branching and --levels: comma-separated integers."""
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
@@ -181,11 +181,27 @@ def _parse_phi(text: str) -> Symbol:
     return _rule_symbol(name, params)
 
 
+def _integer(text: str) -> int:
+    """``int(text)``, refused with a message argparse prefixes with the option."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+
+
 def _count(text: str) -> int:
     """argparse type of case, probe and power counts: an integer >= 1."""
-    n = int(text)
+    n = _integer(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer >= 0, as numpy's generators take."""
+    n = _integer(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
     return n
 
 
@@ -292,7 +308,7 @@ def _run_radius(args, s: TruncatedShift, family: Optional[str]) -> dict:
 
 def _run_approx(args, s: TruncatedShift, family: Optional[str]) -> dict:
     phi = _parse_phi(args.phi)
-    levels = sorted(set(int(x) for x in args.levels.split(",")))
+    levels = sorted(set(args.levels))
     n_probes = min(s.tree.n_vertices, args.probes)
     probes = [TreeVector.basis(s.tree, u) for u in range(n_probes)]
     profile = sot_error_profile(s, phi, levels, probes)
@@ -614,7 +630,7 @@ _SHIFT_FLAGS = (
     ("--depth", {"type": int, "help": "truncation depth for family builds"}),
     ("--alpha", {"type": float, "help": "lower-ray weight for the t2 family"}),
     ("--arms", {"type": int, "help": "arm count for the broom families"}),
-    ("--branching", {"type": _branching, "help": "comma-separated child counts for random families"}),
+    ("--branching", {"type": _integers, "help": "comma-separated child counts for random families"}),
 )
 
 _CASES = ("--cases", {"type": _count, "default": 10, "help": "seeded case count"})
@@ -646,7 +662,8 @@ EXPERIMENTS = {
         (
             ("--phi", {"default": "ones:8",
                        "help": "symbol: ones:K | indicator:k | power_law:EXP:K | file:PATH"}),
-            ("--levels", {"default": "8,16,32,64", "help": "comma-separated kernel orders"}),
+            ("--levels", {"type": _integers, "default": "8,16,32,64",
+                          "help": "comma-separated kernel orders"}),
             ("--probes", {"type": _count, "default": 64, "help": "cap on basis probes"}),
         ),
         tol=1e-12,
@@ -715,7 +732,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = subs.add_parser(name, help=exp.help, description=exp.claim)
         for flag, kwargs in _SHIFT_FLAGS if exp.builds_shift else ():
             p.add_argument(flag, **kwargs)
-        p.add_argument("--seed", type=int, default=0, help="seed for structure, weights and case draws")
+        p.add_argument("--seed", type=_seed, default=0, help="seed for structure, weights and case draws")
         p.add_argument("--out", default="out", help="report directory (TREESHIFT_OUT overrides)")
         if exp.tol is not None:
             p.add_argument("--tol", type=_finite, default=exp.tol,

@@ -58,7 +58,6 @@ from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .ops import (
     HorizonError,
@@ -703,6 +702,9 @@ def image_intersection_dim(
     Orthonormalizes both images and counts principal-angle cosines at
     least 1 - tol.
     """
+    # Imported on first call, not with the module: scipy.linalg about doubles every CLI run's start-up.
+    import scipy.linalg
+
     _same_tree(s, basis)
     images = _images_at(s, basis, n, m)
     a, b = scipy.linalg.orth(images[n]), scipy.linalg.orth(images[m])

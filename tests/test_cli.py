@@ -77,6 +77,35 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["integral", "--family", "random", "--depth", "3"],
+    ["wold", "--family", "random", "--depth", "3"],
+    ["approx", "--family", "random", "--depth", "3"],
+    ["norms", "--family", "random", "--depth", "3"],
+    ["norms", "--family", "mad", "--depth", "3"],
+    ["gallery"],
+])
+def test_negative_seed_names_its_option(tmp_path, capsys, argv):
+    out = str(tmp_path / "r")
+    assert _run([*argv, "--seed", "-1", "--out", out]) == 2
+    assert capsys.readouterr().err.endswith("argument --seed: must be >= 0, got -1\n")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["approx", "--levels", "a"], "argument --levels: must be comma-separated integers, got 'a'"),
+    (["approx", "--levels", "1,x"], "argument --levels: must be comma-separated integers, got '1,x'"),
+    (["approx", "--levels", "2.5"], "argument --levels: must be comma-separated integers, got '2.5'"),
+    (["norms", "--seed", "1.5"], "argument --seed: must be an integer, got '1.5'"),
+    (["wold", "--cases", "x"], "argument --cases: must be an integer, got 'x'"),
+])
+def test_non_integer_flags_name_their_option(tmp_path, capsys, argv, message):
+    out = str(tmp_path / "r")
+    assert _run([*argv, "--family", "mad", "--depth", "4", "--out", out]) == 2
+    assert capsys.readouterr().err.endswith(message + "\n")
+    assert not os.path.exists(out)
+
+
 def test_fixed_depth_family_with_other_depth_exits_two(tmp_path, capsys):
     for family, depth in (("broom", "7"), ("broom_leaf", "9")):
         out = str(tmp_path / family)

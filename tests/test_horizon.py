@@ -1,0 +1,74 @@
+"""Horizon nesting: what the truncation does not flag, a deeper truncation keeps.
+
+Every ``FAMILIES`` builder draws its tree generation by generation and
+weighs the vertices in id order, so the depth-D build of a family is the
+depth-(D + 1) build cut at depth D: the first N breadth-first ids carry
+the same parents and bitwise the same weights. A quantity that carries
+no horizon flag must then be bitwise equal on the deeper build. Checking
+D against D + 1 for every D covers every deeper build by induction: an
+unflagged value at depth D stays unflagged at D + 1.
+
+The fixed-depth families (broom, broom_leaf) have no deeper build.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treeshift import GallerySpec, make, operator_norm_power
+from treeshift.tree import FAMILIES
+
+NESTED = [name for name, fam in FAMILIES.items() if fam.fixed_depth is None]
+
+
+@st.composite
+def family_params(draw, family, depth):
+    """Params of one build; the same dict serves depth D and D + 1."""
+    if family == "t2":
+        return {"alpha": draw(st.floats(0.05, 0.95))}
+    if family.startswith("random"):
+        params = {"seed": draw(st.integers(0, 2**16)),
+                  "branching": draw(st.sampled_from([(1,), (2,), (1, 2), (1, 2, 3), (2, 3)]))}
+        if family == "random_balanced" and draw(st.booleans()):
+            # One norm per generation of the deeper build; the shallow one reads a prefix.
+            params["generation_norms"] = draw(st.lists(st.floats(0.5, 2.0), min_size=depth + 1,
+                                                       max_size=depth + 1))
+        return params
+    return {}
+
+
+@st.composite
+def nested_builds(draw, family):
+    depth = draw(st.integers(max(FAMILIES[family].min_depth, 1), 5))
+    params = draw(family_params(family, depth))
+    return (make(GallerySpec(family=family, depth=depth, params=params)),
+            make(GallerySpec(family=family, depth=depth + 1, params=params)))
+
+
+@pytest.mark.parametrize("family", NESTED)
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(data=st.data())
+def test_norms_nest_across_horizons(family, data):
+    shallow, deep = data.draw(nested_builds(family))
+    depth, n_vertices = shallow.max_depth, shallow.tree.n_vertices
+
+    # The depth-D tree is the depth-(D + 1) tree cut at depth D.
+    assert deep.tree.gen_offsets[depth + 1] == n_vertices
+    assert deep.tree.parent[:n_vertices].tobytes() == shallow.tree.parent.tobytes()
+    assert deep.lam[:n_vertices].tobytes() == shallow.lam.tobytes()
+
+    for n in range(depth + 1):
+        # norm(S^n e_u)^2 is tabulated for depth(u) + n <= D, where S^n e_u
+        # lives on depth <= D, the same vertices and weights in both builds,
+        # summed over children in the same ascending order.
+        col = shallow.power_norms_sq(n)
+        assert deep.power_norms_sq(n)[: len(col)].tobytes() == col.tobytes(), n
+
+        # A cleared flag says no column past the horizon is larger, so the
+        # deeper build's extra columns, all after every shallow id, leave
+        # both the sup and its first maximiser unchanged.
+        est = operator_norm_power(shallow, n)
+        if not est.may_grow_beyond_horizon:
+            other = operator_norm_power(deep, n)
+            assert other.value.hex() == est.value.hex(), n
+            assert other.attained_at == est.attained_at, n
