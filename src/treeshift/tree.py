@@ -206,7 +206,7 @@ class PathSelector:
         v = 0
         vs = [v]
         for i, pick in enumerate(picks):
-            kids = tree.children[v]
+            kids = range(tree.first_child.item(v), tree.first_child.item(v + 1))
             if not kids:
                 raise ValueError(f"path ends at depth {i}, no child to pick")
             if not 0 <= pick < len(kids):
@@ -313,7 +313,7 @@ def _random_parents(depth: int, p: Mapping[str, object]):
 
 
 def _broom_weights(tree: DirectedTree, p: Mapping[str, object]) -> np.ndarray:
-    arms = len(tree.children[0])
+    arms = tree.first_child.item(1) - tree.first_child.item(0)
     if p["weights"] is None:
         return 1.0 / np.arange(1, arms + 1)
     vals = np.array([float(w) for w in p["weights"]])  # type: ignore[union-attr]

@@ -252,7 +252,7 @@ def _sibling_block(s: TruncatedShift, u: VertexId) -> Optional[_SiblingClass]:
     the rare positive sets where ``_class_blocks`` meets an exact zero.
     """
     tree = s.tree
-    kids = tree.children[u]
+    kids = range(tree.first_child.item(u), tree.first_child.item(u + 1))
     weights = s.lam[kids.start:kids.stop].tolist()
     pivot_pos = next(i for i, w in enumerate(weights) if w != 0)
     pivot = kids[pivot_pos]
@@ -702,14 +702,16 @@ def image_intersection_dim(
     Orthonormalizes both images and counts principal-angle cosines at
     least 1 - tol.
     """
-    # Imported on first call, not with the module: scipy.linalg about doubles every CLI run's start-up.
-    import scipy.linalg
-
     _same_tree(s, basis)
     images = _images_at(s, basis, n, m)
-    a, b = scipy.linalg.orth(images[n]), scipy.linalg.orth(images[m])
+    a, b = _orth(images[n]), _orth(images[m])
     if a.shape[1] == 0 or b.shape[1] == 0:
         return 0
-    cosines = scipy.linalg.svdvals(a.conj().T @ b)
-    cosines = np.clip(cosines, 0.0, 1.0)
+    cosines = np.clip(np.linalg.svd(a.conj().T @ b, compute_uv=False), 0.0, 1.0)
     return int(np.sum(cosines >= 1.0 - tol))
+
+
+def _orth(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span: left singular vectors above eps * max(a.shape) * s.max()."""
+    u, sv, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, sv > np.finfo(sv.dtype).eps * max(a.shape) * sv.max(initial=0.0)]

@@ -10,6 +10,7 @@ import csv
 import io
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -347,6 +348,49 @@ def closed_form_gram(s, n, m, vectors):
         for j, h in enumerate(vectors):
             mat[i, j] = pairing(g, h, m - n) if n <= m else pairing(h, g, n - m).conjugate()
     return mat
+
+
+def exact_kernel_pairings(tree, lam, top):
+    """The interior kernel vectors g_i of ``kernel_basis`` before normalising,
+    and their pairings, in exact arithmetic.
+
+    ``lam`` holds one ``Fraction`` per vertex, and every sibling set a
+    positive one. The g_i are the root, then per parent at depth <=
+    max_depth - 2 in id order the Gram-Schmidt pass over lam(v) e_pivot -
+    lam(pivot) e_v, the pivot being the first child of positive weight.
+    Returns the list of <g_i, g_i> and a dict (n, m) -> matrix of
+    <S^n g_i, S^m g_j> for 0 <= n < m <= top.
+    """
+    parent = tree.parent.tolist()
+    depth, kids = [0], {}
+    for v in range(1, len(parent)):
+        depth.append(depth[parent[v]] + 1)
+        kids.setdefault(parent[v], []).append(v)
+
+    def inner(f, g):
+        return sum(x * g.get(k, 0) for k, x in f.items())
+
+    vecs = [{0: Fraction(1)}]
+    for u in range(len(parent)):
+        if depth[u] > tree.max_depth - 2 or u not in kids:
+            continue
+        pivot = next(v for v in kids[u] if lam[v] > 0)
+        block = []
+        for v in kids[u]:
+            if v != pivot:
+                g = {pivot: lam[v], v: -lam[pivot]}
+                for b in block:
+                    c = inner(g, b) / inner(b, b)
+                    g = {k: g.get(k, 0) - c * b.get(k, 0) for k in {**g, **b}}
+                block.append(g)
+        vecs += block
+    ladder = [vecs]
+    for _ in range(top):
+        ladder.append([{v: x * lam[v] for u, x in f.items() for v in kids.get(u, ())}
+                       for f in ladder[-1]])
+    pairings = {(n, m): [[inner(a, b) for b in ladder[m]] for a in ladder[n]]
+                for n in range(top + 1) for m in range(n + 1, top + 1)}
+    return [inner(g, g) for g in vecs], pairings
 
 
 def _fmt_cell(x):

@@ -70,7 +70,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"vertices": ["a", "b"], "edges": [[0, 1], [1, 0]]}', encoding="utf-8")
     assert _run(["norms", "--tree", str(bad), "--out", str(tmp_path / "b")]) == 2
+    capsys.readouterr()
     assert _run(["wold", "--family", "broom", "--arms", "3", "--out", str(tmp_path / "c")]) == 2
+    assert capsys.readouterr().err == "error: peel needs an injective shift: tree has genuine leaves\n"
     assert _run(["peel", "--family", "mad", "--depth", "6", "--out", str(tmp_path / "d")]) == 2
     assert _run(["approx", "--family", "mad", "--depth", "4", "--phi", "mystery:1",
                  "--out", str(tmp_path / "e")]) == 2

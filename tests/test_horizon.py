@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeshift import GallerySpec, make, operator_norm_power
+from treeshift import GallerySpec, kernel_basis, make, operator_norm_power
 from treeshift.tree import FAMILIES
 
 NESTED = [name for name, fam in FAMILIES.items() if fam.fixed_depth is None]
@@ -72,3 +72,24 @@ def test_norms_nest_across_horizons(family, data):
             other = operator_norm_power(deep, n)
             assert other.value.hex() == est.value.hex(), n
             assert other.attained_at == est.attained_at, n
+
+
+def _bits(f):
+    """Keys in insertion order with the bits of each coefficient."""
+    return [(v, c.real.hex(), c.imag.hex()) for v, c in f.items()]
+
+
+@pytest.mark.parametrize("family", NESTED)
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(data=st.data())
+def test_kernel_basis_nests_across_horizons(family, data):
+    shallow, deep = data.draw(nested_builds(family))
+    # The interior basis at depth D has the root and a block per parent at
+    # depth <= D - 2. Both builds share those parents' sibling sets, and
+    # ``_class_blocks`` works row by row, so each block keeps its bits in
+    # the deeper build; blocks run by ascending parent, so the deeper
+    # build's further blocks come after them. The gram matrix is left out:
+    # its matrix product may block differently on more rows.
+    want = kernel_basis(shallow).vectors()
+    got = kernel_basis(deep).vectors()[: len(want)]
+    assert [_bits(f) for f in got] == [_bits(f) for f in want]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from oracles import (
     closed_form_gram,
     cumsum_project,
     dense_shift_matrix,
+    exact_kernel_pairings,
     loop_dense_images,
     loop_kernel_basis,
     loop_peel,
@@ -268,6 +270,49 @@ def test_gram_orthogonality_for_balanced():
             assert g.max_abs <= 1e-12, (n, m)
 
 
+def _exact_gram_normalised(s, top):
+    """The exact pairings of ``exact_kernel_pairings`` on the float weights,
+    each divided by the float norms of its two vectors."""
+    sq, pairings = exact_kernel_pairings(s.tree, [Fraction(w) for w in s.lam.tolist()], top)
+    norms = [math.sqrt(x) for x in sq]
+    return {nm: np.array([[float(x) / (a * b) for x, b in zip(row, norms)] for row, a in zip(mat, norms)])
+            for nm, mat in pairings.items()}
+
+
+def test_gram_matches_exact_arithmetic_oracle():
+    for seed in range(6):
+        s = make(GallerySpec(family="random", depth=4, params={"seed": seed, "branching": (1, 2, 3)}))
+        basis = kernel_basis(s)
+        for (n, m), want in _exact_gram_normalised(s, 4).items():
+            got = wold_gram(s, n, m, basis).matrix
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), (seed, n, m)
+
+
+def test_exact_gram_vanishes_on_pythagorean_binary_trees():
+    # Sibling weights 3/5 and 4/5: every power column has norm 1, so the
+    # shift is balanced, and each pairing of distinct powers is exactly 0.
+    for seed in range(4):
+        tree = random_balanced(seed=seed, branching=(2,), depth=5).tree
+        swaps = np.random.default_rng(seed).integers(0, 2, tree.n_vertices // 2).tolist()
+        pair = (Fraction(3, 5), Fraction(4, 5))
+        lam = [Fraction(0)] + [w for swap in swaps for w in (pair[::-1] if swap else pair)]
+        sq, pairings = exact_kernel_pairings(tree, lam, tree.max_depth)
+        assert len(sq) == 16
+        for nm, mat in pairings.items():
+            assert all(x == 0 for row in mat for x in row), (seed, nm)
+
+
+def test_exact_gram_on_near_balanced_example():
+    # The README's example: a weight scaled by 1 + 1e-4 moves the largest
+    # pairing from rounding level to 2.2e-5. No verdict is pinned here.
+    base = random_balanced(seed=0, branching=(2, 3), depth=4)
+    lam = base.lam[1:].copy()
+    assert np.max(np.abs(list(_exact_gram_normalised(base, 4).values()))) <= 1e-15
+    lam[4] *= 1 + 1e-4  # vertex 5
+    largest = np.max(np.abs(list(_exact_gram_normalised(TruncatedShift(base.tree, lam), 4).values())))
+    assert f"{largest:.9e}" == "2.180140196e-05"
+
+
 def test_gram_horizon_flag_and_strict_mode():
     s = random_balanced(seed=6, branching=(2,), depth=3)
     basis = kernel_basis(s)
@@ -445,6 +490,16 @@ def test_kernel_basis_bitwise_equals_scalar_route():
                     # Same keys in the same insertion order, same bits.
                     assert list(gv.items()) == list(wv.items()), (case, gb.parent)
                     assert _bits(gv) == _bits(wv), (case, gb.parent)
+
+
+def test_kernel_basis_leaves_the_children_view_unbuilt():
+    # One sibling set reads its bounds from first_child: the children view
+    # holds a range per vertex, which the tree would keep.
+    s = _zero_set_shift()
+    s.tree.__dict__.pop("children", None)
+    for interior_only in (True, False):
+        kernel_basis(s, interior_only).vectors()
+    assert "children" not in s.tree.__dict__
 
 
 def test_projection_and_peel_bitwise_equal_scalar_route():
