@@ -60,11 +60,14 @@ from .ops import (
     TruncatedShift,
     _mixed_product,
     _sum_sq,
+    boundary_mass,
     is_injective,
     operator_norm_power,
 )
 from .tree import FAMILIES, TreeSpecError, enumerate_paths, load_tree_file
 from .wold import (
+    BALANCE_ABS_TOL,
+    BALANCE_REL_TOL,
     is_balanced,
     is_locally_power_balanced,
     kernel_basis,
@@ -390,7 +393,6 @@ def _run_wold(args, s: TruncatedShift, family: Optional[str]) -> dict:
     if horizon < 1:
         raise ValueError(f"peel horizon {horizon}: a round trip needs at least one peel step")
     rng = np.random.default_rng([args.seed, 5])
-    deepest = s.tree.gen_offsets.item(-2)
     rows = []
     ok = True
     for case in range(args.cases):
@@ -404,8 +406,7 @@ def _run_wold(args, s: TruncatedShift, family: Optional[str]) -> dict:
         err = math.sqrt(_sum_sq((back - x)[order]))
         nonzero = sum(1 for layer in comp.layers if layer.any())
         ok = ok and err <= args.tol
-        residual, boundary = math.sqrt(_sum_sq(comp.rest)), math.sqrt(_sum_sq(x[deepest:]))
-        rows.append([case, horizon, err, residual, boundary, nonzero])
+        rows.append([case, horizon, err, comp.residual.norm(), boundary_mass(s, f), nonzero])
     return {
         "inputs": {"cases": args.cases, "seed": args.seed, "horizon": horizon},
         "tolerances": {"roundtrip_abs": args.tol},
@@ -446,7 +447,7 @@ def _run_balanced(args, s: TruncatedShift, family: Optional[str]) -> dict:
     ]]
     return {
         "inputs": {"max_power": max_n},
-        "tolerances": {"rel": 1e-10, "abs": 1e-12},
+        "tolerances": {"rel": BALANCE_REL_TOL, "abs": BALANCE_ABS_TOL},
         "verdict": "pass" if consistent else "fail",
         "balanced": bal.ok,
         "locally_power_balanced": loc.ok,

@@ -200,8 +200,8 @@ class TrigPoly:
         return cls(coeffs=vals, degree=deg)
 
     @classmethod
-    def monomial(cls, k: int, c: complex = 1.0) -> "TrigPoly":
-        return cls.from_coeffs({k: c})
+    def monomial(cls, k: int) -> "TrigPoly":
+        return cls.from_coeffs({k: 1.0})
 
     def hat(self, k: int) -> complex:
         """Nonnegative-order coefficient extraction; zero off support."""
@@ -396,8 +396,7 @@ def circle_pair_integral(
         )
     roots = [cmath.exp(2j * math.pi * j / n_points) for j in range(n_points)]
     x = f.to_dense()
-    cols = np.fromiter(g.coeffs, dtype=np.intp, count=len(g.coeffs))
-    gs = np.fromiter(g.coeffs.values(), dtype=complex, count=len(g.coeffs))
+    cols, gs = g._entries()
     gc_re, gc_im = gs.real, -gs.imag  # conj(g), in g's insertion order
     finite_g = bool(np.isfinite(gs).all())
     chunk = max(1, _CHUNK_ENTRIES // s.tree.n_vertices)

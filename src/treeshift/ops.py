@@ -79,11 +79,12 @@ class TreeVector:
 
     Exact-zero coefficients are pruned at construction so the stored
     support is the true support. A vector made by ``from_dense`` keeps a
-    pruned copy of its array and builds the ``coeffs`` dict when
-    ``coeffs`` is first read; from then on the dict is its only form.
+    pruned copy of its array, which ``norm``, ``support`` and ``to_dense``
+    read as it is, until ``coeffs`` is first read; that builds the dict,
+    which from then on is its only form.
     """
 
-    __slots__ = ("tree", "coeffs", "_array")
+    __slots__ = ("tree", "_coeffs", "_array")
 
     def __init__(self, tree: DirectedTree, coeffs: Optional[Mapping[VertexId, complex]] = None):
         self.tree = tree
@@ -97,17 +98,22 @@ class TreeVector:
                 c = complex(c)
                 if c != 0:
                     clean[v] = c
-        self.coeffs = clean
+        self._coeffs = clean
 
-    def __getattr__(self, name: str):
-        # Reached only while the ``coeffs`` slot is unset: the vector holds its array.
-        if name != "coeffs":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        arr = self._array
-        nz = np.flatnonzero(arr)
-        self.coeffs = dict(zip(nz.tolist(), arr[nz].tolist()))
-        self._array = None
-        return self.coeffs
+    @property
+    def coeffs(self) -> dict[VertexId, complex]:
+        if self._coeffs is None:
+            ids, vals = self._entries()
+            self._coeffs, self._array = dict(zip(ids.tolist(), vals.tolist())), None
+        return self._coeffs
+
+    def _entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ids and values of the nonzero coefficients, in ``coeffs`` order, without the dict."""
+        if self._coeffs is None:
+            ids = np.flatnonzero(self._array)
+            return ids, self._array[ids]
+        n = len(self._coeffs)
+        return np.fromiter(self._coeffs, np.intp, n), np.fromiter(self._coeffs.values(), complex, n)
 
     @classmethod
     def zero(cls, tree: DirectedTree) -> "TreeVector":
@@ -126,10 +132,10 @@ class TreeVector:
 
     @property
     def support(self) -> list[VertexId]:
-        return sorted(self.coeffs)
+        return np.sort(self._entries()[0]).tolist()
 
     def norm(self) -> float:
-        return math.sqrt(_sum_sq(np.fromiter(self.coeffs.values(), complex, len(self.coeffs))))
+        return math.sqrt(_sum_sq(self._entries()[1]))
 
     def inner(self, other: "TreeVector") -> complex:
         """<self, other> = sum of self(v) * conj(other(v)).
@@ -146,7 +152,7 @@ class TreeVector:
     def _of(cls, tree: DirectedTree, coeffs: dict[VertexId, complex]) -> "TreeVector":
         """A vector from valid ids and Python complex values; zeros are pruned."""
         out = cls(tree)
-        out.coeffs = {v: c for v, c in coeffs.items() if c}
+        out._coeffs = {v: c for v, c in coeffs.items() if c}
         return out
 
     def plus(self, other: "TreeVector") -> "TreeVector":
@@ -168,11 +174,11 @@ class TreeVector:
         return TreeVector(self.tree, {v: c for v, c in self.coeffs.items() if v in keep})
 
     def to_dense(self) -> np.ndarray:
-        if self._array is not None:
+        if self._coeffs is None:
             return self._array.copy()
+        ids, vals = self._entries()
         out = np.zeros(self.tree.n_vertices, dtype=complex)
-        n = len(self.coeffs)
-        out[np.fromiter(self.coeffs, np.intp, n)] = np.fromiter(self.coeffs.values(), complex, n)
+        out[ids] = vals
         return out
 
     @classmethod
@@ -186,13 +192,12 @@ class TreeVector:
         if dense.shape != (tree.n_vertices,):
             raise ValueError(f"expected shape ({tree.n_vertices},), got {dense.shape}")
         dense[dense == 0] = 0
-        out = cls.__new__(cls)
-        out.tree = tree
-        out._array = dense
+        out = cls(tree)
+        out._coeffs, out._array = None, dense
         return out
 
     def __repr__(self) -> str:
-        return f"TreeVector(support={len(self.coeffs)}, norm={self.norm():.6g})"
+        return f"TreeVector(support={len(self._entries()[0])}, norm={self.norm():.6g})"
 
 
 def _sum_sq(values: np.ndarray) -> float:
@@ -513,9 +518,8 @@ def boundary_mass(s: TruncatedShift, f: TreeVector) -> float:
     """Norm of the part of f sitting at the deepest generation."""
     _same_tree(s, f)
     deepest = s.tree.gen_offsets.item(-2)  # the first id at the deepest generation
-    n = len(f.coeffs)
-    ids = np.fromiter(f.coeffs, np.intp, n)
-    return math.sqrt(_sum_sq(np.fromiter(f.coeffs.values(), complex, n)[ids >= deepest]))
+    ids, vals = f._entries()
+    return math.sqrt(_sum_sq(vals[ids >= deepest]))
 
 
 def power_norm(s: TruncatedShift, u: VertexId, n: int) -> float:

@@ -74,6 +74,9 @@ from .ops import (
 )
 from .tree import DirectedTree, VertexId
 
+BALANCE_REL_TOL = 1e-10
+BALANCE_ABS_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class KernelBlock:
@@ -180,9 +183,9 @@ class KernelBasis:
     def vectors(self) -> list[TreeVector]:
         return [v for b in self.blocks for v in b.vectors]
 
-    def support_depths(self, tree) -> list[int]:
+    def support_depths(self) -> list[int]:
         """Depth of the generation each block lives on."""
-        return tree.depth[self._layout[0]].tolist()
+        return self.tree.depth[self._layout[0]].tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -555,11 +558,11 @@ def reconstruct(s: TruncatedShift, comp: WoldComponents) -> TreeVector:
     return TreeVector.from_dense(s.tree, _plus(acc, comp.rest))
 
 
-def _mismatch(val: np.ndarray, ref: np.ndarray, rel_tol: float, abs_tol: float) -> np.ndarray:
-    return np.abs(val - ref) > np.maximum(abs_tol, rel_tol * np.maximum(val, ref))
+def _mismatch(val: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    return np.abs(val - ref) > np.maximum(BALANCE_ABS_TOL, BALANCE_REL_TOL * np.maximum(val, ref))
 
 
-def is_balanced(s: TruncatedShift, rel_tol: float = 1e-10, abs_tol: float = 1e-12) -> BalanceResult:
+def is_balanced(s: TruncatedShift) -> BalanceResult:
     """Are the interior column norms constant within each generation?
 
     The witness pairs the first vertex of the generation with the first
@@ -569,7 +572,7 @@ def is_balanced(s: TruncatedShift, rel_tol: float = 1e-10, abs_tol: float = 1e-1
         return BalanceResult(ok=True)
     val = np.sqrt(s.power_norms_sq(1)[: s.tree.gen_offsets[s.max_depth]])
     first = s.tree.gen_offsets[s.tree.depth[: val.size]]  # first vertex of each generation
-    bad = np.flatnonzero(_mismatch(val, val[first], rel_tol, abs_tol))
+    bad = np.flatnonzero(_mismatch(val, val[first]))
     if not bad.size:
         return BalanceResult(ok=True)
     v = int(bad[0])
@@ -577,9 +580,7 @@ def is_balanced(s: TruncatedShift, rel_tol: float = 1e-10, abs_tol: float = 1e-1
     return BalanceResult(ok=False, u=u, v=v, power=1, norm_u=float(val[u]), norm_v=float(val[v]))
 
 
-def is_locally_power_balanced(
-    s: TruncatedShift, max_n: int, rel_tol: float = 1e-10, abs_tol: float = 1e-12
-) -> BalanceResult:
+def is_locally_power_balanced(s: TruncatedShift, max_n: int) -> BalanceResult:
     """Do all sibling pairs share power-column norms up to order max_n?
 
     Orders are capped at each sibling set's horizon, so every compared
@@ -598,7 +599,7 @@ def is_locally_power_balanced(
         if m <= 1:
             break
         val = np.sqrt(s.power_norms_sq(n)[:m])
-        bad = np.flatnonzero(_mismatch(val[1:], val[first[: m - 1]], rel_tol, abs_tol))
+        bad = np.flatnonzero(_mismatch(val[1:], val[first[: m - 1]]))
         if bad.size:
             v = int(bad[0]) + 1
             u = int(first[v - 1])
@@ -677,7 +678,7 @@ def wold_gram(
         raise ValueError("powers must be nonnegative")
     if ladder is not None and len(ladder) <= max(n, m):
         raise ValueError(f"the ladder stops at power {len(ladder) - 1}, below {max(n, m)}")
-    deepest = max(basis.support_depths(s.tree))
+    deepest = max(basis.support_depths())
     exceeds = deepest + max(n, m) > s.max_depth
     if strict and exceeds:
         raise HorizonError(f"gram orders ({n}, {m}) pass the horizon for a block at depth {deepest}")

@@ -173,7 +173,7 @@ def test_criterion_06_decomposition_roundtrip_and_uniqueness():
             assert comp_i.residual.norm() <= 1e-10, case
 
             basis = kernel_basis(s)
-            depths = basis.support_depths(s.tree)
+            depths = basis.support_depths()
             layers = []
             for k in range(s.max_depth + 1):
                 layer = TreeVector.zero(s.tree)

@@ -11,14 +11,26 @@ unflagged value at depth D stays unflagged at D + 1.
 The fixed-depth families (broom, broom_leaf) have no deeper build.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeshift import GallerySpec, kernel_basis, make, operator_norm_power
+from treeshift import (
+    GallerySpec,
+    Symbol,
+    TreeVector,
+    kernel_basis,
+    make,
+    operator_norm_power,
+    peel,
+    sot_error_profile,
+)
 from treeshift.tree import FAMILIES
 
 NESTED = [name for name, fam in FAMILIES.items() if fam.fixed_depth is None]
+# t2_zero has two vanishing columns, and peel refuses a non-injective shift.
+PEELED = [name for name in NESTED if name != "t2_zero"]
 
 
 @st.composite
@@ -93,3 +105,52 @@ def test_kernel_basis_nests_across_horizons(family, data):
     want = kernel_basis(shallow).vectors()
     got = kernel_basis(deep).vectors()[: len(want)]
     assert [_bits(f) for f in got] == [_bits(f) for f in want]
+
+
+def _complex(rng, n):
+    """n complex entries, about a third of them zero."""
+    return np.where(rng.random(n) < 0.3, 0, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("family", PEELED)
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_peel_layers_nest_across_horizons(family, data):
+    shallow, deep = data.draw(nested_builds(family))
+    depth, n_vertices = shallow.max_depth, shallow.tree.n_vertices
+    # No depth condition on the input: the lift moves mass up exactly one
+    # generation and each projection stays in one sibling set, so layer k
+    # at depth e reads the input at depth e + k only. The shallow layer k
+    # lives on depth <= D - k and reads depth <= D; the deep input's extra
+    # generation D + 1 reaches only the deep layer's entries past that
+    # prefix (and the shallow build's residual).
+    x = _complex(np.random.default_rng(data.draw(st.integers(0, 2**16))), deep.tree.n_vertices)
+    f, g = TreeVector.from_dense(shallow.tree, x[:n_vertices]), TreeVector.from_dense(deep.tree, x)
+    for horizon in range(depth + 1):
+        want, got = peel(shallow, f, horizon), peel(deep, g, horizon)
+        ids = want.kernel_ids
+        assert got.kernel_ids[: len(ids)].tobytes() == ids.tobytes()
+        for k, layer in enumerate(want.layers):
+            assert got.layers[k][: len(layer)].tobytes() == layer.tobytes(), (horizon, k)
+
+
+@pytest.mark.parametrize("family", NESTED)
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_sot_rows_nest_across_horizons(family, data):
+    shallow, deep = data.draw(nested_builds(family))
+    depth = shallow.max_depth
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    k_bound = data.draw(st.integers(1, 3))
+    phi = Symbol.from_support(dict(enumerate(_complex(rng, k_bound + 1).tolist())))
+    levels = data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    # M e_u lives on the K + 1 generations from u down, all within depth D
+    # when depth(u) + K <= D: the same vertices, weights and products in
+    # both builds, so the error and bound of that probe keep their bits.
+    probes = np.flatnonzero(shallow.tree.depth + phi.degree <= depth).tolist()
+
+    def rows(s):
+        profile = sot_error_profile(s, phi, levels, [TreeVector.basis(s.tree, u) for u in probes])
+        return [(r.n, r.probe_index, r.error.hex(), r.bound.hex()) for r in profile.rows]
+
+    assert rows(deep) == rows(shallow)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -426,6 +427,27 @@ def test_million_vertex_random_build_is_array_only():
     assert peak < 128 * 2**20, peak
 
 
+def test_million_vertex_vector_reads_keep_the_array():
+    # Each read walks the nonzero entries of the array once; a per-vertex
+    # dict of this vector would take ~148 MiB.
+    s = make(GallerySpec(family="random", depth=19, params={"seed": 0, "branching": [2]}))
+    n, deepest = s.tree.n_vertices, s.tree.gen_offsets.item(-2)
+    rng = np.random.default_rng([19, 0])
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    f = TreeVector.from_dense(s.tree, x)
+    for read in (f.norm, lambda: boundary_mass(s, f), lambda: repr(f)):
+        tracemalloc.start()
+        try:
+            read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak
+    assert abs(f.norm() - np.linalg.norm(x)) <= 1e-9 * np.linalg.norm(x)
+    assert abs(boundary_mass(s, f) - np.linalg.norm(x[deepest:])) <= 1e-9 * np.linalg.norm(x[deepest:])
+    assert repr(f) == f"TreeVector(support={n}, norm={f.norm():.6g})"
+
+
 def _parts(x):
     """Entries whose both parts are zero set to +0, as a TreeVector prunes them."""
     x = x.copy()
@@ -473,14 +495,27 @@ def _cbits(values):
 def test_from_dense_matches_per_vertex_route(parts):
     n = len(parts)
     tree = DirectedTree.from_bfs_parents([-1] + [0] * (n - 1))
+    s = TruncatedShift(tree, [1.0] * (n - 1))
     arr = np.array([complex(re, im) for re, im in parts])
     source = arr.copy()
     want = vector_from_dense(tree, arr)
     f = TreeVector.from_dense(tree, source)
     source[:] = 7.0  # the vector keeps its own copy
-    dense = f.to_dense()
-    assert dense.view(np.uint64).tolist() == want.to_dense().view(np.uint64).tolist()
+
+    def readers(v):
+        # float.hex() reads "nan" for every NaN, so a NaN equals a NaN.
+        return (v.norm().hex(), v.support, repr(v), boundary_mass(s, v).hex(),
+                v.to_dense().view(np.uint64).tolist())
+
+    expected = readers(want)
+    # Reading coeffs is what builds the dict and drops the array, so no
+    # reader may touch it.
+    with mock.patch.object(TreeVector, "coeffs", property(lambda v: pytest.fail("built the dict"))):
+        assert readers(f) == expected
+        dense = f.to_dense()
     dense[:] = 7.0
+    with pytest.raises(AttributeError):
+        f.coeffs = {}
     assert list(f.coeffs) == sorted(f.coeffs) == list(want.coeffs)
     assert _cbits(f.coeffs.values()) == _cbits(want.coeffs.values())
     assert f.to_dense().view(np.uint64).tolist() == want.to_dense().view(np.uint64).tolist()

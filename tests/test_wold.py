@@ -78,7 +78,7 @@ def test_kernel_basis_shapes():
     full = kernel_basis(broom, interior_only=False)
     assert interior.interior_only and not full.interior_only
     assert full.total_dim == 1 + 4
-    assert full.support_depths(broom.tree) == [0, 1]
+    assert full.support_depths() == [0, 1]
 
 
 def test_kernel_basis_zero_weight_blocks():
@@ -160,7 +160,7 @@ def test_peel_inverts_assembled_components():
     for trial in range(8):
         s = _random_shift(int(rng.integers(10_000)))
         basis = kernel_basis(s)
-        depths = basis.support_depths(s.tree)
+        depths = basis.support_depths()
         horizon = s.max_depth
         layers = []
         for k in range(horizon + 1):
