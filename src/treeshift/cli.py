@@ -58,6 +58,7 @@ from .ops import (
     HorizonError,
     TreeVector,
     TruncatedShift,
+    _minus_norm,
     _mixed_product,
     _sum_sq,
     boundary_mass,
@@ -320,7 +321,7 @@ def _run_approx(args, s: TruncatedShift, family: Optional[str]) -> dict:
         [r.n, r.probe_index, labels[r.probe_index], r.error, r.bound, r.error <= r.bound + args.tol]
         for r in profile.rows
     ]
-    ok = all(r.error <= r.bound + args.tol for r in profile.rows) and profile.monotone
+    ok = all(row[-1] for row in rows) and profile.monotone
     return {
         "inputs": {"phi": args.phi, "levels": levels, "probes": n_probes},
         "tolerances": {"bound_slack_abs": args.tol},
@@ -397,13 +398,8 @@ def _run_wold(args, s: TruncatedShift, family: Optional[str]) -> dict:
     ok = True
     for case in range(args.cases):
         f = _unit_random_vector(s.tree, rng)
-        x = f.to_dense()
         comp = peel(s, f, horizon)
-        back = reconstruct(s, comp).to_dense()
-        # norm(back.minus(f)): its terms in the key order of ``minus``, the
-        # ids where back is nonzero, then those where only f is.
-        order = np.concatenate([np.flatnonzero(back), np.flatnonzero((back == 0) & (x != 0))])
-        err = math.sqrt(_sum_sq((back - x)[order]))
+        err = _minus_norm(reconstruct(s, comp).to_dense(), f.to_dense())
         nonzero = sum(1 for layer in comp.layers if layer.any())
         ok = ok and err <= args.tol
         rows.append([case, horizon, err, comp.residual.norm(), boundary_mass(s, f), nonzero])
@@ -570,25 +566,27 @@ def _run_gallery(args, s, family) -> dict:
 def _run_peel(args, s: TruncatedShift, family: Optional[str]) -> dict:
     if family != "t2":
         raise ValueError("the layer-coefficient experiment is defined for the t2 family")
-    ids = {label: v for v, label in enumerate(s.tree.labels)}
-    v21 = ids["(2,1)"]
+    v21 = s.tree.vertex_with_label("(2,1)")
     alpha = s.lam.item(v21)
     depth = s.max_depth
     if depth < 3:
         raise ValueError("need depth >= 3 to see at least one exact layer")
-    f = TreeVector(s.tree, {ids[f"(2,{j})"]: 1.0 / j for j in range(1, depth + 1)})
-    comp = peel(s, f, depth)
+    # The lower ray (2,1), (2,2), ...: one vertex on each level below (2,1).
+    x = np.zeros(s.tree.n_vertices, dtype=complex)
+    x[[level.start for level in s.tree.levels_below(v21)]] = 1.0 / np.arange(1, depth + 1)
+    comp = peel(s, TreeVector.from_dense(s.tree, x), depth)
+    k21 = int(np.searchsorted(comp.kernel_ids, v21))
     rows = []
     ok = True
     checked_up_to = min(10, depth - 2)
     for j in range(0, depth - 1):
-        peeled = -comp.components[j].get(v21).real
+        peeled = -comp.layers[j].item(k21).real
         closed = t2_expected_peel_coefficient(j, alpha)
         err = abs(peeled - closed)
         rows.append([j, peeled, closed, err, j <= checked_up_to])
         if j <= checked_up_to:
             ok = ok and err <= args.tol
-    roundtrip = reconstruct(s, comp).minus(f).norm()
+    roundtrip = _minus_norm(reconstruct(s, comp).to_dense(), x)
     ok = ok and roundtrip <= args.tol
     return {
         "inputs": {"profile": "f(lower ray, j) = 1/j"},

@@ -88,22 +88,23 @@ def path_radius_estimate(s: TruncatedShift, p: PathSelector, n: int) -> float:
 
     Scans the path vertices of depth at least max(n, 1); a finite stand-in
     for the liminf that defines the path-induced radius, hence evidence
-    rather than a certified limit.
+    rather than a certified limit. A product that overflows float64
+    raises ``ValueError`` naming its vertex.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > len(p.vertices) - 1:
-        raise HorizonError(f"tail start {n} passes the end of a length-{len(p.vertices) - 1} path")
-    PathSelector.from_vertices(s.tree, p.vertices)
     lo = max(n, 1)
+    if lo > len(p.vertices) - 1:
+        raise HorizonError(f"tail start {lo} passes the end of a length-{len(p.vertices) - 1} path")
+    PathSelector.from_vertices(s.tree, p.vertices)
     best = math.inf
     prod = 1.0
-    for k, w in enumerate(s.lam[list(p.vertices[1:])].tolist(), start=1):
+    for k, (v, w) in enumerate(zip(p.vertices[1:], s.lam[list(p.vertices[1:])].tolist()), start=1):
         prod *= w
+        if not math.isfinite(prod):
+            raise ValueError(f"the weight product from the root to vertex {v} overflows float64")
         if k >= lo:
             best = min(best, prod ** (1.0 / k))
-    if best is math.inf:
-        raise HorizonError("path has no vertex at or past the tail start")
     return best
 
 

@@ -49,10 +49,6 @@ class Symbol:
     def values_upto(self, k_max: int) -> list[complex]:
         return [self.value(k) for k in range(k_max + 1)]
 
-    @property
-    def is_rule(self) -> bool:
-        return self.rule_name is not None
-
     @classmethod
     def from_support(cls, entries) -> "Symbol":
         """Build from {k: value} or an iterable of (k, value) pairs."""

@@ -191,13 +191,28 @@ class TreeVector:
         dense = np.array(arr, dtype=complex)
         if dense.shape != (tree.n_vertices,):
             raise ValueError(f"expected shape ({tree.n_vertices},), got {dense.shape}")
-        dense[dense == 0] = 0
         out = cls(tree)
-        out._coeffs, out._array = None, dense
+        out._coeffs, out._array = None, _pruned(dense)
         return out
 
     def __repr__(self) -> str:
         return f"TreeVector(support={len(self._entries()[0])}, norm={self.norm():.6g})"
+
+
+def _pruned(x: np.ndarray) -> np.ndarray:
+    """Entries with both parts zero become +0, as a ``TreeVector`` drops them."""
+    x[x == 0] = 0
+    return x
+
+
+def _minus_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """norm(A.minus(B)) for the ``from_dense`` vectors A, B of two complex (N,) arrays.
+
+    The terms run in the key order of ``minus``: a's nonzero ids ascending,
+    then the ids where only b is nonzero.
+    """
+    order = np.concatenate([np.flatnonzero(a), np.flatnonzero((a == 0) & (b != 0))])
+    return math.sqrt(_sum_sq((a - b)[order]))
 
 
 def _sum_sq(values: np.ndarray) -> float:

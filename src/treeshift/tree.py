@@ -228,9 +228,9 @@ def _assemble(labels: Sequence[str], edges: Sequence[tuple[int, int]]) -> tuple[
     parent_in: dict[int, int] = {}
     children_in: dict[int, list[int]] = {i: [] for i in range(n)}
     for e in edges:
-        if len(e) != 2:
+        if not isinstance(e, Sequence) or isinstance(e, str) or len(e) != 2:
             raise TreeSpecError(f"edge {e!r} is not a pair")
-        p, c = int(e[0]), int(e[1])
+        p, c = _integer("edge endpoint", e[0]), _integer("edge endpoint", e[1])
         for x in (p, c):
             if not 0 <= x < n:
                 raise TreeSpecError(f"edge endpoint {x} outside 0..{n - 1}")
@@ -540,7 +540,7 @@ def parse_tree_spec(spec: Mapping[str, object]) -> tuple[DirectedTree, Optional[
             if not isinstance(weights, Sequence) or len(weights) != n:
                 raise TreeSpecError("weights must have one entry per vertex")
             weights = weights[1:]
-        edges = [(p, c) for c, p in enumerate(parents) if c]
+        edges = [(_integer(f"parents[{c}]", p), c) for c, p in enumerate(parents) if c]
         return _explicit([str(i) for i in range(n)], edges, weights)
     if "vertices" in keys:
         extra = keys - _EXPLICIT_KEYS
@@ -550,9 +550,9 @@ def parse_tree_spec(spec: Mapping[str, object]) -> tuple[DirectedTree, Optional[
         edges = spec.get("edges")
         if not isinstance(vertices, Sequence) or isinstance(vertices, str):
             raise TreeSpecError("vertices must be a list of labels")
-        if not isinstance(edges, Sequence):
+        if not isinstance(edges, Sequence) or isinstance(edges, str):
             raise TreeSpecError("edges must be a list of [parent, child] pairs")
-        return _explicit(list(vertices), [tuple(e) for e in edges], spec.get("weights"))
+        return _explicit(list(vertices), edges, spec.get("weights"))
     raise TreeSpecError("tree spec needs one of 'vertices', 'parents' or 'family'")
 
 
@@ -567,7 +567,7 @@ def _explicit(
         raise TreeSpecError("weights must parallel the edge list")
     by_vertex = np.zeros(tree.n_vertices)
     for (_, c), w in zip(edges, weights_in):
-        by_vertex[new_id[int(c)]] = float(w)
+        by_vertex[new_id[c]] = float(w)
     return tree, by_vertex[1:]
 
 

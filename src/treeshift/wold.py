@@ -54,8 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -66,6 +65,7 @@ from .ops import (
     _cmul,
     _join,
     _mixed_product,
+    _pruned,
     _row_sums,
     _same_tree,
     apply_adjoint,
@@ -440,12 +440,6 @@ def project_kernel(s: TruncatedShift, f: TreeVector, basis: Optional[KernelBasis
     return TreeVector.from_dense(s.tree, _project(basis, x, s.tree.n_vertices))
 
 
-def _pruned(x: np.ndarray) -> np.ndarray:
-    """Entries with both parts zero become +0, as a ``TreeVector`` drops them."""
-    x[x == 0] = 0
-    return x
-
-
 def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a.plus(b)``: b added where it has support, a kept elsewhere."""
     return _pruned(np.where(b != 0, a + b, a))
@@ -622,14 +616,6 @@ def _basis_block(s: TruncatedShift, basis: KernelBasis) -> np.ndarray:
     return block
 
 
-def _ladder(s: TruncatedShift, basis: KernelBasis) -> Iterator[np.ndarray]:
-    """S^0 B, S^1 B, ...: the basis block, then each block shifted on from the one before."""
-    block = _basis_block(s, basis)
-    while True:
-        yield block
-        block = apply_shift(s, block)
-
-
 def power_images(s: TruncatedShift, basis: KernelBasis, top: int) -> list[np.ndarray]:
     """The ladder [S^0 B, ..., S^top B] of power images of the basis.
 
@@ -642,12 +628,10 @@ def power_images(s: TruncatedShift, basis: KernelBasis, top: int) -> list[np.nda
     _same_tree(s, basis)
     if top < 0:
         raise ValueError("top power must be nonnegative")
-    return list(islice(_ladder(s, basis), top + 1))
-
-
-def _images_at(s: TruncatedShift, basis: KernelBasis, *powers: int) -> dict[int, np.ndarray]:
-    """The blocks S^k B for k in ``powers``; the others are dropped as the ladder climbs."""
-    return {k: b for k, b in zip(range(max(powers) + 1), _ladder(s, basis)) if k in powers}
+    images = [_basis_block(s, basis)]
+    for _ in range(top):
+        images.append(apply_shift(s, images[-1]))
+    return images
 
 
 def wold_gram(
@@ -667,49 +651,44 @@ def wold_gram(
     strict=True.
 
     ``ladder`` is ``power_images(s, basis, top)`` for some top >= max(n,
-    m); one ladder serves every pair up to its top. Without it the two
-    blocks are shifted on from the basis here. Either way the matrix is
-    ``ladder[n].T @ conj(ladder[m])`` with the same bits. A basis of
-    another tree, or a ladder that stops short of max(n, m), raises
-    ``ValueError``.
+    m); one ladder serves every pair up to its top. Without it one is
+    built here up to max(n, m). The matrix is ``ladder[n].T @
+    conj(ladder[m])``. A basis of another tree, or a ladder that stops
+    short of max(n, m), raises ``ValueError``.
     """
     _same_tree(s, basis)
     if n < 0 or m < 0:
         raise ValueError("powers must be nonnegative")
     if ladder is not None and len(ladder) <= max(n, m):
         raise ValueError(f"the ladder stops at power {len(ladder) - 1}, below {max(n, m)}")
-    deepest = max(basis.support_depths())
+    deepest = s.tree.depth.item(basis._layout[0][-1])  # blocks run by ascending first child
     exceeds = deepest + max(n, m) > s.max_depth
     if strict and exceeds:
         raise HorizonError(f"gram orders ({n}, {m}) pass the horizon for a block at depth {deepest}")
-    images = _images_at(s, basis, n, m) if ladder is None else ladder
+    images = power_images(s, basis, max(n, m)) if ladder is None else ladder
     return GramResult(matrix=images[n].T @ np.conj(images[m]), n=n, m=m, exceeds_horizon=exceeds)
 
 
-def image_dim(s: TruncatedShift, n: int, basis: KernelBasis, tol: Optional[float] = None) -> int:
-    """Numerical rank of S^n applied to the kernel-basis span."""
-    _same_tree(s, basis)
-    a = _images_at(s, basis, n)[n]
+def image_dim(s: TruncatedShift, n: int, basis: KernelBasis) -> int:
+    """Numerical rank of S^n applied to the kernel-basis span, at numpy's default cutoff."""
+    a = power_images(s, basis, n)[n]
     if a.size == 0:
         return 0
-    return int(np.linalg.matrix_rank(a, tol=tol))
+    return int(np.linalg.matrix_rank(a))
 
 
-def image_intersection_dim(
-    s: TruncatedShift, n: int, m: int, basis: KernelBasis, tol: float = 1e-8
-) -> int:
+def image_intersection_dim(s: TruncatedShift, n: int, m: int, basis: KernelBasis) -> int:
     """Dimension of the intersection of the n-th and m-th power images.
 
     Orthonormalizes both images and counts principal-angle cosines at
-    least 1 - tol.
+    least 1 - 1e-8.
     """
-    _same_tree(s, basis)
-    images = _images_at(s, basis, n, m)
+    images = power_images(s, basis, max(n, m))
     a, b = _orth(images[n]), _orth(images[m])
     if a.shape[1] == 0 or b.shape[1] == 0:
         return 0
     cosines = np.clip(np.linalg.svd(a.conj().T @ b, compute_uv=False), 0.0, 1.0)
-    return int(np.sum(cosines >= 1.0 - tol))
+    return int(np.sum(cosines >= 1.0 - 1e-8))
 
 
 def _orth(a: np.ndarray) -> np.ndarray:

@@ -186,6 +186,45 @@ def test_wold_refuses_a_lift_that_underflows(tmp_path, capsys, weight):
         assert not os.path.exists(out)
 
 
+def _spec_file(tmp_path, doc):
+    spec = tmp_path / "tree.json"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    return str(spec)
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["norms", "--max-power", "5", "--family", "mad", "--depth", "4"], None,
+     "error: max power must lie in [1, 4]"),
+    (["norms"], {"vertices": ["a", "b"], "edges": [[0, 1, 1]]}, "error: edge [0, 1, 1] is not a pair"),
+    (["norms"], {"vertices": ["a", "b"], "edges": [1]}, "error: edge 1 is not a pair"),
+    (["norms"], {"vertices": ["a", "b"], "edges": [[0, 7]]}, "error: edge endpoint 7 outside 0..1"),
+    (["norms"], {"vertices": "ab", "edges": [[0, 1]]}, "error: vertices must be a list of labels"),
+    (["norms"], {"vertices": ["a", "b"], "edges": "01"},
+     "error: edges must be a list of [parent, child] pairs"),
+    (["norms"], [None, 0], "error: tree spec file must hold a JSON object"),
+    (["peel", "--family", "t2", "--alpha", "0.5", "--depth", "2"], None,
+     "error: need depth >= 3 to see at least one exact layer"),
+    (["radius"], {"vertices": 1, "parents": [None]}, "error: tree has no edges, no path to estimate along"),
+    # The root-to-vertex-4 product is 1e400; the true tail infimum over the
+    # window is (1e400)^(1/1004), about 2.5, not the overflowed 1e100.
+    (["radius"],
+     {"vertices": 1005, "parents": [None, *range(1004)], "weights": [0] + [1e100] * 4 + [1.0] * 1000},
+     "error: the weight product from the root to vertex 4 overflows float64"),
+    # The only vertex at or past the tail start carries the overflowed product.
+    (["radius", "--tail-start", "4"],
+     {"vertices": 5, "parents": [None, 0, 1, 2, 3], "weights": [0] + [1e100] * 4},
+     "error: the weight product from the root to vertex 4 overflows float64"),
+], ids=["max_power", "triple_edge", "scalar_edge", "endpoint_range", "vertices_string",
+        "edges_string", "json_array", "peel_depth_2", "radius_root_only", "radius_overflow",
+        "radius_overflow_tail_start"])
+def test_refusals_exit_two_with_their_message(tmp_path, capsys, argv, doc, message):
+    out = str(tmp_path / "r")
+    tree = [] if doc is None else ["--tree", _spec_file(tmp_path, doc)]
+    assert _run([*argv, *tree, "--out", out]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not os.path.exists(out)
+
+
 _texts = st.text(max_size=6) | st.sampled_from([
     '', '"', '\\', 'a,b', 'say "hi"', 'x\ny', '\r\n', '\x00\x1f\x7f', 'é ü ∞ 🌲', ' ', '[]', '],\n[',
 ])

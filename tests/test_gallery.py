@@ -188,6 +188,20 @@ def test_path_radius_estimates():
         path_radius_estimate(mad, chain, -1)
     with pytest.raises(HorizonError):
         path_radius_estimate(mad, chain, 9)
+    # A root-only path has no vertex at depth >= 1 whatever the tail start.
+    with pytest.raises(HorizonError, match="^tail start 1 passes the end of a length-0 path$"):
+        path_radius_estimate(mad, PathSelector((0,)), 0)
+
+
+def test_path_radius_refuses_an_overflowed_product():
+    # 1e100^4 overflows at vertex 4, and every later product carries it,
+    # whether the tail starts before, at or past that vertex.
+    ray = load_shift({"vertices": 7, "parents": [None, 0, 1, 2, 3, 4, 5],
+                      "weights": [0, 1e100, 1e100, 1e100, 1e100, 1.0, 1.0]})
+    chain = enumerate_paths(ray.tree)[0]
+    for n in (1, 4, 6):
+        with pytest.raises(ValueError, match="^the weight product from the root to vertex 4 overflows"):
+            path_radius_estimate(ray, chain, n)
 
 
 def test_t2_peel_coefficient_closed_form():

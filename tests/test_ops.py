@@ -523,6 +523,13 @@ def test_from_dense_matches_per_vertex_route(parts):
     assert _cbits(f.coeffs.values()) == _cbits(want.coeffs.values())
 
 
+def test_from_dense_refuses_the_wrong_shape():
+    tree = make(GallerySpec(family="mad", depth=3)).tree
+    for arr in (np.zeros(3), np.zeros(5), np.zeros((4, 1))):
+        with pytest.raises(ValueError, match=r"^expected shape \(4,\), got "):
+            TreeVector.from_dense(tree, arr)
+
+
 def test_sparse_shift_and_adjoint_cost_the_support():
     # Reading the weights per touched vertex, not as one list of all N.
     s = make(GallerySpec(family="random", depth=17, params={"seed": 1, "branching": [2]}))

@@ -158,6 +158,21 @@ def test_spec_rejects_malformed_documents():
         parse_tree_spec({"vertices": ["a", "b"], "edges": [[0, 1]], "weights": [1.0, 2.0]})
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"vertices": 3, "parents": [None, 0, 0.9]}, "parents[2] must be an integer, got 0.9"),
+    ({"vertices": 3, "parents": [None, 0, "x"]}, "parents[2] must be an integer, got 'x'"),
+    ({"vertices": 3, "parents": [None, False, 0]}, "parents[1] must be an integer, got False"),
+    ({"vertices": ["a", "b", "c"], "edges": [[0, 1], [True, 2.5]]},
+     "edge endpoint must be an integer, got True"),
+    ({"vertices": ["a", "b", "c"], "edges": [[0, 1], [0, 2.0]]}, "edge endpoint must be an integer, got 2.0"),
+    ({"vertices": ["a", "b"], "edges": ["01"]}, "edge '01' is not a pair"),
+])
+def test_spec_ids_are_validated_not_truncated(spec, message):
+    with pytest.raises(TreeSpecError) as exc:
+        parse_tree_spec(spec)
+    assert str(exc.value) == message
+
+
 def test_explicit_weights_follow_relabeling():
     # Weights ride on edges; after BFS renumbering they key by child id.
     spec = {
