@@ -58,9 +58,6 @@ from .ops import (
     HorizonError,
     TreeVector,
     TruncatedShift,
-    _minus_norm,
-    _mixed_product,
-    _sum_sq,
     boundary_mass,
     is_injective,
     operator_norm_power,
@@ -236,11 +233,9 @@ def _build_shift(args) -> tuple[TruncatedShift, Optional[str], dict]:
 
 
 def _unit_random_vector(tree, rng) -> TreeVector:
-    x = np.empty(tree.n_vertices, dtype=complex)
-    x.real = rng.standard_normal(tree.n_vertices)
-    x.imag = rng.standard_normal(tree.n_vertices)
-    # f.scaled(1.0 / f.norm()) on the draw; zero entries add nothing to the norm.
-    return TreeVector.from_dense(tree, _mixed_product(1.0 / math.sqrt(_sum_sq(x)), x))
+    n = tree.n_vertices
+    f = TreeVector.from_dense(tree, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return f.scaled(1.0 / f.norm())
 
 
 def _run_norms(args, s: TruncatedShift, family: Optional[str]) -> dict:
@@ -399,7 +394,7 @@ def _run_wold(args, s: TruncatedShift, family: Optional[str]) -> dict:
     for case in range(args.cases):
         f = _unit_random_vector(s.tree, rng)
         comp = peel(s, f, horizon)
-        err = _minus_norm(reconstruct(s, comp).to_dense(), f.to_dense())
+        err = reconstruct(s, comp).minus(f).norm()
         nonzero = sum(1 for layer in comp.layers if layer.any())
         ok = ok and err <= args.tol
         rows.append([case, horizon, err, comp.residual.norm(), boundary_mass(s, f), nonzero])
@@ -574,7 +569,8 @@ def _run_peel(args, s: TruncatedShift, family: Optional[str]) -> dict:
     # The lower ray (2,1), (2,2), ...: one vertex on each level below (2,1).
     x = np.zeros(s.tree.n_vertices, dtype=complex)
     x[[level.start for level in s.tree.levels_below(v21)]] = 1.0 / np.arange(1, depth + 1)
-    comp = peel(s, TreeVector.from_dense(s.tree, x), depth)
+    f = TreeVector.from_dense(s.tree, x)
+    comp = peel(s, f, depth)
     k21 = int(np.searchsorted(comp.kernel_ids, v21))
     rows = []
     ok = True
@@ -586,7 +582,7 @@ def _run_peel(args, s: TruncatedShift, family: Optional[str]) -> dict:
         rows.append([j, peeled, closed, err, j <= checked_up_to])
         if j <= checked_up_to:
             ok = ok and err <= args.tol
-    roundtrip = _minus_norm(reconstruct(s, comp).to_dense(), x)
+    roundtrip = reconstruct(s, comp).minus(f).norm()
     ok = ok and roundtrip <= args.tol
     return {
         "inputs": {"profile": "f(lower ray, j) = 1/j"},

@@ -138,9 +138,5 @@ def mad_divergence_partial_sum(k_max: int, shift: Optional[TruncatedShift] = Non
     elif k_max > shift.max_depth:
         raise HorizonError(f"k_max {k_max} passes the truncation depth {shift.max_depth}")
     phi = Symbol.power_law(-1.5, k_max)
-    image = gamma_apply(shift, phi, TreeVector.basis(shift.tree, 0))
-    total = 0.0
-    for k in range(1, k_max + 1):
-        c = image.get(k)
-        total += (c * c.conjugate()).real
-    return total
+    image = gamma_apply(shift, phi, TreeVector.basis(shift.tree, 0)).to_dense()
+    return sum((c * c.conjugate()).real for c in image[1 : k_max + 1].tolist())  # vertex k at depth k

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .ops import TreeVector, TruncatedShift, _cmul, _join, _row_sums, _same_tree
+from .ops import TreeVector, TruncatedShift, _cmul, _join, _quiet, _row_sums, _same_tree
 from .tree import VertexId
 
 
@@ -107,22 +107,32 @@ class Symbol:
     @classmethod
     def from_json(cls, doc: Mapping) -> "Symbol":
         """Read {"coeffs": {"k": [re, im], ...}}, {"support": [[k, re, im], ...]}
-        or {"rule": ...}, the last two as written by ``to_json``."""
+        or {"rule": ...}, the last two as written by ``to_json``.
+
+        Values are validated, not converted: an order is an int, a part is
+        an int or a float, a rule parameter has its ``_RULES`` type (an int
+        or a float for a float), and none of them is a bool. Every refusal
+        is a ``ValueError`` that names the entry.
+        """
         keys = set(doc)
         if "coeffs" in keys:
             _expect_keys(keys, {"coeffs"})
             coeffs = doc["coeffs"]
             if not isinstance(coeffs, Mapping):
                 raise ValueError("symbol 'coeffs' must map orders to [re, im] pairs")
-            return cls.from_support((int(k), _re_im(c, k)) for k, c in coeffs.items())
+            return cls.from_support((_coeffs_order(k), _re_im(c, k)) for k, c in coeffs.items())
         if "support" in keys:
             if keys != {"support"}:
                 raise ValueError(f"unknown keys in symbol spec: {sorted(keys - {'support'})}")
-            return cls.from_support((int(k), complex(re, im)) for k, re, im in doc["support"])
+            support = doc["support"]
+            if not isinstance(support, (list, tuple)):
+                raise ValueError(f"symbol 'support' must be a list of [k, re, im] triples, got {support!r}")
+            return cls.from_support(_support_entry(i, e) for i, e in enumerate(support))
         if "rule" in keys:
-            names = [name for name, _ in _rule(doc["rule"])[1]]
-            _expect_keys(keys, {"rule", *names})
-            return _rule_symbol(doc["rule"], [doc[name] for name in names])
+            params = _rule(doc["rule"])[1]
+            _expect_keys(keys, {"rule", *(name for name, _ in params)})
+            values = [_typed(f"symbol rule parameter {name!r}", doc[name], typ) for name, typ in params]
+            return _rule_symbol(doc["rule"], values)
         raise ValueError("symbol spec needs one of 'coeffs', 'support' or 'rule'")
 
 
@@ -159,14 +169,37 @@ def _finite(c: complex, k) -> complex:
     return c
 
 
+def _typed(what: str, x, typ: type):
+    """x itself if it has type ``typ`` (an int or a float for float) and is not a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, float) if typ is float else typ):
+        raise ValueError(f"{what} must be {'a number' if typ is float else 'an integer'}, got {x!r}")
+    return x
+
+
+def _parts(what: str, re, im) -> complex:
+    return complex(_typed(f"the real part of {what}", re, float),
+                   _typed(f"the imaginary part of {what}", im, float))
+
+
 def _re_im(pair, k) -> complex:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"coefficient at order {k} must be a [re, im] pair, got {pair!r}")
+    return _parts(f"the coefficient at order {k}", *pair)
+
+
+def _coeffs_order(key) -> int:
+    """A 'coeffs' key: an order written as a decimal integer string, as JSON object keys are."""
     try:
-        re, im = pair
-        return complex(float(re), float(im))
+        return int(key)
     except (TypeError, ValueError):
-        raise ValueError(
-            f"coefficient at order {k} must be a [re, im] pair, got {pair!r}"
-        ) from None
+        raise ValueError(f"symbol 'coeffs' key {key!r} is not an integer order") from None
+
+
+def _support_entry(i: int, entry) -> tuple[int, complex]:
+    if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+        raise ValueError(f"symbol support entry {i} must be a [k, re, im] triple, got {entry!r}")
+    k = _typed(f"the order of symbol support entry {i}", entry[0], int)
+    return k, _parts(f"symbol support entry {i}", *entry[1:])
 
 
 def _expect_keys(keys: set, allowed: set) -> None:
@@ -304,27 +337,28 @@ def mult_column(s: TruncatedShift, phi: Symbol, u: VertexId) -> TreeVector:
     of the ancestor-sum route on purpose.
     """
     s.tree.check_vertex(u)
-    out: dict[VertexId, complex] = {}
-    prods = [1.0]
-    for k, level in enumerate(islice(s.tree.levels_below(u), phi.degree + 1)):
-        lo, hi = level.start, level.stop
-        if k:
-            up = (s.tree.parent[lo:hi] - lo_above).tolist()
-            prods = [prods[i] * w for i, w in zip(up, s.lam[lo:hi].tolist())]
-        pk = phi.value(k)
-        if pk != 0:
-            for v, prod in zip(level, prods):
-                out[v] = prod * pk
-        lo_above = lo
-    return TreeVector(s.tree, out)
+    ids, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
+    prods = np.ones(1)
+    with _quiet():
+        for k, level in enumerate(islice(s.tree.levels_below(u), phi.degree + 1)):
+            lo, hi = level.start, level.stop
+            if k:
+                prods = prods[s.tree.parent[lo:hi] - lo_above] * s.lam[lo:hi]
+            pk = phi.value(k)
+            if pk != 0:
+                ids.append(np.arange(lo, hi))
+                vals.append(_join(*_cmul(prods, 0.0, pk.real, pk.imag)))
+            lo_above = lo
+    return TreeVector._of(s.tree, np.concatenate(ids), np.concatenate(vals))
 
 
 def rotate_vector(f: TreeVector, w: complex) -> TreeVector:
     """Generation-graded rotation f(v) -> w**depth(v) * f(v), |w| = 1."""
     w = _check_unimodular(w)
-    depth = f.tree.depth
-    powers = _powers(w, f.tree.max_depth)
-    return TreeVector(f.tree, {v: powers[depth.item(v)] * c for v, c in f.coeffs.items()})
+    powers = np.array(_powers(w, f.tree.max_depth))[f.tree.depth[f._ids]]
+    with _quiet():
+        vals = _join(*_cmul(powers.real, powers.imag, f._vals.real, f._vals.imag))
+    return TreeVector._of(f.tree, f._ids, vals)
 
 
 def rotate_symbol(phi: Symbol, w: complex) -> Symbol:
@@ -392,7 +426,7 @@ def circle_pair_integral(
         )
     roots = [cmath.exp(2j * math.pi * j / n_points) for j in range(n_points)]
     x = f.to_dense()
-    cols, gs = g._entries()
+    cols, gs = g._ids, g._vals
     gc_re, gc_im = gs.real, -gs.imag  # conj(g), in g's insertion order
     finite_g = bool(np.isfinite(gs).all())
     chunk = max(1, _CHUNK_ENTRIES // s.tree.n_vertices)
@@ -479,7 +513,7 @@ def sot_error_profile(
     for i, f in enumerate(probes):
         _same_tree(s, f)
         reference = gamma_apply(s, phi, f)
-        col_mass = sum(abs(c) * mult_column(s, phi, u).norm() for u, c in f.coeffs.items())
+        col_mass = sum(abs(c) * mult_column(s, phi, u).norm() for u, c in f.items())
         prev = None
         for n in levels:
             damped = hadamard(fejer_symbol(n), phi)

@@ -77,43 +77,36 @@ def _weight_array(
 class TreeVector:
     """A sparse vector over the vertex set, coefficients complex.
 
-    Exact-zero coefficients are pruned at construction so the stored
-    support is the true support. A vector made by ``from_dense`` keeps a
-    pruned copy of its array, which ``norm``, ``support`` and ``to_dense``
-    read as it is, until ``coeffs`` is first read; that builds the dict,
-    which from then on is its only form.
+    The vector is two arrays, the ids of its nonzero coefficients and
+    their values, in the order ``coeffs`` lists them: insertion order for
+    a mapping, ascending ids for ``from_dense``. Every method but
+    ``to_dense`` and ``from_dense`` costs O(entries), up to a log factor.
+    The arithmetic is CPython's complex arithmetic on split parts, bitwise
+    equal to a per-vertex dict loop, so an overflow or a 0 * inf term
+    gives inf or NaN without a warning.
     """
 
-    __slots__ = ("tree", "_coeffs", "_array")
+    __slots__ = ("tree", "_ids", "_vals")
 
     def __init__(self, tree: DirectedTree, coeffs: Optional[Mapping[VertexId, complex]] = None):
-        self.tree = tree
-        self._array = None
-        clean: dict[VertexId, complex] = {}
-        if coeffs:
-            n = tree.n_vertices
-            for v, c in coeffs.items():
-                if not 0 <= v < n:
-                    raise ValueError(f"invalid vertex id {v!r}")
-                c = complex(c)
-                if c != 0:
-                    clean[v] = c
-        self._coeffs = clean
+        coeffs = coeffs or {}
+        for v in coeffs:
+            tree.check_vertex(v)
+        n = len(coeffs)
+        ids = np.fromiter(coeffs, np.intp, n)
+        self.tree, self._ids, self._vals = tree, *_nonzero(ids, np.fromiter(coeffs.values(), complex, n))
+
+    @classmethod
+    def _of(cls, tree: DirectedTree, ids: np.ndarray, vals: np.ndarray) -> "TreeVector":
+        """A vector from valid ids and their values, in order; exact zeros are pruned."""
+        out = cls.__new__(cls)
+        out.tree, out._ids, out._vals = tree, *_nonzero(ids, vals)
+        return out
 
     @property
     def coeffs(self) -> dict[VertexId, complex]:
-        if self._coeffs is None:
-            ids, vals = self._entries()
-            self._coeffs, self._array = dict(zip(ids.tolist(), vals.tolist())), None
-        return self._coeffs
-
-    def _entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ids and values of the nonzero coefficients, in ``coeffs`` order, without the dict."""
-        if self._coeffs is None:
-            ids = np.flatnonzero(self._array)
-            return ids, self._array[ids]
-        n = len(self._coeffs)
-        return np.fromiter(self._coeffs, np.intp, n), np.fromiter(self._coeffs.values(), complex, n)
+        """{id: value} in entry order, a new dict on each read."""
+        return dict(zip(self._ids.tolist(), self._vals.tolist()))
 
     @classmethod
     def zero(cls, tree: DirectedTree) -> "TreeVector":
@@ -121,98 +114,105 @@ class TreeVector:
 
     @classmethod
     def basis(cls, tree: DirectedTree, u: VertexId) -> "TreeVector":
-        tree.check_vertex(u)
         return cls(tree, {u: 1.0})
 
     def get(self, v: VertexId) -> complex:
-        return self.coeffs.get(v, 0j)
+        hit = np.flatnonzero(self._ids == v)
+        return complex(self._vals[hit[0]]) if hit.size else 0j
 
     def items(self):
         return self.coeffs.items()
 
     @property
     def support(self) -> list[VertexId]:
-        return np.sort(self._entries()[0]).tolist()
+        return np.sort(self._ids).tolist()
 
     def norm(self) -> float:
-        return math.sqrt(_sum_sq(self._entries()[1]))
+        return math.sqrt(_sum_sq(self._vals))
+
+    def _find(self, ids: np.ndarray) -> np.ndarray:
+        """Each of ``ids``' position among ``self``'s entries, -1 where it has none.
+
+        A table over ``self``'s id range where that range is at most a few
+        times the entry count, else a sorted search, so nothing costs O(N).
+        """
+        own = self._ids
+        lo, hi = (own.min(), own.max()) if own.size else (0, -1)
+        if hi - lo < 4 * (len(own) + len(ids)):
+            table = np.full(hi - lo + 2, -1)  # the last slot answers the ids outside the range
+            table[own - lo] = np.arange(len(own))
+            return table[np.clip(ids - lo, -1, hi - lo + 1)]
+        order = np.argsort(own)
+        pos = order[np.minimum(np.searchsorted(own, ids, sorter=order), len(own) - 1)]
+        return np.where(own[pos] == ids, pos, -1)
 
     def inner(self, other: "TreeVector") -> complex:
         """<self, other> = sum of self(v) * conj(other(v)).
 
         The sum runs from 0 over ``other``'s entries in insertion order,
-        skipping the vertices outside ``self``'s support, so it costs
-        O(len(other)) whatever the size of ``self``.
+        skipping the vertices outside ``self``'s support.
         """
         _same_tree(self, other)
-        a = self.coeffs
-        return sum(a[v] * c.conjugate() for v, c in other.coeffs.items() if v in a)
-
-    @classmethod
-    def _of(cls, tree: DirectedTree, coeffs: dict[VertexId, complex]) -> "TreeVector":
-        """A vector from valid ids and Python complex values; zeros are pruned."""
-        out = cls(tree)
-        out._coeffs = {v: c for v, c in coeffs.items() if c}
-        return out
+        pos = self._find(other._ids)
+        a, b = self._vals[pos[pos >= 0]], other._vals[pos >= 0]
+        with _quiet():
+            sums = _row_sums(np.stack(_cmul(a.real, a.imag, b.real, -b.imag)))
+        return complex(*sums.tolist())
 
     def plus(self, other: "TreeVector") -> "TreeVector":
+        """As a dict of self's entries adds other's in turn: a shared id keeps
+        its place, a new one goes last as 0j + other(v)."""
         _same_tree(self, other)
-        out = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            out[v] = out.get(v, 0j) + c
-        return TreeVector._of(self.tree, out)
+        pos = self._find(other._ids)
+        hit = pos >= 0
+        out, new = self._vals.copy(), other._vals[~hit]
+        with _quiet():
+            out[pos[hit]] += other._vals[hit]
+            new = _join(new.real + 0.0, new.imag + 0.0)
+        ids = np.concatenate([self._ids, other._ids[~hit]])
+        return TreeVector._of(self.tree, ids, np.concatenate([out, new]))
 
     def minus(self, other: "TreeVector") -> "TreeVector":
-        """self.plus(other.scaled(-1.0))."""
-        return self.plus(TreeVector._of(other.tree, {v: -1.0 * c for v, c in other.coeffs.items()}))
+        return self.plus(other.scaled(-1.0))
 
     def scaled(self, c: complex) -> "TreeVector":
-        return TreeVector(self.tree, {v: c * x for v, x in self.coeffs.items()})
+        """c * self(v) at every v, as CPython multiplies complex(c) by a complex."""
+        c = complex(c)
+        with _quiet():
+            vals = _join(*_cmul(c.real, c.imag, self._vals.real, self._vals.imag))
+        return TreeVector._of(self.tree, self._ids, vals)
 
     def restricted(self, vertices: Iterable[VertexId]) -> "TreeVector":
-        keep = set(vertices)
-        return TreeVector(self.tree, {v: c for v, c in self.coeffs.items() if v in keep})
+        keep = np.isin(self._ids, list(vertices))
+        return TreeVector._of(self.tree, self._ids[keep], self._vals[keep])
 
     def to_dense(self) -> np.ndarray:
-        if self._coeffs is None:
-            return self._array.copy()
-        ids, vals = self._entries()
         out = np.zeros(self.tree.n_vertices, dtype=complex)
-        out[ids] = vals
+        out[self._ids] = self._vals
         return out
 
     @classmethod
     def from_dense(cls, tree: DirectedTree, arr: np.ndarray) -> "TreeVector":
-        """The nonzero entries of a complex (N,) array, in ascending id order.
-
-        The vector keeps a copy of ``arr`` in which the entries with both
-        parts zero are +0, and builds its dict on first read of ``coeffs``.
-        """
-        dense = np.array(arr, dtype=complex)
+        """The nonzero entries of a complex (N,) array, in ascending id order."""
+        dense = np.asarray(arr, dtype=complex)
         if dense.shape != (tree.n_vertices,):
             raise ValueError(f"expected shape ({tree.n_vertices},), got {dense.shape}")
-        out = cls(tree)
-        out._coeffs, out._array = None, _pruned(dense)
-        return out
+        ids = np.flatnonzero(dense)
+        return cls._of(tree, ids, dense[ids])
 
     def __repr__(self) -> str:
-        return f"TreeVector(support={len(self._entries()[0])}, norm={self.norm():.6g})"
+        return f"TreeVector(support={len(self._ids)}, norm={self.norm():.6g})"
 
 
-def _pruned(x: np.ndarray) -> np.ndarray:
-    """Entries with both parts zero become +0, as a ``TreeVector`` drops them."""
-    x[x == 0] = 0
-    return x
+def _nonzero(ids: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries whose value has a nonzero or NaN part, in order."""
+    keep = vals != 0
+    return (ids, vals) if keep.all() else (ids[keep], vals[keep])
 
 
-def _minus_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """norm(A.minus(B)) for the ``from_dense`` vectors A, B of two complex (N,) arrays.
-
-    The terms run in the key order of ``minus``: a's nonzero ids ascending,
-    then the ids where only b is nonzero.
-    """
-    order = np.concatenate([np.flatnonzero(a), np.flatnonzero((a == 0) & (b != 0))])
-    return math.sqrt(_sum_sq((a - b)[order]))
+def _quiet() -> np.errstate:
+    """A fresh errstate under which overflow and 0 * inf pass silently, as in CPython."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _sum_sq(values: np.ndarray) -> float:
@@ -398,8 +398,8 @@ def _cmul(ar, ai, br, bi):
     """CPython's complex product (ar + ai i)(br + bi i), on split parts.
 
     numpy's complex multiply rounds differently, so every product that
-    must match the per-vertex ``TreeVector`` route bit for bit is spelled
-    out here. A float x enters as the parts (x, 0.0), as CPython promotes it.
+    must match CPython's complex arithmetic bit for bit is spelled out
+    here. A float x enters as the parts (x, 0.0), as CPython promotes it.
     """
     return ar * br - ai * bi, ar * bi + ai * br
 
@@ -466,8 +466,8 @@ def apply_shift(
     matches the ``TreeVector`` route bit for bit, signs of zero parts
     included. A block scales its real and imaginary parts by lam, which
     agrees with it except for the sign of a zero part and skips two
-    products per entry. The ``TreeVector`` route costs O(support +
-    children) per call.
+    products per entry. The ``TreeVector`` route lists the children of
+    each entry of f in turn and costs O(support + children) per call.
     """
     if isinstance(f, np.ndarray):
         size = _prefix(s, f)
@@ -480,13 +480,13 @@ def apply_shift(
         out[0] = 0
         return out
     _same_tree(s, f)
-    lam = s.lam
     first = s.tree.first_child
-    out: dict[VertexId, complex] = {}
-    for u, c in f.coeffs.items():
-        for w in range(first.item(u), first.item(u + 1)):
-            out[w] = lam.item(w) * c
-    return TreeVector(s.tree, out)
+    starts, counts = first[f._ids], first[f._ids + 1] - first[f._ids]
+    # The children of each entry in turn, as one run of ids per entry.
+    ids = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    with _quiet():
+        vals = _mixed_product(s.lam[ids], np.repeat(f._vals, counts))
+    return TreeVector._of(s.tree, ids, vals)
 
 
 def apply_adjoint(
@@ -500,12 +500,13 @@ def apply_adjoint(
     On a complex (L,) vector or (L, k) block, with L as in
     ``apply_shift``, the products are CPython's float-times-complex
     products and each parent's sum is one sequential ``np.bincount`` over
-    ascending child ids, real and imaginary parts separately. That is the
-    ``TreeVector`` route's arithmetic whenever its input lists each
-    parent's children in ascending id order, as every input in ascending
-    id order does. On a prefix the result is the full-size result of the
-    zero-padded input, cut to L. The ``TreeVector`` route costs
-    O(support) per call.
+    ascending child ids, real and imaginary parts separately. The
+    ``TreeVector`` route sums over f's entry order instead, so the two
+    agree bit for bit whenever f lists each parent's children in ascending
+    id order, as every input in ascending id order does; it lists each
+    parent where its first child comes in f and costs O(support log
+    support) per call. On a prefix the result is the full-size result of
+    the zero-padded input, cut to L.
     """
     if isinstance(f, np.ndarray):
         size = _prefix(s, f)
@@ -519,22 +520,21 @@ def apply_adjoint(
         out.imag = np.bincount(slots, terms.imag.ravel(), minlength=size * k).reshape(f.shape)
         return out
     _same_tree(s, f)
-    lam = s.lam
-    parent = s.tree.parent
-    out: dict[VertexId, complex] = {}
-    for v, c in f.coeffs.items():
-        p = parent.item(v)
-        if p >= 0:
-            out[p] = out.get(p, 0j) + lam.item(v) * c
-    return TreeVector(s.tree, out)
+    below = f._ids > 0  # the root has no parent
+    kids = f._ids[below]
+    with _quiet():
+        terms = _mixed_product(s.lam[kids], f._vals[below])
+        parents, first, slot = np.unique(s.tree.parent[kids], return_index=True, return_inverse=True)
+        sums = _join(*(np.bincount(slot, x, minlength=len(parents)) for x in (terms.real, terms.imag)))
+    order = np.argsort(first)  # each parent where its first child comes in f
+    return TreeVector._of(s.tree, parents[order], sums[order])
 
 
 def boundary_mass(s: TruncatedShift, f: TreeVector) -> float:
     """Norm of the part of f sitting at the deepest generation."""
     _same_tree(s, f)
     deepest = s.tree.gen_offsets.item(-2)  # the first id at the deepest generation
-    ids, vals = f._entries()
-    return math.sqrt(_sum_sq(vals[ids >= deepest]))
+    return math.sqrt(_sum_sq(f._vals[f._ids >= deepest]))
 
 
 def power_norm(s: TruncatedShift, u: VertexId, n: int) -> float:

@@ -141,7 +141,7 @@ class DirectedTree:
         )
 
     def check_vertex(self, v: VertexId) -> None:
-        if not isinstance(v, (int, np.integer)) or not 0 <= v < self.n_vertices:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < self.n_vertices:
             raise ValueError(f"invalid vertex id {v!r}")
 
     def vertex_with_label(self, label: str) -> VertexId:
@@ -266,6 +266,18 @@ def _integer(name: str, x: object) -> int:
     return int(x)
 
 
+def _real(name: str, x: object) -> float:
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TreeSpecError(f"{name} must be a number, got {x!r}")
+    return float(x)
+
+
+def _reals(name: str, xs: object) -> list[float]:
+    if isinstance(xs, (str, bytes)) or not isinstance(xs, (Sequence, np.ndarray)):
+        raise TreeSpecError(f"{name} must be a list of numbers, got {xs!r}")
+    return [_real(f"{name}[{i}]", x) for i, x in enumerate(xs)]
+
+
 def _ray_parents(depth: int, p: Mapping[str, object]):
     return np.arange(-1, depth), None, None
 
@@ -316,7 +328,7 @@ def _broom_weights(tree: DirectedTree, p: Mapping[str, object]) -> np.ndarray:
     arms = tree.first_child.item(1) - tree.first_child.item(0)
     if p["weights"] is None:
         return 1.0 / np.arange(1, arms + 1)
-    vals = np.array([float(w) for w in p["weights"]])  # type: ignore[union-attr]
+    vals = np.array(_reals("weights", p["weights"]))
     if len(vals) != arms:
         raise TreeSpecError(f"expected {arms} arm weights, got {len(vals)}")
     if np.any(vals <= 0):
@@ -325,7 +337,7 @@ def _broom_weights(tree: DirectedTree, p: Mapping[str, object]) -> np.ndarray:
 
 
 def _broom_leaf_weights(tree: DirectedTree, p: Mapping[str, object]) -> np.ndarray:
-    omega = float(p["omega_weight"])  # type: ignore[arg-type]
+    omega = _real("omega_weight", p["omega_weight"])
     if omega <= 0:
         raise TreeSpecError("omega_weight must be positive")
     return np.append(_broom_weights(tree, p), omega)
@@ -334,7 +346,7 @@ def _broom_leaf_weights(tree: DirectedTree, p: Mapping[str, object]) -> np.ndarr
 def _t2_weights(tree: DirectedTree, p: Mapping[str, object]) -> np.ndarray:
     if p["alpha"] is None:
         raise TreeSpecError("t2 requires params['alpha']")
-    alpha = float(p["alpha"])  # type: ignore[arg-type]
+    alpha = _real("alpha", p["alpha"])
     if not 0.0 < alpha < 1.0:
         raise TreeSpecError(f"alpha must lie in (0, 1), got {alpha}")
     return np.tile([1.0, alpha], tree.max_depth)
@@ -367,7 +379,7 @@ def _balanced_weights(tree: DirectedTree, p: Mapping[str, object]) -> np.ndarray
     if norms is None:
         norms = [1.0] * depth
     else:
-        norms = [float(g) for g in norms]  # type: ignore[union-attr]
+        norms = _reals("generation_norms", norms)
         if len(norms) < depth:
             raise TreeSpecError(f"need {depth} generation norms, got {len(norms)}")
         if any(g <= 0 for g in norms):
@@ -537,9 +549,9 @@ def parse_tree_spec(spec: Mapping[str, object]) -> tuple[DirectedTree, Optional[
             raise TreeSpecError(f"second root: parents[{roots[1]}] is null")
         weights = spec.get("weights")
         if weights is not None:
-            if not isinstance(weights, Sequence) or len(weights) != n:
-                raise TreeSpecError("weights must have one entry per vertex")
-            weights = weights[1:]
+            if isinstance(weights, str) or not isinstance(weights, Sequence) or len(weights) != n:
+                raise TreeSpecError("weights must be a list with one entry per vertex")
+            weights = [_real(f"weights[{v}]", w) for v, w in enumerate(weights) if v]  # the root's is ignored
         edges = [(_integer(f"parents[{c}]", p), c) for c, p in enumerate(parents) if c]
         return _explicit([str(i) for i in range(n)], edges, weights)
     if "vertices" in keys:
@@ -563,11 +575,12 @@ def _explicit(
     tree, new_id = _assemble(labels, edges)
     if weights_in is None:
         return tree, None
-    if not isinstance(weights_in, Sequence) or len(weights_in) != len(edges):
+    weights_in = _reals("weights", weights_in)
+    if len(weights_in) != len(edges):
         raise TreeSpecError("weights must parallel the edge list")
     by_vertex = np.zeros(tree.n_vertices)
     for (_, c), w in zip(edges, weights_in):
-        by_vertex[new_id[c]] = float(w)
+        by_vertex[new_id[c]] = w
     return tree, by_vertex[1:]
 
 

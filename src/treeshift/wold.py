@@ -33,14 +33,15 @@ O(N) on a tree that branches geometrically, O(max_depth^2) on a ray.
 The layers are stored on the kernel basis' support only, O(N) entries
 in all.
 
-Order contract. The arithmetic is the per-vertex ``TreeVector`` route's
-(kept in the test suite as the bitwise reference), spelled out on real
-and imaginary parts: CPython's complex products (``ops._cmul``) and
-quotients, a float promoted to complex(x, 0.0), and every sum sequential
-from 0.0 in the order that route visits its terms. Every inner product
-walks the basis vector's keys in insertion order, as ``TreeVector.inner``
-does, so ``project_kernel`` is bitwise equal to that route for every
-finite input, in any order. ``peel`` and ``reconstruct``
+Order contract. The arithmetic is the per-vertex scalar route's, spelled
+out on real and imaginary parts: CPython's complex products
+(``ops._cmul``) and quotients, a float promoted to complex(x, 0.0), and
+every sum sequential from 0.0 in the order that route visits its terms.
+The ``loop_*`` oracles in ``tests/oracles.py`` run that route on
+``DictVector``, one dict per vector, as the bitwise reference. Every
+inner product walks the basis vector's keys in insertion order, as
+``TreeVector.inner`` does, so ``project_kernel`` is bitwise equal to that
+route for every finite input, in any order. ``peel`` and ``reconstruct``
 are bitwise equal to it when it walks each sibling set in ascending id
 order. It does for inputs in ascending id order that fill every
 generation they touch, unless an intermediate entry cancels to exactly
@@ -52,6 +53,7 @@ dense route where the scalar route skips it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Optional, Sequence
@@ -65,7 +67,6 @@ from .ops import (
     _cmul,
     _join,
     _mixed_product,
-    _pruned,
     _row_sums,
     _same_tree,
     apply_adjoint,
@@ -170,13 +171,10 @@ class KernelBasis:
     def blocks(self) -> tuple[KernelBlock, ...]:
         blocks = {}
         for cls in self.classes:
-            keys = (cls.first[:, None, None] + cls.order).tolist()
-            vals = cls.vecs[:, np.arange(len(cls.nkeys))[:, None], cls.order].tolist()
+            keys = cls.first[:, None, None] + cls.order
+            vals = cls.vecs[:, np.arange(len(cls.nkeys))[:, None], cls.order]
             for u, ks, vs in zip(cls.parents.tolist(), keys, vals):
-                vectors = tuple(
-                    TreeVector(self.tree, dict(zip(k[:n], v[:n])))
-                    for n, k, v in zip(cls.nkeys.tolist(), ks, vs)
-                )
+                vectors = tuple(TreeVector._of(self.tree, k[:n], v[:n]) for n, k, v in zip(cls.nkeys, ks, vs))
                 blocks[u] = KernelBlock(parent=None if u < 0 else u, vectors=vectors)
         return tuple(blocks[u] for u in sorted(blocks))
 
@@ -212,9 +210,7 @@ class WoldComponents:
     @cached_property
     def components(self) -> tuple[TreeVector, ...]:
         ids = self.kernel_ids
-        return tuple(
-            TreeVector._of(self.tree, dict(zip(ids[: len(x)].tolist(), x.tolist()))) for x in self.layers
-        )
+        return tuple(TreeVector._of(self.tree, ids[: len(x)], x) for x in self.layers)
 
     @cached_property
     def residual(self) -> TreeVector:
@@ -253,30 +249,34 @@ def _sibling_block(s: TruncatedShift, u: VertexId) -> Optional[_SiblingClass]:
 
     Used for the sibling sets with both zero and positive weights, and for
     the rare positive sets where ``_class_blocks`` meets an exact zero.
+    The modified Gram-Schmidt pass runs on dicts {child id: value}, with
+    ``TreeVector``'s term order and rounding, at less cost than numpy calls.
     """
     tree = s.tree
     kids = range(tree.first_child.item(u), tree.first_child.item(u + 1))
     weights = s.lam[kids.start:kids.stop].tolist()
     pivot_pos = next(i for i, w in enumerate(weights) if w != 0)
     pivot = kids[pivot_pos]
-    # lam(v) e_pivot - lam(pivot) e_v is annihilated exactly.
-    candidates = [
-        TreeVector(tree, {pivot: weights[i], v: -weights[pivot_pos]})
-        for i, v in enumerate(kids)
-        if i != pivot_pos
-    ]
-    vecs: list[TreeVector] = []
-    for work in candidates:
+    vecs: list[dict] = []
+    for i, v in enumerate(kids):
+        if i == pivot_pos:
+            continue
+        # lam(v) e_pivot - lam(pivot) e_v is annihilated exactly; exact zeros are dropped.
+        work = {x: complex(w) for x, w in ((pivot, weights[i]), (v, -weights[pivot_pos])) if w}
         for b in vecs:
-            work = work.minus(b.scaled(work.inner(b)))
-        nrm = work.norm()
+            k = sum(work[x] * c.conjugate() for x, c in b.items() if x in work)  # work.inner(b)
+            for x, c in b.items():  # work.minus(b.scaled(k))
+                if step := -1.0 * (k * c):
+                    work[x] = work.get(x, 0j) + step
+            work = {x: c for x, c in work.items() if c}
+        nrm = math.sqrt(sum((c * c.conjugate()).real for c in work.values()))
         if nrm > 1e-14:
-            vecs.append(work.scaled(1.0 / nrm))
+            vecs.append({x: y for x, c in work.items() if (y := 1.0 / nrm * c)})
     if not vecs:
         return None
-    keys = [[v - kids.start for v in b.coeffs] for b in vecs]
+    keys = [[v - kids.start for v in b] for b in vecs]
     order = np.array([k + [i for i in range(len(kids)) if i not in k] for k in keys])
-    block = np.array([[[b.get(v) for v in kids] for b in vecs]])
+    block = np.array([[[b.get(v, 0j) for v in kids] for b in vecs]])
     nkeys = np.array([len(k) for k in keys])
     return _SiblingClass(np.array([u]), np.array([kids.start]), block, order, nkeys)
 
@@ -438,6 +438,12 @@ def project_kernel(s: TruncatedShift, f: TreeVector, basis: Optional[KernelBasis
         basis = kernel_basis(s)
     _same_tree(s, basis)
     return TreeVector.from_dense(s.tree, _project(basis, x, s.tree.n_vertices))
+
+
+def _pruned(x: np.ndarray) -> np.ndarray:
+    """Entries with both parts zero become +0, as a ``TreeVector`` drops them."""
+    x[x == 0] = 0
+    return x
 
 
 def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:

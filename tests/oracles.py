@@ -17,13 +17,100 @@ import numpy as np
 from treeshift import (
     KernelBlock,
     TreeVector,
-    apply_adjoint,
-    apply_shift,
     build_tree,
     gamma_apply,
     rotate_symbol,
 )
 from treeshift.ops import _cmul
+
+
+class DictVector:
+    """The vector as one dict {vertex id: complex}, every operation a loop over it.
+
+    This is the per-vertex route ``TreeVector`` reproduces bit for bit:
+    CPython's complex arithmetic, sums from 0 in entry order, insertion
+    order kept, exact zeros pruned. The ``loop_*`` oracles run on it.
+    """
+
+    def __init__(self, tree, coeffs=None):
+        self.tree = tree
+        self.coeffs = {}
+        for v, c in (coeffs or {}).items():
+            tree.check_vertex(v)
+            c = complex(c)
+            if c != 0:
+                self.coeffs[v] = c
+
+    @classmethod
+    def of(cls, f):
+        """The dict form of a ``TreeVector`` (or of another ``DictVector``)."""
+        return cls(f.tree, f.coeffs)
+
+    @classmethod
+    def basis(cls, tree, u):
+        return cls(tree, {u: 1.0})
+
+    def get(self, v):
+        return self.coeffs.get(v, 0j)
+
+    def items(self):
+        return self.coeffs.items()
+
+    @property
+    def support(self):
+        return sorted(self.coeffs)
+
+    def norm(self):
+        return math.sqrt(sum((c * c.conjugate()).real for c in self.coeffs.values()))
+
+    def inner(self, other):
+        a = self.coeffs
+        return sum(a[v] * c.conjugate() for v, c in other.coeffs.items() if v in a)
+
+    def plus(self, other):
+        out = dict(self.coeffs)
+        for v, c in other.coeffs.items():
+            out[v] = out.get(v, 0j) + c
+        return DictVector(self.tree, out)
+
+    def minus(self, other):
+        return self.plus(other.scaled(-1.0))
+
+    def scaled(self, c):
+        return DictVector(self.tree, {v: c * x for v, x in self.coeffs.items()})
+
+    def restricted(self, vertices):
+        keep = set(vertices)
+        return DictVector(self.tree, {v: c for v, c in self.coeffs.items() if v in keep})
+
+    def to_dense(self):
+        out = np.zeros(self.tree.n_vertices, dtype=complex)
+        for v, c in self.coeffs.items():
+            out[v] = c
+        return out
+
+    @classmethod
+    def from_dense(cls, tree, arr):
+        return cls(tree, {v: complex(c) for v, c in enumerate(np.asarray(arr, dtype=complex).tolist())})
+
+
+def loop_apply_shift(s, f):
+    """(S f)(w) = lam(w) * f(u) for each child w of each entry u, in turn."""
+    out = {}
+    for u, c in f.items():
+        for w in s.tree.children[u]:
+            out[w] = float(s.lam[w]) * c
+    return DictVector(s.tree, out)
+
+
+def loop_apply_adjoint(s, f):
+    """(S* f)(p) accumulated over f's entries in order, from 0j."""
+    out = {}
+    for v, c in f.items():
+        p = int(s.tree.parent[v])
+        if p >= 0:
+            out[p] = out.get(p, 0j) + float(s.lam[v]) * c
+    return DictVector(s.tree, out)
 
 
 def dense_shift_matrix(s):
@@ -74,28 +161,29 @@ def random_vector(tree, rng, unit=False):
 
 
 def vector_from_dense(tree, arr):
-    return TreeVector(tree, {v: complex(arr[v]) for v in range(tree.n_vertices)})
+    return DictVector.from_dense(tree, arr)
 
 
 def loop_circle_pair_integral(s, q, phi, f, g, n_points=None):
     """The circle quadrature as one rotated-symbol ``gamma_apply`` and one
-    ``TreeVector.inner`` per root of unity, summed in ascending root order."""
+    dict inner product per root of unity, summed in ascending root order."""
     if n_points is None:
         n_points = 2 * (q.degree + phi.degree + s.max_depth) + 1
+    g = DictVector.of(g)
     total = 0j
     for j in range(n_points):
         w = cmath.exp(2j * math.pi * j / n_points)
-        total += q(w) * gamma_apply(s, rotate_symbol(phi, w), f).inner(g)
+        total += q(w) * DictVector.of(gamma_apply(s, rotate_symbol(phi, w), f)).inner(g)
     return total / n_points
 
 
 def loop_dense_images(s, n, basis):
-    """S^n of every basis vector, one ``TreeVector`` shifted n times per
+    """S^n of every basis vector, one ``DictVector`` shifted n times per
     column, densified and stacked side by side."""
     cols = []
-    for b in basis.vectors():
+    for b in map(DictVector.of, basis.vectors()):
         for _ in range(n):
-            b = apply_shift(s, b)
+            b = loop_apply_shift(s, b)
         cols.append(b.to_dense())
     if not cols:
         return np.zeros((s.tree.n_vertices, 0), dtype=complex)
@@ -103,18 +191,18 @@ def loop_dense_images(s, n, basis):
 
 
 def _loop_sibling_block(s, u):
-    """One parent's kernel block: modified Gram-Schmidt on TreeVectors."""
+    """One parent's kernel block: modified Gram-Schmidt on DictVectors."""
     tree = s.tree
     kids = tree.children[u]
     if not kids:
         return None
     weights = s.lam[kids.start:kids.stop].tolist()
     if all(w == 0 for w in weights):
-        return KernelBlock(parent=u, vectors=tuple(TreeVector.basis(tree, v) for v in kids))
+        return KernelBlock(parent=u, vectors=tuple(DictVector.basis(tree, v) for v in kids))
     pivot_pos = next(i for i, w in enumerate(weights) if w != 0)
     pivot = kids[pivot_pos]
     candidates = [
-        TreeVector(tree, {pivot: weights[i], v: -weights[pivot_pos]})
+        DictVector(tree, {pivot: weights[i], v: -weights[pivot_pos]})
         for i, v in enumerate(kids)
         if i != pivot_pos
     ]
@@ -131,7 +219,7 @@ def _loop_sibling_block(s, u):
 def loop_kernel_basis(s, interior_only=True):
     """The kernel blocks one parent at a time, as a list in id order, root first."""
     tree = s.tree
-    blocks = [KernelBlock(parent=None, vectors=(TreeVector.basis(tree, 0),))]
+    blocks = [KernelBlock(parent=None, vectors=(DictVector.basis(tree, 0),))]
     end = tree.gen_offsets.item(max(0, tree.max_depth - (1 if interior_only else 0)))
     for u in range(end):
         block = _loop_sibling_block(s, u)
@@ -142,6 +230,7 @@ def loop_kernel_basis(s, interior_only=True):
 
 def loop_project_kernel(s, f, blocks):
     """Sum over the basis vectors b of <f, b> b, accumulated in a dict."""
+    f = DictVector.of(f)
     out = {}
     for block in blocks:
         for b in block.vectors:
@@ -150,7 +239,7 @@ def loop_project_kernel(s, f, blocks):
                 continue
             for v, c in b.items():
                 out[v] = out.get(v, 0j) + coeff * c
-    return TreeVector(s.tree, out)
+    return DictVector(s.tree, out)
 
 
 def cumsum_project(basis, x, upto):
@@ -176,13 +265,14 @@ def cumsum_project(basis, x, upto):
 
 
 def _loop_left_invert(s, r):
-    up = apply_adjoint(s, r)
+    up = loop_apply_adjoint(s, r)
     col = s.power_norms_sq(1)
-    return TreeVector(s.tree, {u: c / float(col[u]) for u, c in up.items() if col[u] > 0})
+    return DictVector(s.tree, {u: c / float(col[u]) for u, c in up.items() if col[u] > 0})
 
 
 def loop_peel(s, f, horizon):
-    """(layers, residual) of the Wold peel on TreeVectors, step by step."""
+    """(layers, residual) of the Wold peel on DictVectors, step by step."""
+    f = DictVector.of(f)
     interior = loop_kernel_basis(s)
     parents = s.tree.generations[s.max_depth - 1] if s.max_depth else ()
     boundary = [b for b in map(lambda u: _loop_sibling_block(s, u), parents) if b is not None]
@@ -199,15 +289,15 @@ def loop_peel(s, f, horizon):
     for _ in range(horizon):
         if not tail.coeffs:
             break
-        tail = apply_shift(s, tail)
+        tail = loop_apply_shift(s, tail)
     return layers, boundary_part.plus(tail)
 
 
 def loop_reconstruct(s, layers, residual):
     """Sum of S^k layers[k] plus the residual, Horner style."""
-    acc = TreeVector.zero(s.tree)
+    acc = DictVector(s.tree)
     for layer in reversed(layers):
-        acc = layer.plus(apply_shift(s, acc)) if acc.coeffs else layer
+        acc = layer.plus(loop_apply_shift(s, acc)) if acc.coeffs else layer
     return acc.plus(residual)
 
 

@@ -192,6 +192,9 @@ def _spec_file(tmp_path, doc):
     return str(spec)
 
 
+_APPROX_PHI = ["approx", "--family", "mad", "--depth", "4", "--levels", "1", "--phi"]
+
+
 @pytest.mark.parametrize("argv, doc, message", [
     (["norms", "--max-power", "5", "--family", "mad", "--depth", "4"], None,
      "error: max power must lie in [1, 4]"),
@@ -214,13 +217,65 @@ def _spec_file(tmp_path, doc):
     (["radius", "--tail-start", "4"],
      {"vertices": 5, "parents": [None, 0, 1, 2, 3], "weights": [0] + [1e100] * 4},
      "error: the weight product from the root to vertex 4 overflows float64"),
+    # Symbol files: argv ends in --phi and doc is the file's document.
+    (_APPROX_PHI, {"support": [["2", "1", 0]]},
+     "error: the order of symbol support entry 0 must be an integer, got '2'"),
+    (_APPROX_PHI, {"support": 5}, "error: symbol 'support' must be a list of [k, re, im] triples, got 5"),
+    (_APPROX_PHI, {"support": [[1.5, 1, 0]]},
+     "error: the order of symbol support entry 0 must be an integer, got 1.5"),
+    (_APPROX_PHI, {"support": [[True, 1, 0]]},
+     "error: the order of symbol support entry 0 must be an integer, got True"),
+    (_APPROX_PHI, {"support": [[1, 0.5]]},
+     "error: symbol support entry 0 must be a [k, re, im] triple, got [1, 0.5]"),
+    (_APPROX_PHI, {"rule": "ones", "K": 2.7}, "error: symbol rule parameter 'K' must be an integer, got 2.7"),
+    (_APPROX_PHI, {"rule": "ones", "K": "3"}, "error: symbol rule parameter 'K' must be an integer, got '3'"),
+    (_APPROX_PHI, {"rule": "power_law", "exponent": True, "K": 3},
+     "error: symbol rule parameter 'exponent' must be a number, got True"),
+    (_APPROX_PHI, {"coeffs": {"1": ["0.5", True]}},
+     "error: the real part of the coefficient at order 1 must be a number, got '0.5'"),
+    (_APPROX_PHI, {"coeffs": {"1": [0.5, True]}},
+     "error: the imaginary part of the coefficient at order 1 must be a number, got True"),
+    (_APPROX_PHI, {"coeffs": {"1.5": [0.5, 1]}}, "error: symbol 'coeffs' key '1.5' is not an integer order"),
+    # Tree-spec numbers are validated, not converted.
+    (["norms"], {"vertices": 3, "parents": [None, 0, 0], "weights": [0, "0.5", True]},
+     "error: weights[1] must be a number, got '0.5'"),
+    (["norms"], {"vertices": 3, "parents": [None, 0, 0], "weights": [0, 0.5, True]},
+     "error: weights[2] must be a number, got True"),
+    (["norms"], {"vertices": 3, "parents": [None, 0, 0], "weights": [0, "x", 1]},
+     "error: weights[1] must be a number, got 'x'"),
+    (["norms"], {"vertices": 3, "parents": [None, 0, 0], "weights": "012"},
+     "error: weights must be a list with one entry per vertex"),
+    (["norms"], {"vertices": ["a", "b", "c"], "edges": [[0, 1], [0, 2]], "weights": "12"},
+     "error: weights must be a list of numbers, got '12'"),
+    (["norms"], {"family": "t2", "depth": 3, "params": {"alpha": "0.5"}},
+     "error: alpha must be a number, got '0.5'"),
+    (["norms"], {"family": "broom", "params": {"arms": 2, "weights": ["1", True]}},
+     "error: weights[0] must be a number, got '1'"),
+    (["norms"], {"family": "broom", "params": {"arms": 2, "weights": [1, True]}},
+     "error: weights[1] must be a number, got True"),
+    (["norms"], {"family": "random_balanced", "depth": 2, "params": {"generation_norms": ["1", True]}},
+     "error: generation_norms[0] must be a number, got '1'"),
+    (["norms"], {"family": "random_balanced", "depth": 2, "params": {"generation_norms": [1, True]}},
+     "error: generation_norms[1] must be a number, got True"),
+    (["norms"], {"family": "broom_leaf", "params": {"omega_weight": "2"}},
+     "error: omega_weight must be a number, got '2'"),
 ], ids=["max_power", "triple_edge", "scalar_edge", "endpoint_range", "vertices_string",
         "edges_string", "json_array", "peel_depth_2", "radius_root_only", "radius_overflow",
-        "radius_overflow_tail_start"])
+        "radius_overflow_tail_start", "phi_order_string", "phi_support_scalar", "phi_order_float",
+        "phi_order_bool", "phi_support_pair", "phi_rule_float", "phi_rule_string", "phi_rule_bool",
+        "phi_coeffs_string", "phi_coeffs_bool", "phi_coeffs_key", "parents_weight_string",
+        "parents_weight_bool", "parents_weight_word", "parents_weights_string", "edges_weights_string",
+        "t2_alpha_string", "broom_weight_string", "broom_weight_bool", "balanced_norm_string",
+        "balanced_norm_bool", "broom_leaf_omega_string"])
 def test_refusals_exit_two_with_their_message(tmp_path, capsys, argv, doc, message):
     out = str(tmp_path / "r")
-    tree = [] if doc is None else ["--tree", _spec_file(tmp_path, doc)]
-    assert _run([*argv, *tree, "--out", out]) == 2
+    if argv[-1] == "--phi":
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [*argv, f"file:{phi}"]
+    elif doc is not None:
+        argv = [*argv, "--tree", _spec_file(tmp_path, doc)]
+    assert _run([*argv, "--out", out]) == 2
     assert capsys.readouterr().err == message + "\n"
     assert not os.path.exists(out)
 

@@ -27,7 +27,14 @@ from treeshift import (
     spectral_radius_estimate,
 )
 
-from oracles import dense_shift_matrix, random_vector, vector_from_dense
+from oracles import (
+    DictVector,
+    dense_shift_matrix,
+    loop_apply_adjoint,
+    loop_apply_shift,
+    random_vector,
+    vector_from_dense,
+)
 from test_wold import weighted_trees
 
 REL = 1e-12
@@ -59,6 +66,27 @@ def test_tree_vector_basics():
         f.inner(TreeVector.basis(other, 0))
     with pytest.raises(ValueError):
         TreeVector(t, {99: 1.0})
+
+
+@pytest.mark.parametrize("key", [1.5, True, "1", -1, 7], ids=["float", "bool", "str", "negative", "past_end"])
+def test_vector_ids_are_checked_as_vertex_ids(key):
+    t = build_tree({"family": "t2", "depth": 3})
+    with pytest.raises(ValueError, match=r"^invalid vertex id "):
+        TreeVector(t, {key: 1.0})
+    with pytest.raises(ValueError, match=r"^invalid vertex id "):
+        t.check_vertex(key)
+
+
+def test_coeffs_is_a_fresh_dict():
+    t = build_tree({"family": "t2", "depth": 3})
+    x = np.array([1.0, 0.0, 2.0 - 1.0j, 0.5j, 0.0, 3.0, 0.0])
+    for f in (TreeVector(t, {2: 2.0 - 1.0j, 0: 1.0, 5: 3.0, 3: 0.5j}), TreeVector.from_dense(t, x)):
+        before = (f.support, f.norm(), f.to_dense().tobytes(), f.get(2))
+        f.coeffs[2] = 0.0
+        f.coeffs[4] = 9.0
+        del f.coeffs[0]
+        assert f.coeffs is not f.coeffs
+        assert (f.support, f.norm(), f.to_dense().tobytes(), f.get(2)) == before
 
 
 def test_inner_walks_other_in_insertion_order():
@@ -315,7 +343,7 @@ def test_apply_shift_block_matches_columns():
         before = block.copy()
         got = apply_shift(s, block)
         want = np.column_stack([
-            apply_shift(s, vector_from_dense(s.tree, block[:, j])).to_dense() for j in range(5)
+            loop_apply_shift(s, vector_from_dense(s.tree, block[:, j])).to_dense() for j in range(5)
         ])
         assert got.shape == (n, 5) and got.dtype == complex
         # Zero weights leave -0.0 where the sparse route prunes to +0.0.
@@ -507,9 +535,11 @@ def test_from_dense_matches_per_vertex_route(parts):
         return (v.norm().hex(), v.support, repr(v), boundary_mass(s, v).hex(),
                 v.to_dense().view(np.uint64).tolist())
 
-    expected = readers(want)
-    # Reading coeffs is what builds the dict and drops the array, so no
-    # reader may touch it.
+    deepest = range(tree.gen_offsets.item(-2), n)
+    expected = (want.norm().hex(), want.support,
+                f"TreeVector(support={len(want.coeffs)}, norm={want.norm():.6g})",
+                want.restricted(deepest).norm().hex(), want.to_dense().view(np.uint64).tolist())
+    # Reading coeffs builds a dict of every entry, so no reader may touch it.
     with mock.patch.object(TreeVector, "coeffs", property(lambda v: pytest.fail("built the dict"))):
         assert readers(f) == expected
         dense = f.to_dense()
@@ -521,6 +551,64 @@ def test_from_dense_matches_per_vertex_route(parts):
     assert f.to_dense().view(np.uint64).tolist() == want.to_dense().view(np.uint64).tolist()
     f.to_dense()[:] = 7.0
     assert _cbits(f.coeffs.values()) == _cbits(want.coeffs.values())
+
+
+_VALUES = st.builds(complex, _SIGNED_PARTS, _SIGNED_PARTS)
+
+
+def _hexes(values):
+    """The parts of complex values as ``float.hex()``, which reads every NaN as "nan".
+
+    CPython and numpy may pass on either operand's NaN, so only the sign
+    and payload of a NaN are left out of the comparison.
+    """
+    return [(c.real.hex(), c.imag.hex()) for c in map(complex, values)]
+
+
+def _entries(v):
+    return list(v.coeffs), _hexes(v.coeffs.values())
+
+
+# On 127 vertices a few drawn entries spread over a wide id range, where
+# ``TreeVector`` finds ids by a sorted search rather than a table.
+_WIDE = st.just(make(GallerySpec(family="random", depth=6, params={"seed": 3, "branching": (2,)})))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(weighted_trees(weights=st.just(0.0) | st.floats(0.25, 4.0)) | _WIDE, st.data())
+def test_tree_vector_matches_dict_oracle_bitwise(s, data):
+    # Both mappings come in a drawn key order, so insertion orders are
+    # shuffled and the supports overlap in part or not at all.
+    n = s.tree.n_vertices
+    vectors = st.dictionaries(st.integers(0, n - 1), _VALUES, max_size=n)
+    a, b = data.draw(vectors), data.draw(vectors)
+    c = data.draw(_SIGNED_PARTS | _VALUES)
+    keep = data.draw(st.lists(st.integers(0, n - 1)))
+    dense = np.zeros(n, dtype=complex)
+    for v, x in data.draw(vectors).items():
+        dense[v] = x  # both parts -0.0 included
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        f, g = TreeVector(s.tree, a), TreeVector(s.tree, b)
+        wf, wg = DictVector(s.tree, a), DictVector(s.tree, b)
+        pairs = [
+            (f, wf),
+            (f.plus(g), wf.plus(wg)),
+            (f.minus(g), wf.minus(wg)),
+            (g.minus(f), wg.minus(wf)),
+            (f.scaled(c), wf.scaled(c)),
+            (f.restricted(keep), wf.restricted(keep)),
+            (apply_shift(s, f), loop_apply_shift(s, wf)),
+            (apply_adjoint(s, f), loop_apply_adjoint(s, wf)),
+            (TreeVector.from_dense(s.tree, dense), DictVector.from_dense(s.tree, dense)),
+        ]
+        for i, (got, want) in enumerate(pairs):
+            assert _entries(got) == _entries(want), i
+            assert got.norm().hex() == want.norm().hex(), i
+            assert got.support == want.support, i
+            assert _hexes(got.to_dense()) == _hexes(want.to_dense()), i
+            assert _hexes(map(got.get, range(n))) == _hexes(map(want.get, range(n))), i
+        assert _hexes([f.inner(g), g.inner(f)]) == _hexes([wf.inner(wg), wg.inner(wf)])
 
 
 def test_from_dense_refuses_the_wrong_shape():
@@ -546,6 +634,23 @@ def test_sparse_shift_and_adjoint_cost_the_support():
     kids = range(s.tree.first_child.item(u), s.tree.first_child.item(u + 1))
     assert down.coeffs == {w: s.lam.item(w) * (1 + 0j) for w in kids}
     assert up.coeffs == {s.tree.parent.item(u): s.lam.item(u) * (1 + 0j)}
+    # Few entries spread from the root to the last leaf: a lookup table
+    # over their id range would hold 262 143 slots.
+    last = s.tree.n_vertices - 1
+    g = TreeVector(s.tree, {last: 2.0, u: 1.0j, 0: -1.0})
+    h = TreeVector(s.tree, {kids[0]: 3.0, 0: 0.5, u: 1.0})
+    for name, op in (("inner", lambda: g.inner(h)), ("plus", lambda: g.plus(h)),
+                     ("minus", lambda: g.minus(h)), ("scaled", lambda: g.scaled(2.0 - 1.0j))):
+        tracemalloc.start()
+        try:
+            op()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (name, peak)
+    assert g.inner(h) == 1.0j - 0.5
+    assert g.plus(h).coeffs == {last: 2.0, u: 1.0 + 1.0j, 0: -0.5, kids[0]: 3.0}
+    assert g.minus(h).coeffs == {last: 2.0, u: -1.0 + 1.0j, 0: -1.5, kids[0]: -3.0}
 
 
 def test_prefix_shift_and_adjoint_equal_padded_full_call():
