@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Mapping, Optional, Sequence
@@ -109,7 +110,8 @@ class Symbol:
         """Read {"coeffs": {"k": [re, im], ...}}, {"support": [[k, re, im], ...]}
         or {"rule": ...}, the last two as written by ``to_json``.
 
-        Values are validated, not converted: an order is an int, a part is
+        Values are validated, not converted: an order is an int (a ``coeffs``
+        key may also be an ASCII ``-?[0-9]+`` string), a part is
         an int or a float, a rule parameter has its ``_RULES`` type (an int
         or a float for a float), and none of them is a bool. Every refusal
         is a ``ValueError`` that names the entry.
@@ -188,11 +190,16 @@ def _re_im(pair, k) -> complex:
 
 
 def _coeffs_order(key) -> int:
-    """A 'coeffs' key: an order written as a decimal integer string, as JSON object keys are."""
-    try:
+    """A 'coeffs' key: an int, or an order written as a string, as JSON object keys are.
+
+    Only ASCII ``-?[0-9]+`` strings are read, so "1_0", " 3" and "+3" are
+    refused, and so is a bool or a float key of a library mapping.
+    """
+    if isinstance(key, int) and not isinstance(key, bool):
+        return key
+    if isinstance(key, str) and re.fullmatch(r"-?[0-9]+", key):
         return int(key)
-    except (TypeError, ValueError):
-        raise ValueError(f"symbol 'coeffs' key {key!r} is not an integer order") from None
+    raise ValueError(f"symbol 'coeffs' key {key!r} is not an integer order")
 
 
 def _support_entry(i: int, entry) -> tuple[int, complex]:

@@ -117,6 +117,8 @@ class TreeVector:
         return cls(tree, {u: 1.0})
 
     def get(self, v: VertexId) -> complex:
+        """The value at ``v``, 0 off the support; a scan of the entries on
+        each call, so bulk reads go through one ``items()`` or ``to_dense()``."""
         hit = np.flatnonzero(self._ids == v)
         return complex(self._vals[hit[0]]) if hit.size else 0j
 
@@ -133,15 +135,11 @@ class TreeVector:
     def _find(self, ids: np.ndarray) -> np.ndarray:
         """Each of ``ids``' position among ``self``'s entries, -1 where it has none.
 
-        A table over ``self``'s id range where that range is at most a few
-        times the entry count, else a sorted search, so nothing costs O(N).
+        A sorted search over ``self``'s ids, so nothing costs O(N).
         """
         own = self._ids
-        lo, hi = (own.min(), own.max()) if own.size else (0, -1)
-        if hi - lo < 4 * (len(own) + len(ids)):
-            table = np.full(hi - lo + 2, -1)  # the last slot answers the ids outside the range
-            table[own - lo] = np.arange(len(own))
-            return table[np.clip(ids - lo, -1, hi - lo + 1)]
+        if not own.size:
+            return np.full(len(ids), -1)
         order = np.argsort(own)
         pos = order[np.minimum(np.searchsorted(own, ids, sorter=order), len(own) - 1)]
         return np.where(own[pos] == ids, pos, -1)
@@ -221,7 +219,7 @@ def _sum_sq(values: np.ndarray) -> float:
     Each term is CPython's re * re - im * (-im), and the sum runs left to
     right from 0.0 as ``sum()`` does.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass through as in sum()
+    with _quiet():  # inf and nan pass through as in sum()
         sq = values.real * values.real - values.imag * -values.imag
         return float(_row_sums(sq[None])[0])
 

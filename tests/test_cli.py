@@ -236,6 +236,9 @@ _APPROX_PHI = ["approx", "--family", "mad", "--depth", "4", "--levels", "1", "--
     (_APPROX_PHI, {"coeffs": {"1": [0.5, True]}},
      "error: the imaginary part of the coefficient at order 1 must be a number, got True"),
     (_APPROX_PHI, {"coeffs": {"1.5": [0.5, 1]}}, "error: symbol 'coeffs' key '1.5' is not an integer order"),
+    (_APPROX_PHI, {"coeffs": {"1_0": [0.5, 1]}}, "error: symbol 'coeffs' key '1_0' is not an integer order"),
+    (_APPROX_PHI, {"coeffs": {" 3": [0.5, 1]}}, "error: symbol 'coeffs' key ' 3' is not an integer order"),
+    (_APPROX_PHI, {"coeffs": {"+3": [0.5, 1]}}, "error: symbol 'coeffs' key '+3' is not an integer order"),
     # Tree-spec numbers are validated, not converted.
     (["norms"], {"vertices": 3, "parents": [None, 0, 0], "weights": [0, "0.5", True]},
      "error: weights[1] must be a number, got '0.5'"),
@@ -263,7 +266,8 @@ _APPROX_PHI = ["approx", "--family", "mad", "--depth", "4", "--levels", "1", "--
         "edges_string", "json_array", "peel_depth_2", "radius_root_only", "radius_overflow",
         "radius_overflow_tail_start", "phi_order_string", "phi_support_scalar", "phi_order_float",
         "phi_order_bool", "phi_support_pair", "phi_rule_float", "phi_rule_string", "phi_rule_bool",
-        "phi_coeffs_string", "phi_coeffs_bool", "phi_coeffs_key", "parents_weight_string",
+        "phi_coeffs_string", "phi_coeffs_bool", "phi_coeffs_key", "phi_coeffs_key_underscore",
+        "phi_coeffs_key_space", "phi_coeffs_key_plus", "parents_weight_string",
         "parents_weight_bool", "parents_weight_word", "parents_weights_string", "edges_weights_string",
         "t2_alpha_string", "broom_weight_string", "broom_weight_bool", "balanced_norm_string",
         "balanced_norm_bool", "broom_leaf_omega_string"])

@@ -412,6 +412,11 @@ def test_symbol_json_coeffs_form():
                 {"coeffs": {"-1": [1.0, 0.0]}}, {"coeffs": {"0": [1.0, 0.0]}, "rule": "ones"}):
         with pytest.raises(ValueError):
             Symbol.from_json(bad)
+    # An order key is an int or an ASCII decimal string, never converted from anything else.
+    assert Symbol.from_json({"coeffs": {2: [0.5, 0]}}).values == {2: 0.5}
+    for key in ("1_0", " 3", "+3", "\u0663", 1.5, True):
+        with pytest.raises(ValueError, match="is not an integer order"):
+            Symbol.from_json({"coeffs": {key: [1.0, 0.0]}})
 
 
 def test_non_finite_coefficients_rejected():

@@ -569,8 +569,8 @@ def _entries(v):
     return list(v.coeffs), _hexes(v.coeffs.values())
 
 
-# On 127 vertices a few drawn entries spread over a wide id range, where
-# ``TreeVector`` finds ids by a sorted search rather than a table.
+# On 127 vertices a few drawn entries spread over a wide id range, so the
+# sorted search in ``TreeVector`` meets ids below, between and above its own.
 _WIDE = st.just(make(GallerySpec(family="random", depth=6, params={"seed": 3, "branching": (2,)})))
 
 
