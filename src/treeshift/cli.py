@@ -62,7 +62,7 @@ from .ops import (
     is_injective,
     operator_norm_power,
 )
-from .tree import FAMILIES, TreeSpecError, enumerate_paths, load_tree_file
+from .tree import FAMILIES, TreeSpecError, _load_object, enumerate_paths, load_tree_file
 from .wold import (
     BALANCE_ABS_TOL,
     BALANCE_REL_TOL,
@@ -176,8 +176,7 @@ def _integers(text: str) -> tuple:
 def _parse_phi(text: str) -> Symbol:
     """Symbol grammar: ones:K | indicator:k | power_law:EXP:K | file:PATH."""
     if text.startswith("file:"):
-        with open(text[5:], "r", encoding="utf-8") as fh:
-            return Symbol.from_json(json.load(fh))
+        return Symbol.from_json(_load_object(text[5:], "symbol file"))
     name, *params = text.split(":")
     return _rule_symbol(name, params)
 

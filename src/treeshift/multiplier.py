@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .ops import TreeVector, TruncatedShift, _cmul, _join, _quiet, _row_sums, _same_tree
-from .tree import VertexId
+from .tree import TreeSpecError, VertexId, _coefficients, _integer, _real, _refuse_unknown
 
 
 @dataclass(frozen=True)
@@ -52,19 +52,11 @@ class Symbol:
 
     @classmethod
     def from_support(cls, entries) -> "Symbol":
-        """Build from {k: value} or an iterable of (k, value) pairs."""
-        if isinstance(entries, Mapping):
-            items = entries.items()
-        else:
-            items = entries
-        vals: dict[int, complex] = {}
-        for k, c in items:
-            k = int(k)
-            if k < 0:
-                raise ValueError("symbol orders are nonnegative")
-            c = _finite(complex(c), k)
-            if c != 0:
-                vals[k] = c
+        """Build from {k: value} or (k, value) pairs; a repeated order keeps its last value."""
+        entries = entries if isinstance(entries, Mapping) else dict(entries)
+        vals = _coefficients(entries, entries.__getitem__)
+        if min(entries, default=0) < 0:
+            raise ValueError("symbol orders are nonnegative")
         return cls(values=vals, degree=max(vals) if vals else 0)
 
     @classmethod
@@ -72,11 +64,7 @@ class Symbol:
                   params: tuple = ()) -> "Symbol":
         if k_max < 0:
             raise ValueError("truncation degree must be nonnegative")
-        vals = {}
-        for k in range(k_max + 1):
-            c = _finite(complex(fn(k)), k)
-            if c != 0:
-                vals[k] = c
+        vals = _coefficients(range(k_max + 1), fn)
         return cls(values=vals, degree=k_max, rule_name=name, rule_params=params)
 
     @classmethod
@@ -114,28 +102,27 @@ class Symbol:
         key may also be an ASCII ``-?[0-9]+`` string), a part is
         an int or a float, a rule parameter has its ``_RULES`` type (an int
         or a float for a float), and none of them is a bool. Every refusal
-        is a ``ValueError`` that names the entry.
+        is a ``TreeSpecError`` that names the entry.
         """
         keys = set(doc)
         if "coeffs" in keys:
             _expect_keys(keys, {"coeffs"})
             coeffs = doc["coeffs"]
             if not isinstance(coeffs, Mapping):
-                raise ValueError("symbol 'coeffs' must map orders to [re, im] pairs")
+                raise TreeSpecError("symbol 'coeffs' must map orders to [re, im] pairs")
             return cls.from_support((_coeffs_order(k), _re_im(c, k)) for k, c in coeffs.items())
         if "support" in keys:
-            if keys != {"support"}:
-                raise ValueError(f"unknown keys in symbol spec: {sorted(keys - {'support'})}")
+            _refuse_unknown(keys, {"support"}, "symbol spec")
             support = doc["support"]
             if not isinstance(support, (list, tuple)):
-                raise ValueError(f"symbol 'support' must be a list of [k, re, im] triples, got {support!r}")
+                raise TreeSpecError(f"symbol 'support' must be a list of [k, re, im] triples, got {support!r}")
             return cls.from_support(_support_entry(i, e) for i, e in enumerate(support))
         if "rule" in keys:
             params = _rule(doc["rule"])[1]
             _expect_keys(keys, {"rule", *(name for name, _ in params)})
-            values = [_typed(f"symbol rule parameter {name!r}", doc[name], typ) for name, typ in params]
+            values = [_READ[typ](f"symbol rule parameter {name!r}", doc[name]) for name, typ in params]
             return _rule_symbol(doc["rule"], values)
-        raise ValueError("symbol spec needs one of 'coeffs', 'support' or 'rule'")
+        raise TreeSpecError("symbol spec needs one of 'coeffs', 'support' or 'rule'")
 
 
 # Named symbol rules: constructor and its (parameter name, type) list.
@@ -145,11 +132,12 @@ _RULES: dict[str, tuple[Callable[..., Symbol], tuple[tuple[str, type], ...]]] = 
     "indicator": (Symbol.indicator, (("k", int),)),
     "power_law": (Symbol.power_law, (("exponent", float), ("K", int))),
 }
+_READ = {int: _integer, float: _real}
 
 
 def _rule(name) -> tuple:
     if not isinstance(name, str) or name not in _RULES:
-        raise ValueError(f"unknown symbol rule {name!r}")
+        raise TreeSpecError(f"unknown symbol rule {name!r}")
     return _RULES[name]
 
 
@@ -165,27 +153,13 @@ def _rule_symbol(name, values: Sequence) -> Symbol:
     return build(*args)
 
 
-def _finite(c: complex, k) -> complex:
-    if not cmath.isfinite(c):
-        raise ValueError(f"coefficient at order {k} must be finite, got {c}")
-    return c
-
-
-def _typed(what: str, x, typ: type):
-    """x itself if it has type ``typ`` (an int or a float for float) and is not a bool."""
-    if isinstance(x, bool) or not isinstance(x, (int, float) if typ is float else typ):
-        raise ValueError(f"{what} must be {'a number' if typ is float else 'an integer'}, got {x!r}")
-    return x
-
-
 def _parts(what: str, re, im) -> complex:
-    return complex(_typed(f"the real part of {what}", re, float),
-                   _typed(f"the imaginary part of {what}", im, float))
+    return complex(_real(f"the real part of {what}", re), _real(f"the imaginary part of {what}", im))
 
 
 def _re_im(pair, k) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"coefficient at order {k} must be a [re, im] pair, got {pair!r}")
+        raise TreeSpecError(f"coefficient at order {k} must be a [re, im] pair, got {pair!r}")
     return _parts(f"the coefficient at order {k}", *pair)
 
 
@@ -199,19 +173,19 @@ def _coeffs_order(key) -> int:
         return key
     if isinstance(key, str) and re.fullmatch(r"-?[0-9]+", key):
         return int(key)
-    raise ValueError(f"symbol 'coeffs' key {key!r} is not an integer order")
+    raise TreeSpecError(f"symbol 'coeffs' key {key!r} is not an integer order")
 
 
 def _support_entry(i: int, entry) -> tuple[int, complex]:
     if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-        raise ValueError(f"symbol support entry {i} must be a [k, re, im] triple, got {entry!r}")
-    k = _typed(f"the order of symbol support entry {i}", entry[0], int)
+        raise TreeSpecError(f"symbol support entry {i} must be a [k, re, im] triple, got {entry!r}")
+    k = _integer(f"the order of symbol support entry {i}", entry[0])
     return k, _parts(f"symbol support entry {i}", *entry[1:])
 
 
 def _expect_keys(keys: set, allowed: set) -> None:
     if keys != allowed:
-        raise ValueError(f"symbol spec keys {sorted(keys)} do not match {sorted(allowed)}")
+        raise TreeSpecError(f"symbol spec keys {sorted(keys)} do not match {sorted(allowed)}")
 
 
 @dataclass(frozen=True)
@@ -223,15 +197,8 @@ class TrigPoly:
 
     @classmethod
     def from_coeffs(cls, entries) -> "TrigPoly":
-        if isinstance(entries, Mapping):
-            items = entries.items()
-        else:
-            items = entries
-        vals: dict[int, complex] = {}
-        for k, c in items:
-            c = _finite(complex(c), k)
-            if c != 0:
-                vals[int(k)] = c
+        entries = entries if isinstance(entries, Mapping) else dict(entries)
+        vals = _coefficients(entries, entries.__getitem__)
         deg = max((abs(k) for k in vals), default=0)
         return cls(coeffs=vals, degree=deg)
 
@@ -268,11 +235,7 @@ def fejer_symbol(n: int) -> TrigPoly:
 
 def hadamard(p: TrigPoly, phi: Symbol) -> Symbol:
     """Entrywise product of the hat coefficients: k -> p.hat(k) * phi(k)."""
-    out = {}
-    for k in range(0, min(p.degree, phi.degree) + 1):
-        c = p.hat(k) * phi.value(k)
-        if c != 0:
-            out[k] = c
+    out = _coefficients(range(min(p.degree, phi.degree) + 1), lambda k: p.hat(k) * phi.value(k))
     return Symbol(values=out, degree=max(out) if out else 0)
 
 

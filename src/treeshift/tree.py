@@ -25,6 +25,7 @@ turns an entry into a shift.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import numbers
@@ -39,7 +40,8 @@ VertexId = int
 
 
 class TreeSpecError(ValueError):
-    """Malformed tree description: bad keys, cycles, missing root, ..."""
+    """Malformed tree description or symbol document: bad keys, cycles,
+    missing root, a number of the wrong kind, ..."""
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -260,22 +262,63 @@ def _assemble(labels: Sequence[str], edges: Sequence[tuple[int, int]]) -> tuple[
     return tree, new_id
 
 
+# The one copy of each reader of outside input (numbers, JSON files, unknown
+# keys, coefficient tables), shared by tree specs and symbol documents.
 def _integer(name: str, x: object) -> int:
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+    # The type test spares JSON ints the slow abstract-class check.
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
         raise TreeSpecError(f"{name} must be an integer, got {x!r}")
     return int(x)
 
 
 def _real(name: str, x: object) -> float:
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+    if type(x) not in (float, int) and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
         raise TreeSpecError(f"{name} must be a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise TreeSpecError(f"{name} is too large for float64") from None
 
 
 def _reals(name: str, xs: object) -> list[float]:
     if isinstance(xs, (str, bytes)) or not isinstance(xs, (Sequence, np.ndarray)):
         raise TreeSpecError(f"{name} must be a list of numbers, got {xs!r}")
     return [_real(f"{name}[{i}]", x) for i, x in enumerate(xs)]
+
+
+def _refuse_unknown(keys: Iterable, allowed: set, what: str) -> None:
+    extra = set(keys) - allowed
+    if extra:
+        raise TreeSpecError(f"unknown keys in {what}: {sorted(extra)}")
+
+
+def _load_object(path: str, what: str) -> Mapping[str, object]:
+    """The JSON object in the file at path; ``what`` names the file in refusals."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise TreeSpecError(f"{what} nests too deeply") from None
+    if not isinstance(doc, Mapping):
+        raise TreeSpecError(f"{what} must hold a JSON object")
+    return doc
+
+
+def _coefficients(orders: Iterable, value: Callable[[object], object]) -> dict[int, complex]:
+    """{k: complex(value(k))} over the integer orders, in their order, zeros
+    dropped; a value that is not finite or overflows is refused by order."""
+    vals: dict[int, complex] = {}
+    for key in orders:
+        k = _integer("coefficient order", key)
+        try:
+            c = complex(value(key))
+        except OverflowError:
+            raise TreeSpecError(f"coefficient at order {k} overflows float64") from None
+        if not cmath.isfinite(c):
+            raise TreeSpecError(f"coefficient at order {k} must be finite, got {c}")
+        if c != 0:
+            vals[k] = c
+    return vals
 
 
 def _ray_parents(depth: int, p: Mapping[str, object]):
@@ -470,9 +513,7 @@ FAMILIES: Mapping[str, Family] = {
 
 def _family(spec: Mapping[str, object], weigh: bool) -> tuple[DirectedTree, Optional[np.ndarray]]:
     """Check a family document against its ``FAMILIES`` entry and build it."""
-    extra = set(spec) - _FAMILY_KEYS
-    if extra:
-        raise TreeSpecError(f"unknown keys in family spec: {sorted(extra)}")
+    _refuse_unknown(spec, _FAMILY_KEYS, "family spec")
     name = str(spec["family"])
     fam = FAMILIES.get(name)
     if fam is None:
@@ -533,9 +574,7 @@ def parse_tree_spec(spec: Mapping[str, object]) -> tuple[DirectedTree, Optional[
     if "family" in keys:
         return _family(spec, weigh=True)
     if "parents" in keys:
-        extra = keys - _PARENTS_KEYS
-        if extra:
-            raise TreeSpecError(f"unknown keys in tree spec: {sorted(extra)}")
+        _refuse_unknown(keys, _PARENTS_KEYS, "tree spec")
         parents = spec["parents"]
         if not isinstance(parents, Sequence) or isinstance(parents, str) or not parents:
             raise TreeSpecError("parents must be a nonempty list")
@@ -555,9 +594,7 @@ def parse_tree_spec(spec: Mapping[str, object]) -> tuple[DirectedTree, Optional[
         edges = [(_integer(f"parents[{c}]", p), c) for c, p in enumerate(parents) if c]
         return _explicit([str(i) for i in range(n)], edges, weights)
     if "vertices" in keys:
-        extra = keys - _EXPLICIT_KEYS
-        if extra:
-            raise TreeSpecError(f"unknown keys in tree spec: {sorted(extra)}")
+        _refuse_unknown(keys, _EXPLICIT_KEYS, "tree spec")
         vertices = spec.get("vertices")
         edges = spec.get("edges")
         if not isinstance(vertices, Sequence) or isinstance(vertices, str):
@@ -596,11 +633,7 @@ def build_tree(spec: Mapping[str, object]) -> DirectedTree:
 
 
 def load_tree_file(path: str) -> Mapping[str, object]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, Mapping):
-        raise TreeSpecError("tree spec file must hold a JSON object")
-    return doc
+    return _load_object(path, "tree spec file")
 
 
 def children_n(tree: DirectedTree, u: VertexId, n: int) -> list[VertexId]:

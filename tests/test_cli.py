@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import resource
@@ -186,13 +188,11 @@ def test_wold_refuses_a_lift_that_underflows(tmp_path, capsys, weight):
         assert not os.path.exists(out)
 
 
-def _spec_file(tmp_path, doc):
-    spec = tmp_path / "tree.json"
-    spec.write_text(json.dumps(doc), encoding="utf-8")
-    return str(spec)
-
-
 _APPROX_PHI = ["approx", "--family", "mad", "--depth", "4", "--levels", "1", "--phi"]
+_HUGE = 10 ** 401  # a JSON integer past the float64 range
+
+# A bytes doc is the file's text as is: json.dumps cannot write this array.
+_DEEP = b"[" * 100_000 + b"]" * 100_000
 
 
 @pytest.mark.parametrize("argv, doc, message", [
@@ -262,6 +262,20 @@ _APPROX_PHI = ["approx", "--family", "mad", "--depth", "4", "--levels", "1", "--
      "error: generation_norms[1] must be a number, got True"),
     (["norms"], {"family": "broom_leaf", "params": {"omega_weight": "2"}},
      "error: omega_weight must be a number, got '2'"),
+    # Each of these once escaped as a traceback with exit 1.
+    (["norms"], {"vertices": 3, "parents": [None, 0, 0], "weights": [0, _HUGE, 1]},
+     "error: weights[1] is too large for float64"),
+    (_APPROX_PHI, {"support": [[1, _HUGE, 0]]},
+     "error: the real part of symbol support entry 0 is too large for float64"),
+    (_APPROX_PHI, {"rule": "power_law", "exponent": _HUGE, "K": 3},
+     "error: symbol rule parameter 'exponent' is too large for float64"),
+    ([*_APPROX_PHI, "power_law:2000:3"], None, "error: coefficient at order 2 overflows float64"),
+    (_APPROX_PHI, {"rule": "power_law", "exponent": 2000, "K": 3},
+     "error: coefficient at order 2 overflows float64"),
+    (_APPROX_PHI, ["support"], "error: symbol file must hold a JSON object"),
+    (_APPROX_PHI, 5, "error: symbol file must hold a JSON object"),
+    (["norms"], _DEEP, "error: tree spec file nests too deeply"),
+    (_APPROX_PHI, _DEEP, "error: symbol file nests too deeply"),
 ], ids=["max_power", "triple_edge", "scalar_edge", "endpoint_range", "vertices_string",
         "edges_string", "json_array", "peel_depth_2", "radius_root_only", "radius_overflow",
         "radius_overflow_tail_start", "phi_order_string", "phi_support_scalar", "phi_order_float",
@@ -270,15 +284,20 @@ _APPROX_PHI = ["approx", "--family", "mad", "--depth", "4", "--levels", "1", "--
         "phi_coeffs_key_space", "phi_coeffs_key_plus", "parents_weight_string",
         "parents_weight_bool", "parents_weight_word", "parents_weights_string", "edges_weights_string",
         "t2_alpha_string", "broom_weight_string", "broom_weight_bool", "balanced_norm_string",
-        "balanced_norm_bool", "broom_leaf_omega_string"])
+        "balanced_norm_bool", "broom_leaf_omega_string", "parents_weight_huge", "phi_part_huge",
+        "phi_rule_exponent_huge", "phi_grammar_overflow", "phi_rule_overflow", "phi_file_array",
+        "phi_file_number", "tree_file_deep", "phi_file_deep"])
 def test_refusals_exit_two_with_their_message(tmp_path, capsys, argv, doc, message):
     out = str(tmp_path / "r")
+    text = doc.decode() if isinstance(doc, bytes) else json.dumps(doc)
     if argv[-1] == "--phi":
         phi = tmp_path / "phi.json"
-        phi.write_text(json.dumps(doc), encoding="utf-8")
+        phi.write_text(text, encoding="utf-8")
         argv = [*argv, f"file:{phi}"]
     elif doc is not None:
-        argv = [*argv, "--tree", _spec_file(tmp_path, doc)]
+        spec = tmp_path / "tree.json"
+        spec.write_text(text, encoding="utf-8")
+        argv = [*argv, "--tree", str(spec)]
     assert _run([*argv, "--out", out]) == 2
     assert capsys.readouterr().err == message + "\n"
     assert not os.path.exists(out)
@@ -296,6 +315,110 @@ _values = st.recursive(
     _scalars, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_texts, inner, max_size=3),
     max_leaves=8,
 )
+
+
+# One valid document of each input form: "tree" documents go to --tree,
+# "phi" documents to --phi file:PATH. Real-valued fields hold floats and
+# integer fields ints, so a leaf's kind is the type of its value here.
+_VALID_INPUTS = [
+    ("tree", {"vertices": ["a", "b", "c"], "edges": [[0, 1], [0, 2]], "weights": [0.5, 0.8]}),
+    ("tree", {"vertices": 4, "parents": [None, 0, 0, 1], "weights": [0.0, 0.6, 0.8, 1.5]}),
+    ("tree", {"family": "t2", "depth": 3, "params": {"alpha": 0.5}}),
+    ("tree", {"family": "broom_leaf", "params": {"arms": 3, "weights": [1.0, 0.5, 0.25], "omega_weight": 2.0}}),
+    ("tree", {"family": "random_balanced", "depth": 3,
+              "params": {"seed": 1, "branching": [1, 2], "generation_norms": [1.0, 0.5, 2.0]}}),
+    ("phi", {"coeffs": {"0": [1.0, 0.0], "2": [0.5, -0.25]}}),
+    ("phi", {"support": [[0, 1.0, 0.0], [2, 0.5, 0.5]]}),
+    ("phi", {"rule": "power_law", "exponent": -1.5, "K": 3}),
+    ("phi", {"rule": "indicator", "k": 2}),
+]
+# Size fields draw valid integers from a small range only: a symbol rule's
+# K, the Fejer tables of --levels and the random builder's generations are
+# materialised in full, and the quadrature takes roots in proportion to a
+# support order, so a huge size is a memory cost, not a refusal.
+_SIZE_KEYS = {"depth", "arms", "vertices", "K", "k"}
+_sizes = st.integers(-1, 4)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _texts | st.floats()
+    | st.sampled_from([10 ** 401, -10 ** 401, 2 ** 63, 1e308, -0.0, float("nan"), float("inf")]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_texts, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(doc, path=()):
+    """The path of doc itself and of every container and leaf inside it."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    copy = json.loads(json.dumps(doc))
+    _at(copy, path[:-1])[path[-1]] = value
+    return copy
+
+
+def _kind(x):
+    """int or float for a JSON number, None for anything else (bools included)."""
+    return type(x) if type(x) in (int, float) else None
+
+
+@st.composite
+def _mutated_inputs(draw):
+    """A valid input with one leaf or container replaced by a drawn JSON value."""
+    form, doc = draw(st.sampled_from(_VALID_INPUTS))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    old = _at(doc, path)
+    support_order = path[:1] == ("support",) and path[2:] == (0,)
+    if path and path[-1] == "branching":
+        new = draw(st.lists(_sizes, max_size=3))
+    elif "branching" in path or support_order or (path and path[-1] in _SIZE_KEYS and _kind(old) is int):
+        new = draw(_sizes)
+    else:
+        new = draw(_json_values)
+    levels = ",".join(map(str, draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))))
+    return form, doc, path, new, levels
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_mutated_inputs(), st.sampled_from(["approx", "integral"]))
+def test_mutated_inputs_exit_two_with_one_line_or_report(case, phi_run):
+    form, doc, path, new, levels = case
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = os.path.join(tmp, "in.json"), os.path.join(tmp, "r")
+        with open(src, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(_replaced(doc, path, new)))
+        if form == "tree":
+            argv = ["norms", "--tree", src]
+        elif phi_run == "approx":
+            argv = ["approx", "--family", "mad", "--depth", "3", "--levels", levels, "--probes", "1"]
+        else:
+            argv = ["integral", "--family", "mad", "--depth", "3", "--cases", "1"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*argv, *(["--phi", f"file:{src}"] if form == "phi" else []), "--out", out])
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert not os.path.exists(out)
+        else:
+            assert code in (0, 1) and err.getvalue() == ""
+            assert os.path.exists(os.path.join(out, "report.json"))
+    # A number replaced by a value of another kind is refused. The root's
+    # entry of a parents-form weight list is ignored, so it is exempt.
+    kind = _kind(_at(doc, path))
+    root_weight = path[-2:] == ("weights", 0) and "parents" in doc
+    if kind is not None and not root_weight and _kind(new) not in ({int} if kind is int else {int, float}):
+        assert code == 2, err.getvalue()
 
 
 @st.composite

@@ -20,6 +20,8 @@ from treeshift import (
     GallerySpec,
     Symbol,
     TreeVector,
+    is_balanced,
+    is_locally_power_balanced,
     kernel_basis,
     make,
     operator_norm_power,
@@ -154,3 +156,31 @@ def test_sot_rows_nest_across_horizons(family, data):
         return [(r.n, r.probe_index, r.error.hex(), r.bound.hex()) for r in profile.rows]
 
     assert rows(deep) == rows(shallow)
+
+
+def _witness(result):
+    norms = [None if x is None else x.hex() for x in (result.norm_u, result.norm_v)]
+    return (result.ok, result.u, result.v, result.power, *norms)
+
+
+@pytest.mark.parametrize("family", NESTED)
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(data=st.data())
+def test_balance_witnesses_nest_across_horizons(family, data):
+    shallow, deep = data.draw(nested_builds(family))
+    depth = shallow.max_depth
+    max_n = data.draw(st.integers(1, depth + 1))
+    # Both checks compare power-column norms only where depth(v) + power
+    # <= D, values the deeper build keeps bitwise; it adds the comparisons
+    # with depth(v) + power = D + 1 and no others. is_balanced reports the
+    # mismatch of smallest id, and the added ones (generation D) come last.
+    # The local check reports the smallest parent id first, so on some
+    # hand-built tree an added mismatch at a smaller parent could come
+    # first; in these families a sibling set either differs at order 1 or
+    # agrees at every order, so a failure keeps its witness there too.
+    for check in (is_balanced, lambda s: is_locally_power_balanced(s, max_n)):
+        want, got = check(shallow), check(deep)
+        if not want.ok:
+            assert _witness(got) == _witness(want)
+        elif not got.ok:
+            assert deep.tree.depth[got.v] + got.power == depth + 1

@@ -11,6 +11,7 @@ from treeshift import (
     GallerySpec,
     Symbol,
     TreeVector,
+    TreeSpecError,
     TrigPoly,
     apply_shift,
     circle_pair_integral,
@@ -429,3 +430,19 @@ def test_non_finite_coefficients_rejected():
             TrigPoly.from_coeffs({-1: bad})
     with pytest.raises(ValueError, match="finite"):
         Symbol.power_law(float("nan"), 4)
+
+
+def test_library_orders_must_be_integers():
+    # Orders are refused, not truncated: 1.5, True and 2.7 once read as 1, 1 and 2.
+    for build, key in ((Symbol.from_support, 1.5), (Symbol.from_support, True), (TrigPoly.from_coeffs, 2.7)):
+        with pytest.raises(TreeSpecError, match=f"^coefficient order must be an integer, got {key}$"):
+            build({key: 1.0})
+    phi = Symbol.from_support({np.int64(2): 1.0, np.uint8(0): 0.5})
+    assert phi.values == {2: 1.0, 0: 0.5} and all(type(k) is int for k in phi.values)
+    assert TrigPoly.from_coeffs([(np.int32(-3), 2.0)]).coeffs == {-3: 2.0}
+    assert list(Symbol.from_support({3: 1.0, 0: 2.0, 1: 0.0}).values) == [3, 0]  # insertion order, no zeros
+
+
+def test_rule_overflow_names_its_order():
+    with pytest.raises(TreeSpecError, match=r"^coefficient at order 2 overflows float64$"):
+        Symbol.power_law(2000, 3)
