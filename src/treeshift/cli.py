@@ -27,10 +27,7 @@ holds Python's shortest round-trip repr.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import itertools
-import json
 import math
 import os
 import sys
@@ -62,6 +59,7 @@ from .ops import (
     is_injective,
     operator_norm_power,
 )
+from .report import write_report
 from .tree import FAMILIES, TreeSpecError, _load_object, enumerate_paths, load_tree_file
 from .wold import (
     BALANCE_ABS_TOL,
@@ -82,87 +80,6 @@ def _table(name: str, rows: Sequence[Sequence], *columns: tuple) -> dict:
         "columns": [{"name": c[0], "op": c[1], "tol": c[2]} for c in columns],
         "rows": [list(r) for r in rows],
     }
-
-
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-# CSV text of a cell by its exact type; every other scalar is str().
-_CSV_CELL = {float: "%.17g".__mod__, bool: ("false", "true").__getitem__}
-
-
-def _json(value, pad: str) -> str:
-    """json.dumps(value, sort_keys=True, indent=2, allow_nan=False) nested at indentation pad.
-
-    Encoded strings escape their newlines, so every newline in the text is
-    layout and one replace re-indents it.
-    """
-    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n" + pad)
-
-
-def _block(brackets: str, items: list, pad: str) -> str:
-    """Encoded items laid out as indent=2 lays out a container nested at pad."""
-    if not items:
-        return brackets
-    inner = "\n" + pad + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
-
-
-def _object(d: dict, pad: str, encoders: dict) -> str:
-    """_json(d, pad), with the value of each key in encoders encoded by it."""
-    inner = pad + "  "
-    fields = [f"{json.dumps(k)}: {encoders.get(k, _json)(d[k], inner)}" for k in sorted(d)]
-    return _block("{}", fields, pad)
-
-
-def _rows_json(rows: list, pad: str) -> str:
-    """_json(rows, pad) for flat rows of scalars, through the C encoder.
-
-    With indent=None, ``json`` encodes in C; an item separator carrying
-    the cell indentation makes the rows [a,SEP b],SEP [c]. No scalar
-    starts or ends with a bracket, so a bracket next to a separator is a
-    row boundary, and the row layout is spliced in there.
-    """
-    if not rows:
-        return "[]"
-    if not set(map(type, itertools.chain.from_iterable(rows))) <= _SCALARS:
-        raise TypeError("table cells must be str, int, float, bool or None")
-    row, cell = "\n" + pad + "  ", "\n" + pad + "    "
-    sep = "," + cell
-    text = json.JSONEncoder(allow_nan=False, separators=(sep, ": ")).encode(rows)
-    text = text[2:-2].replace("]" + sep + "[", f"{row}],{row}[{cell}")
-    return f"[{row}[{cell}{text}{row}]\n{pad}]".replace(f"[{cell}{row}]", "[]")
-
-
-def _tables_json(tables: list, pad: str) -> str:
-    """_json(tables, pad) for the report's list of tables."""
-    return _block("[]", [_object(t, pad + "  ", {"rows": _rows_json}) for t in tables], pad)
-
-
-def _write_report(out_dir: str, report: dict) -> str:
-    """Write report.json and one CSV per table into out_dir.
-
-    report.json holds exactly the text of ``json.dumps(report,
-    sort_keys=True, indent=2, allow_nan=False)`` plus a newline. Table rows,
-    flat lists of scalars, are encoded by the C encoder (``_rows_json``);
-    everything else by ``json.dumps`` itself. A CSV cell is "%.17g" of a
-    float, true/false of a bool and str() of anything else, quoted by
-    ``csv.writer``. A NaN or infinite number, which JSON cannot hold,
-    raises ``ValueError`` before any file or directory is created.
-    """
-    try:
-        text = _object(report, "", {"tables": _tables_json})
-    except ValueError:
-        raise ValueError("the report holds a non-finite number; nothing was written") from None
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "report.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
-    for tab in report["tables"]:
-        csv_path = os.path.join(out_dir, f"{tab['name']}.csv")
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([c["name"] for c in tab["columns"]])
-            writer.writerows([[_CSV_CELL.get(type(x), str)(x) for x in row] for row in tab["rows"]])
-    return path
 
 
 def _integers(text: str) -> tuple:
@@ -243,18 +160,20 @@ def _run_norms(args, s: TruncatedShift, family: Optional[str]) -> dict:
         raise ValueError(f"max power must lie in [1, {s.max_depth}]")
     rows = []
     failures = 0
+    mad, tol = family == "mad", args.tol
     for n in range(1, max_n + 1):
         est = operator_norm_power(s, n)
-        e0 = math.sqrt(s.power_norms_sq(n).item(0))  # power_norm(s, 0, n), as n <= max_depth
-        surrogate = est.value ** (1.0 / n)
-        rows.append([n, e0, est.value, est.attained_at, est.may_grow_beyond_horizon, surrogate])
-        if family == "mad":
-            if abs(e0 - n) > args.tol * n:
+        # power_norm(s, 0, n), read from the order-n array est was taken from.
+        e0 = math.sqrt(s.power_norms_sq(n).item(0))
+        value, flagged = est.value, est.may_grow_beyond_horizon
+        rows.append([n, e0, value, est.attained_at, flagged, value ** (1.0 / n)])
+        if mad:
+            if abs(e0 - n) > tol * n:
                 failures += 1
             # The flagged rows only see the window sup, not the true norm.
-            elif not est.may_grow_beyond_horizon and abs(est.value - (n + 1)) > args.tol * (n + 1):
+            elif not flagged and abs(value - (n + 1)) > tol * (n + 1):
                 failures += 1
-    if family == "mad":
+    if mad:
         verdict = "pass" if failures == 0 else "fail"
         checked_tol = args.tol
     else:
@@ -749,7 +668,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             body = exp.run(args, s, family)
             report = {**body, "schema": 1, "experiment": args.command,
                       "inputs": {**inputs, **body["inputs"]}}
-            path = _write_report(os.environ.get("TREESHIFT_OUT") or args.out, report)
+            path = write_report(os.environ.get("TREESHIFT_OUT") or args.out, report)
     except (TreeSpecError, HorizonError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Mapping, Optional, Sequence
@@ -57,6 +58,7 @@ class Symbol:
         vals = _coefficients(entries, entries.__getitem__)
         if min(entries, default=0) < 0:
             raise ValueError("symbol orders are nonnegative")
+        _at_most_maxsize("a symbol order", max(entries, default=0))
         return cls(values=vals, degree=max(vals) if vals else 0)
 
     @classmethod
@@ -64,6 +66,7 @@ class Symbol:
                   params: tuple = ()) -> "Symbol":
         if k_max < 0:
             raise ValueError("truncation degree must be nonnegative")
+        _at_most_maxsize("the truncation degree K", k_max)
         vals = _coefficients(range(k_max + 1), fn)
         return cls(values=vals, degree=k_max, rule_name=name, rule_params=params)
 
@@ -71,6 +74,7 @@ class Symbol:
     def indicator(cls, k: int) -> "Symbol":
         if k < 0:
             raise ValueError("symbol orders are nonnegative")
+        _at_most_maxsize("the indicator order k", k)
         return cls(values={k: 1.0 + 0j}, degree=k, rule_name="indicator", rule_params=(k,))
 
     @classmethod
@@ -123,6 +127,12 @@ class Symbol:
             values = [_READ[typ](f"symbol rule parameter {name!r}", doc[name]) for name, typ in params]
             return _rule_symbol(doc["rule"], values)
         raise TreeSpecError("symbol spec needs one of 'coeffs', 'support' or 'rule'")
+
+
+def _at_most_maxsize(what: str, k: int) -> None:
+    """Refuse an order past sys.maxsize, the largest that range lengths and islice take."""
+    if k > sys.maxsize:
+        raise ValueError(f"{what} must be at most sys.maxsize = {sys.maxsize}")
 
 
 # Named symbol rules: constructor and its (parameter name, type) list.
@@ -310,7 +320,7 @@ def mult_column(s: TruncatedShift, phi: Symbol, u: VertexId) -> TreeVector:
     ids, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
     prods = np.ones(1)
     with _quiet():
-        for k, level in enumerate(islice(s.tree.levels_below(u), phi.degree + 1)):
+        for k, level in enumerate(islice(s.tree.levels_below(u), min(phi.degree, s.max_depth) + 1)):
             lo, hi = level.start, level.stop
             if k:
                 prods = prods[s.tree.parent[lo:hi] - lo_above] * s.lam[lo:hi]

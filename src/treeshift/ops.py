@@ -283,12 +283,13 @@ class TruncatedShift:
         naming the first such vertex. Up to it, nothing can overflow and
         the check is skipped.
         """
-        size = int(self.tree.gen_offsets[self.tree.max_depth - n + 1])
+        tree = self.tree
+        size = tree.gen_offsets.item(tree.max_depth - n + 1)
         m = len(prev)
         if n <= self._safe_orders:
-            return np.bincount(self.tree.parent[1:m], self._lam2[1:m] * prev[1:], minlength=size)
+            return np.bincount(tree.parent[1:m], self._lam2[1:m] * prev[1:], minlength=size)
         with np.errstate(over="ignore"):
-            out = np.bincount(self.tree.parent[1:m], self._lam2[1:m] * prev[1:], minlength=size)
+            out = np.bincount(tree.parent[1:m], self._lam2[1:m] * prev[1:], minlength=size)
         bad = ~np.isfinite(out)
         if bad.any():
             v = int(np.argmax(bad))
@@ -311,14 +312,14 @@ class TruncatedShift:
             return arr
         if n == 0:
             out = np.ones(self.tree.n_vertices)
-            out.flags.writeable = False
+            out.setflags(write=False)
             return out
         if n < k:
             k, arr = 1, self._order1
         while k < n:
             k += 1
             arr = self._next_order(arr, k)
-            arr.flags.writeable = False
+            arr.setflags(write=False)
         self._cursor = (k, arr)
         return arr
 

@@ -64,9 +64,9 @@ class DirectedTree:
     d is ``gen_offsets[d]:gen_offsets[d + 1]``). ``genuine_leaves`` holds
     the childless vertices known to be childless in the untruncated
     object, as opposed to artifacts of cutting at ``max_depth``; ``names``
-    the labels a description gave, None for ``str(v)``. The ``children``
-    and ``generations`` range views, the ``depth`` array and ``labels``
-    are built on first use.
+    the labels a description gave, None for ``str(v)``. ``max_depth``,
+    the ``children`` and ``generations`` range views, the ``depth`` array
+    and ``labels`` are built on first use.
     """
 
     parent: np.ndarray
@@ -79,7 +79,7 @@ class DirectedTree:
     def n_vertices(self) -> int:
         return len(self.parent)
 
-    @property
+    @cached_property
     def max_depth(self) -> int:
         return len(self.gen_offsets) - 2
 

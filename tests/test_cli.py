@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import treeshift.wold as wold
 from treeshift import GallerySpec, kernel_basis, make, operator_norm_power, power_norm, wold_gram
-from treeshift.cli import _run_norms, _write_report, main
+from treeshift.cli import _run_norms, main
+from treeshift.report import write_report
 
 from oracles import loop_csv_text
 from test_wold import weighted_trees
@@ -189,7 +190,9 @@ def test_wold_refuses_a_lift_that_underflows(tmp_path, capsys, weight):
 
 
 _APPROX_PHI = ["approx", "--family", "mad", "--depth", "4", "--levels", "1", "--phi"]
+_INTEGRAL_PHI = ["integral", "--family", "mad", "--depth", "4", "--cases", "1", "--phi"]
 _HUGE = 10 ** 401  # a JSON integer past the float64 range
+_PAST_MAXSIZE = f"error: %s must be at most sys.maxsize = {sys.maxsize}"
 
 # A bytes doc is the file's text as is: json.dumps cannot write this array.
 _DEEP = b"[" * 100_000 + b"]" * 100_000
@@ -276,6 +279,13 @@ _DEEP = b"[" * 100_000 + b"]" * 100_000
     (_APPROX_PHI, 5, "error: symbol file must hold a JSON object"),
     (["norms"], _DEEP, "error: tree spec file nests too deeply"),
     (_APPROX_PHI, _DEEP, "error: symbol file nests too deeply"),
+    # Orders past sys.maxsize, which islice and range lengths refuse.
+    ([*_APPROX_PHI, f"indicator:{_HUGE}"], None, _PAST_MAXSIZE % "the indicator order k"),
+    ([*_INTEGRAL_PHI, f"indicator:{_HUGE}"], None, _PAST_MAXSIZE % "the indicator order k"),
+    ([*_APPROX_PHI, f"ones:{_HUGE}"], None, _PAST_MAXSIZE % "the truncation degree K"),
+    (_INTEGRAL_PHI, {"rule": "power_law", "exponent": 1, "K": _HUGE},
+     _PAST_MAXSIZE % "the truncation degree K"),
+    (_APPROX_PHI, {"support": [[_HUGE, 1, 0]]}, _PAST_MAXSIZE % "a symbol order"),
 ], ids=["max_power", "triple_edge", "scalar_edge", "endpoint_range", "vertices_string",
         "edges_string", "json_array", "peel_depth_2", "radius_root_only", "radius_overflow",
         "radius_overflow_tail_start", "phi_order_string", "phi_support_scalar", "phi_order_float",
@@ -286,7 +296,8 @@ _DEEP = b"[" * 100_000 + b"]" * 100_000
         "t2_alpha_string", "broom_weight_string", "broom_weight_bool", "balanced_norm_string",
         "balanced_norm_bool", "broom_leaf_omega_string", "parents_weight_huge", "phi_part_huge",
         "phi_rule_exponent_huge", "phi_grammar_overflow", "phi_rule_overflow", "phi_file_array",
-        "phi_file_number", "tree_file_deep", "phi_file_deep"])
+        "phi_file_number", "tree_file_deep", "phi_file_deep", "approx_indicator_huge",
+        "integral_indicator_huge", "approx_ones_huge", "integral_power_law_huge", "approx_support_huge"])
 def test_refusals_exit_two_with_their_message(tmp_path, capsys, argv, doc, message):
     out = str(tmp_path / "r")
     text = doc.decode() if isinstance(doc, bytes) else json.dumps(doc)
@@ -301,6 +312,14 @@ def test_refusals_exit_two_with_their_message(tmp_path, capsys, argv, doc, messa
     assert _run([*argv, "--out", out]) == 2
     assert capsys.readouterr().err == message + "\n"
     assert not os.path.exists(out)
+
+
+def test_symbol_order_at_maxsize_runs(tmp_path):
+    # mult_column walks at most depth + 1 levels below a probe, so an order
+    # islice could not take as its stop still gives a report.
+    out = str(tmp_path / "r")
+    assert _run([*_APPROX_PHI, f"indicator:{sys.maxsize}", "--out", out]) == 0
+    assert _read_report(out)["inputs"]["phi"] == f"indicator:{sys.maxsize}"
 
 
 _texts = st.text(max_size=6) | st.sampled_from([
@@ -441,6 +460,11 @@ def _reports(draw):
 _ONE_CELL = {"name": "c", "op": "", "tol": None}
 
 
+def _one_table(columns, rows):
+    return {"schema": 1, "experiment": "e", "inputs": {}, "tolerances": {}, "verdict": "pass",
+            "tables": [{"name": "t", "columns": columns, "rows": rows}]}
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(_reports())
 @example({"schema": 1, "experiment": "", "inputs": {}, "tolerances": {}, "verdict": "", "tables": []})
@@ -451,10 +475,19 @@ _ONE_CELL = {"name": "c", "op": "", "tol": None}
                                                               [2**70], ["x\ny"], [None], [True]]},
               {"name": "none", "columns": [], "rows": [[], []]},
           ]})
+# One example per column kind the column pass tells apart.
+@example(_one_table([_ONE_CELL], [[True], [False], [True]]))
+@example(_one_table([_ONE_CELL], [[None], [None]]))
+@example(_one_table([_ONE_CELL, _ONE_CELL], [[1, 2.5], [-0.0, 2**70], [3, 1e-7]]))
+@example(_one_table([_ONE_CELL, _ONE_CELL], [[1, True], [False, 0], [2, 2]]))
+@example(_one_table([_ONE_CELL, _ONE_CELL], [["a,b", "%d"], ['say "hi"', "x\ry"], ["x\ny", "%"],
+                                             ["", "%%s"]]))
+@example(_one_table([_ONE_CELL], [[""]]))
+@example(_one_table([_ONE_CELL], [["%s"], ["\r"], [""], ['"']]))
 def test_report_writer_matches_json_dumps(report):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "r")
-        assert _write_report(out, report) == os.path.join(out, "report.json")
+        assert write_report(out, report) == os.path.join(out, "report.json")
         with open(os.path.join(out, "report.json"), "r", encoding="utf-8", newline="") as fh:
             assert fh.read() == json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
         names = ["report.json"] + [f"{t['name']}.csv" for t in report["tables"]]
@@ -464,22 +497,50 @@ def test_report_writer_matches_json_dumps(report):
                 assert fh.read() == loop_csv_text(tab).encode("utf-8")
 
 
-@pytest.mark.parametrize("where", ["row", "inputs"])
+@pytest.mark.parametrize("where", ["row", "inputs", "mixed_row"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_report_writer_refuses_non_finite_before_writing(tmp_path, where, bad):
-    table = {"name": "t", "columns": [_ONE_CELL], "rows": [[1.0], [bad if where == "row" else 2.0]]}
+    # "row" puts bad in an all-float column, "mixed_row" in a column of ints and floats.
+    first = 1 if where == "mixed_row" else 1.0
+    table = {"name": "t", "columns": [_ONE_CELL], "rows": [[first], [2.0 if where == "inputs" else bad]]}
     report = {"schema": 1, "inputs": {"x": [bad] if where == "inputs" else 0.5}, "tables": [table]}
     out = tmp_path / "r"
     with pytest.raises(ValueError, match="non-finite"):
-        _write_report(str(out), report)
+        write_report(str(out), report)
     assert not out.exists()
 
 
 def test_report_writer_refuses_non_scalar_cells(tmp_path):
     table = {"name": "t", "columns": [_ONE_CELL], "rows": [[1], [[2]]]}
     with pytest.raises(TypeError, match="cells"):
-        _write_report(str(tmp_path / "r"), {"schema": 1, "tables": [table]})
+        write_report(str(tmp_path / "r"), {"schema": 1, "tables": [table]})
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("width, rows", [(2, [[1, 2], [3]]), (2, [[1, 2], [3, 4, 5]]), (1, [[1.0], []]),
+                                         (0, [[], [None]])])
+def test_report_writer_refuses_ragged_rows(tmp_path, width, rows):
+    # A second, well-formed table: nothing of the report is written either.
+    tables = [{"name": "ok", "columns": [_ONE_CELL], "rows": [[1]]},
+              {"name": "t", "columns": [_ONE_CELL] * width, "rows": rows}]
+    with pytest.raises(TypeError, match=f"every row must have {width} cells"):
+        write_report(str(tmp_path / "r"), {"schema": 1, "tables": tables})
+    assert not (tmp_path / "r").exists()
+
+
+def test_deep_ray_report_bytes(tmp_path):
+    # The golden norms report is depth 40; the benchmark's deep_ray runs reach depth 416.
+    out = str(tmp_path / "r")
+    assert _run(["norms", "--family", "mad", "--depth", "416", "--out", out]) == 0
+    body = _run_norms(argparse.Namespace(max_power=None, tol=1e-12),
+                      make(GallerySpec(family="mad", depth=416)), "mad")
+    with open(os.path.join(out, "report.json"), "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    report = {**json.loads(text), "tables": body["tables"]}
+    assert len(body["tables"][0]["rows"]) == 416
+    assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    with open(os.path.join(out, "power_norms.csv"), "rb") as fh:
+        assert fh.read() == loop_csv_text(body["tables"][0]).encode("utf-8")
 
 
 def _bits(rows):
