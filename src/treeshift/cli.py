@@ -35,13 +35,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .gallery import (
-    GallerySpec,
-    load_shift,
-    make,
-    path_radius_estimate,
-    t2_expected_peel_coefficient,
-)
+from .gallery import GallerySpec, _tail_radii, load_shift, make, t2_expected_peel_coefficient
 from .multiplier import (
     Symbol,
     TrigPoly,
@@ -60,7 +54,7 @@ from .ops import (
     operator_norm_power,
 )
 from .report import write_report
-from .tree import FAMILIES, TreeSpecError, _load_object, enumerate_paths, load_tree_file
+from .tree import FAMILIES, TreeSpecError, _load_object, load_tree_file
 from .wold import (
     BALANCE_ABS_TOL,
     BALANCE_REL_TOL,
@@ -196,17 +190,13 @@ def _run_norms(args, s: TruncatedShift, family: Optional[str]) -> dict:
 
 
 def _run_radius(args, s: TruncatedShift, family: Optional[str]) -> dict:
-    paths = enumerate_paths(s.tree)
-    rows = []
-    for i, p in enumerate(paths):
-        length = len(p.vertices) - 1
-        if length == 0:
-            continue
-        start = min(args.tail_start, length)
-        est = path_radius_estimate(s, p, start)
-        rows.append([i, s.tree.labels[p.terminal], length, p.leaf_terminated, start, est])
-    if not rows:
+    tree, start = s.tree, args.tail_start
+    if tree.n_vertices == 1:
         raise ValueError("tree has no edges, no path to estimate along")
+    # Row i is path i of enumerate_paths.
+    ends, est = _tail_radii(tree, s.lam, start, range(tree.n_vertices))
+    rows = [[i, tree.labels[v], d, v in tree.genuine_leaves, min(start, d), e]
+            for i, (v, d, e) in enumerate(zip(ends.tolist(), tree.depth[ends].tolist(), est.tolist()))]
     return {
         "inputs": {"tail_start": args.tail_start},
         "tolerances": {},
@@ -673,7 +663,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"error: out of memory running {args.command}: {exc}", file=sys.stderr)
+        detail = f": {exc}" if str(exc) else ""  # a bare MemoryError() has no message
+        print(f"error: out of memory running {args.command}{detail}", file=sys.stderr)
         return 2
     print(f"{args.command}: {report['verdict']} ({path})")
     return 0 if report["verdict"] in ("pass", "evidence-only") else 1

@@ -8,9 +8,10 @@ in ``GALLERY_FAMILIES``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from . import tree as treemod
 from .multiplier import Symbol, gamma_apply
@@ -91,21 +92,37 @@ def path_radius_estimate(s: TruncatedShift, p: PathSelector, n: int) -> float:
     rather than a certified limit. A product that overflows float64
     raises ``ValueError`` naming its vertex.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    lo = max(n, 1)
-    if lo > len(p.vertices) - 1:
-        raise HorizonError(f"tail start {lo} passes the end of a length-{len(p.vertices) - 1} path")
+    length = len(p.vertices) - 1
+    if max(n, 1) > length:
+        raise HorizonError(f"tail start {max(n, 1)} passes the end of a length-{length} path")
     PathSelector.from_vertices(s.tree, p.vertices)
-    best = math.inf
-    prod = 1.0
-    for k, (v, w) in enumerate(zip(p.vertices[1:], s.lam[list(p.vertices[1:])].tolist()), start=1):
-        prod *= w
-        if not math.isfinite(prod):
-            raise ValueError(f"the weight product from the root to vertex {v} overflows float64")
-        if k >= lo:
-            best = min(best, prod ** (1.0 / k))
-    return best
+    chain = treemod.DirectedTree.from_bfs_parents(range(-1, length))  # path vertex k as id k
+    return _tail_radii(chain, s.lam[list(p.vertices)], n, p.vertices)[1].item(0)
+
+
+def _tail_radii(tree, lam, tail_start: int, ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The childless ids of tree, ascending, and the path estimate at each, from
+    one pass that keeps a walk's bits: prod(v) = prod(parent) * lam(v), CPython's
+    ``**`` (``np.power`` rounds differently) and Python's min(tail(parent), r(v)).
+    A negative tail_start is refused, then a non-finite product, naming the
+    shallowest one (as ``ids[v]``) on the lowest such terminal's path."""
+    if tail_start < 0:
+        raise ValueError("n must be nonnegative")
+    parent, prod, est = tree.parent, np.ones(tree.n_vertices), np.empty(tree.n_vertices)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d, (lo, hi) in enumerate(zip(tree.gen_offsets[1:-1], tree.gen_offsets[2:]), start=1):
+            up = parent[lo:hi]
+            prod[lo:hi] = prod[up] * lam[lo:hi]
+            r = np.array([x ** (1.0 / d) for x in prod[lo:hi].tolist()])
+            est[lo:hi] = r if d <= max(tail_start, 1) else np.where(r < est[up], r, est[up])
+    ends = treemod._childless(tree.first_child)
+    bad = ends[~np.isfinite(prod[ends])]
+    if bad.size:
+        v = bad.item(0)
+        while not np.isfinite(prod[parent[v]]):
+            v = parent.item(v)
+        raise ValueError(f"the weight product from the root to vertex {ids[v]} overflows float64")
+    return ends, est[ends]
 
 
 def t2_expected_peel_coefficient(j: int, alpha: float) -> float:

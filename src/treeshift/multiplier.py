@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 import re
-import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Mapping, Optional, Sequence
@@ -26,7 +25,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .ops import TreeVector, TruncatedShift, _cmul, _join, _quiet, _row_sums, _same_tree
-from .tree import TreeSpecError, VertexId, _coefficients, _integer, _real, _refuse_unknown
+from .tree import TreeSpecError, VertexId, _at_most_maxsize, _coefficients, _integer, _real, _refuse_unknown
 
 
 @dataclass(frozen=True)
@@ -127,12 +126,6 @@ class Symbol:
             values = [_READ[typ](f"symbol rule parameter {name!r}", doc[name]) for name, typ in params]
             return _rule_symbol(doc["rule"], values)
         raise TreeSpecError("symbol spec needs one of 'coeffs', 'support' or 'rule'")
-
-
-def _at_most_maxsize(what: str, k: int) -> None:
-    """Refuse an order past sys.maxsize, the largest that range lengths and islice take."""
-    if k > sys.maxsize:
-        raise ValueError(f"{what} must be at most sys.maxsize = {sys.maxsize}")
 
 
 # Named symbol rules: constructor and its (parameter name, type) list.

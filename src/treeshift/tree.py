@@ -29,6 +29,7 @@ import cmath
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -52,6 +53,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _ranges(bounds: np.ndarray) -> tuple[range, ...]:
     b = bounds.tolist()
     return tuple(map(range, b[:-1], b[1:]))
+
+
+def _childless(first_child: np.ndarray) -> np.ndarray:
+    """The ids u < len(first_child) - 1 without children, ascending: path terminals."""
+    return np.flatnonzero(np.diff(first_child) == 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,8 +138,7 @@ class DirectedTree:
         while offsets[-1] < n:
             offsets.append(first.item(offsets[-1]))
         if genuine_leaves is None:
-            childless = np.diff(first[: offsets[-2] + 1]) == 0
-            genuine_leaves = np.flatnonzero(childless).tolist()
+            genuine_leaves = _childless(first[: offsets[-2] + 1]).tolist()
         return cls(
             parent=_read_only(p),
             first_child=_read_only(first),
@@ -271,6 +276,13 @@ def _integer(name: str, x: object) -> int:
     return int(x)
 
 
+def _at_most_maxsize(name: str, k: int) -> int:
+    """k, refused past sys.maxsize, the largest size numpy, range and islice take."""
+    if k > sys.maxsize:
+        raise TreeSpecError(f"{name} must be at most sys.maxsize = {sys.maxsize}")
+    return k
+
+
 def _real(name: str, x: object) -> float:
     if type(x) not in (float, int) and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
         raise TreeSpecError(f"{name} must be a number, got {x!r}")
@@ -326,7 +338,7 @@ def _ray_parents(depth: int, p: Mapping[str, object]):
 
 
 def _broom_parents(depth: int, p: Mapping[str, object]):
-    arms = _integer("arms", p["arms"])
+    arms = _at_most_maxsize("arms", _integer("arms", p["arms"]))
     if arms < 1:
         raise TreeSpecError("broom needs at least one arm")
     # Arms are leaves of the untruncated object, not boundary artifacts.
@@ -335,7 +347,7 @@ def _broom_parents(depth: int, p: Mapping[str, object]):
 
 def _broom_leaf_parents(depth: int, p: Mapping[str, object]):
     """A broom whose first arm carries a single pendant vertex, omega."""
-    arms = _integer("arms", p["arms"])
+    arms = _at_most_maxsize("arms", _integer("arms", p["arms"]))
     if arms < 2:
         raise TreeSpecError("broom_leaf needs at least two arms")
     labels = [*map(str, range(arms + 1)), "omega"]
@@ -526,7 +538,7 @@ def _family(spec: Mapping[str, object], weigh: bool) -> tuple[DirectedTree, Opti
         raise TreeSpecError(f"{name} does not take params {sorted(extra)}")
     depth = spec.get("depth")
     if depth is not None:
-        depth = _integer("depth", depth)
+        depth = _at_most_maxsize("depth", _integer("depth", depth))
     if fam.fixed_depth is not None:
         if depth not in (None, fam.fixed_depth):
             raise TreeSpecError(f"{name} trees have depth {fam.fixed_depth}, got {depth}")
@@ -662,7 +674,7 @@ def enumerate_paths(tree: DirectedTree) -> list[PathSelector]:
     """
     parent = tree.parent.tolist()
     paths = []
-    for v in np.flatnonzero(np.diff(tree.first_child) == 0).tolist():
+    for v in _childless(tree.first_child).tolist():
         chain = [v]
         while chain[-1] != 0:
             chain.append(parent[chain[-1]])

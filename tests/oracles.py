@@ -500,3 +500,40 @@ def loop_csv_text(table):
     for row in table["rows"]:
         writer.writerow([_fmt_cell(x) for x in row])
     return fh.getvalue()
+
+
+def loop_path_radii(s, tail_start):
+    """The rows of ``treeshift radius`` by one walk per maximal path.
+
+    This is the per-path route the one-pass ``gallery._tail_radii`` replaced:
+    a chain from each childless vertex (ascending id) up to the root, then
+    a walk down it multiplying the weights and taking the tail minimum of
+    prod ** (1 / k) from depth max(min(tail_start, length), 1). It raises
+    the runner's refusals, in the runner's order.
+    """
+    tree = s.tree
+    parent = tree.parent.tolist()
+    parents = set(parent[1:])
+    rows = []
+    for i, v in enumerate(u for u in range(tree.n_vertices) if u not in parents):
+        chain = [v]
+        while chain[-1] != 0:
+            chain.append(parent[chain[-1]])
+        chain.reverse()
+        length = len(chain) - 1
+        if length == 0:
+            continue
+        start = min(tail_start, length)
+        if start < 0:
+            raise ValueError("n must be nonnegative")
+        best, prod = math.inf, 1.0
+        for k, u in enumerate(chain[1:], start=1):
+            prod *= s.lam.item(u)
+            if not math.isfinite(prod):
+                raise ValueError(f"the weight product from the root to vertex {u} overflows float64")
+            if k >= max(start, 1):
+                best = min(best, prod ** (1.0 / k))
+        rows.append([i, tree.labels[v], length, v in tree.genuine_leaves, start, best])
+    if not rows:
+        raise ValueError("tree has no edges, no path to estimate along")
+    return rows

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import treeshift.cli as cli
 import treeshift.wold as wold
 from treeshift import GallerySpec, kernel_basis, make, operator_norm_power, power_norm, wold_gram
 from treeshift.cli import _run_norms, main
@@ -193,6 +194,8 @@ _APPROX_PHI = ["approx", "--family", "mad", "--depth", "4", "--levels", "1", "--
 _INTEGRAL_PHI = ["integral", "--family", "mad", "--depth", "4", "--cases", "1", "--phi"]
 _HUGE = 10 ** 401  # a JSON integer past the float64 range
 _PAST_MAXSIZE = f"error: %s must be at most sys.maxsize = {sys.maxsize}"
+_TWO_BRANCHES = {"vertices": 9, "parents": [None, 0, 0, 1, 2, 3, 4, 5, 6],
+                 "weights": [0, 1e80, 1e150, 1e80, 1e150, 1e80, 1e150, 1e80, 1.0]}
 
 # A bytes doc is the file's text as is: json.dumps cannot write this array.
 _DEEP = b"[" * 100_000 + b"]" * 100_000
@@ -220,6 +223,17 @@ _DEEP = b"[" * 100_000 + b"]" * 100_000
     (["radius", "--tail-start", "4"],
      {"vertices": 5, "parents": [None, 0, 1, 2, 3], "weights": [0] + [1e100] * 4},
      "error: the weight product from the root to vertex 4 overflows float64"),
+    # Vertex 6 is the first non-finite id, but the lowest-id terminal is 7,
+    # and 7 is the shallowest non-finite vertex on its path 0-1-3-5-7.
+    (["radius"], _TWO_BRANCHES, "error: the weight product from the root to vertex 7 overflows float64"),
+    # Refusal order: a root-only tree, then a negative tail start, then overflow.
+    (["radius", "--tail-start", "-1"], {"vertices": 1, "parents": [None]},
+     "error: tree has no edges, no path to estimate along"),
+    (["radius", "--tail-start", "-1"], _TWO_BRANCHES, "error: n must be nonnegative"),
+    # Sizes past sys.maxsize, which numpy refuses without naming the input.
+    (["radius"], {"family": "random", "depth": _HUGE}, _PAST_MAXSIZE % "depth"),
+    (["norms", "--family", "mad", "--depth", str(10 ** 20)], None, _PAST_MAXSIZE % "depth"),
+    (["norms", "--family", "broom", "--arms", str(10 ** 20)], None, _PAST_MAXSIZE % "arms"),
     # Symbol files: argv ends in --phi and doc is the file's document.
     (_APPROX_PHI, {"support": [["2", "1", 0]]},
      "error: the order of symbol support entry 0 must be an integer, got '2'"),
@@ -288,7 +302,9 @@ _DEEP = b"[" * 100_000 + b"]" * 100_000
     (_APPROX_PHI, {"support": [[_HUGE, 1, 0]]}, _PAST_MAXSIZE % "a symbol order"),
 ], ids=["max_power", "triple_edge", "scalar_edge", "endpoint_range", "vertices_string",
         "edges_string", "json_array", "peel_depth_2", "radius_root_only", "radius_overflow",
-        "radius_overflow_tail_start", "phi_order_string", "phi_support_scalar", "phi_order_float",
+        "radius_overflow_tail_start", "radius_overflow_lowest_terminal",
+        "radius_root_only_negative_tail", "radius_negative_tail_before_overflow", "random_depth_huge",
+        "mad_depth_huge", "broom_arms_huge", "phi_order_string", "phi_support_scalar", "phi_order_float",
         "phi_order_bool", "phi_support_pair", "phi_rule_float", "phi_rule_string", "phi_rule_bool",
         "phi_coeffs_string", "phi_coeffs_bool", "phi_coeffs_key", "phi_coeffs_key_underscore",
         "phi_coeffs_key_space", "phi_coeffs_key_plus", "parents_weight_string",
@@ -818,6 +834,22 @@ def test_out_of_memory_exits_two_without_report(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: out of memory"), proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exc, err", [
+    (MemoryError(), "error: out of memory running radius\n"),
+    (MemoryError("Unable to allocate 8.00 EiB"),
+     "error: out of memory running radius: Unable to allocate 8.00 EiB\n"),
+])
+def test_out_of_memory_message_has_no_empty_detail(tmp_path, capsys, monkeypatch, exc, err):
+    def run(args, s, family):
+        raise exc
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "radius", cli.EXPERIMENTS["radius"]._replace(run=run))
+    out = tmp_path / "r"
+    assert _run(["radius", "--family", "mad", "--depth", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == err
     assert not out.exists()
 
 

@@ -1,8 +1,11 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeshift import (
     GALLERY_FAMILIES,
@@ -22,7 +25,9 @@ from treeshift import (
     t2_expected_peel_coefficient,
 )
 
-from oracles import dense_shift_matrix, loop_family
+from treeshift.cli import _run_radius
+
+from oracles import dense_shift_matrix, loop_family, loop_path_radii
 
 
 def test_mad_weight_rule():
@@ -202,6 +207,70 @@ def test_path_radius_refuses_an_overflowed_product():
     for n in (1, 4, 6):
         with pytest.raises(ValueError, match="^the weight product from the root to vertex 4 overflows"):
             path_radius_estimate(ray, chain, n)
+
+
+# Weights of --tree specs: zeros of both signs, and in some specs factors
+# whose products overflow within three generations (1e150 still has a
+# finite square). A small reach makes deep trees.
+_WEIGHTS = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]) | st.floats(0.01, 100.0)
+_HUGE_WEIGHTS = st.sampled_from([-0.0, 1e80, 1e150])
+_LAWS = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+
+
+@st.composite
+def _parents_specs(draw):
+    n, reach = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    parents = [None] + [draw(st.integers(max(0, v - reach), v - 1)) for v in range(1, n)]
+    weights = draw(st.lists(draw(st.sampled_from([_WEIGHTS, _HUGE_WEIGHTS])), min_size=n - 1, max_size=n - 1))
+    return {"vertices": n, "parents": parents, "weights": [0.0, *weights]}
+
+
+# One strategy per family, plus --tree specs; the kind is drawn first.
+_RADIUS_SPECS = {
+    "unilateral": st.builds(lambda d: {"family": "unilateral", "depth": d}, st.integers(0, 6)),
+    "mad": st.builds(lambda d: {"family": "mad", "depth": d}, st.integers(1, 6)),
+    "broom": st.builds(lambda a: {"family": "broom", "params": {"arms": a}}, st.integers(1, 6)),
+    "broom_leaf": st.builds(lambda a, w: {"family": "broom_leaf", "params": {"arms": a, "omega_weight": w}},
+                            st.integers(2, 6), st.floats(0.1, 4.0)),
+    "t2": st.builds(lambda a, d: {"family": "t2", "depth": d, "params": {"alpha": a}},
+                    st.floats(0.05, 0.95), st.integers(1, 6)),
+    "t2_zero": st.builds(lambda d: {"family": "t2_zero", "depth": d}, st.integers(3, 6)),
+    **{f: st.builds(lambda d, seed, law, f=f: {"family": f, "depth": d,
+                                               "params": {"seed": seed, "branching": law}},
+                    st.integers(0, 5), st.integers(0, 2**16), _LAWS)
+       for f in ("random", "random_balanced")},
+    "parents": _parents_specs(),
+}
+
+
+def _runner_rows(s, tail_start):
+    return _run_radius(argparse.Namespace(tail_start=tail_start), s, None)["tables"][0]["rows"]
+
+
+def _rows_or_refusal(run, s, tail_start):
+    """Rows with every cell tagged by its type and floats as .hex(), or the refusal."""
+    try:
+        rows = run(s, tail_start)
+    except ValueError as exc:
+        return str(exc)
+    return [[(type(x).__name__, x.hex() if isinstance(x, float) else x) for x in row] for row in rows]
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.sampled_from(sorted(_RADIUS_SPECS)).flatmap(_RADIUS_SPECS.get),
+       st.sampled_from([-1, 0, 1, 2, "D", "D+3"]))
+def test_radius_rows_match_the_per_path_walk_bitwise(spec, tail):
+    # Every family (broom_leaf's short paths, t2_zero's zeros) and --tree
+    # specs with 0.0, -0.0 and overflowing weights, at each tail start.
+    s = load_shift(spec)
+    tail_start = {"D": s.max_depth, "D+3": s.max_depth + 3}.get(tail, tail)
+    runner = _rows_or_refusal(_runner_rows, s, tail_start)
+    assert runner == _rows_or_refusal(loop_path_radii, s, tail_start)
+    if isinstance(runner, list):
+        paths = enumerate_paths(s.tree)
+        for row in runner:
+            (_, i), (_, start), (_, est) = row[0], row[4], row[5]
+            assert path_radius_estimate(s, paths[i], start).hex() == est
 
 
 def test_t2_peel_coefficient_closed_form():
