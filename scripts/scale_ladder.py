@@ -23,8 +23,7 @@ file when it already exists, so one file can gather several invocations.
 The script sets no allocator tunable and no CPU affinity.
 
     python scripts/scale_ladder.py --repeat 2
-    python scripts/scale_ladder.py --rungs radius_random2_d19 --against HEAD~1
-    python scripts/scale_ladder.py --command "radius --family mad --depth 3"
+    python scripts/scale_ladder.py --rungs radius_random2_d17 radius_random2_d19 --against HEAD~1
 """
 
 from __future__ import annotations
@@ -50,14 +49,17 @@ ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 RANDOM2 = "--family random --branching 2 --depth"
 
 # name -> (CLI arguments, timeout in seconds). Random (2,) depth 19 has
-# N = 1 048 575 vertices; mad depth 10^4 and 10^5 are rays of N = D + 1.
+# N = 1 048 575 vertices; mad depth 10^4 and 10^5 are rays of N = D + 1,
+# where every generation holds one vertex.
 LADDER = {
     "wold_random2_d19": (f"wold {RANDOM2} 19 --cases 1", 600),
     "wold_mad_1e4": ("wold --family mad --depth 10000 --cases 1", 600),
     "gram_random2_d11": (f"gram {RANDOM2} 11", 600),
     "gram_random2_d12": (f"gram {RANDOM2} 12", 600),
     "gram_random2_d14": (f"gram {RANDOM2} 14", 600),
+    "radius_random2_d17": (f"radius {RANDOM2} 17", 600),
     "radius_random2_d19": (f"radius {RANDOM2} 19", 600),
+    "radius_mad_1e5": ("radius --family mad --depth 100000", 600),
     "approx_random2_d19": (f"approx {RANDOM2} 19", 900),
     "approx_mad_1e4": ("approx --family mad --depth 10000", 600),
     "integral_random2_d19": (f"integral {RANDOM2} 19 --cases 1", 900),
@@ -65,7 +67,6 @@ LADDER = {
     "norms_mad_1e5": ("norms --family mad --depth 100000", 900),
     "balanced_mad_1e5": ("balanced --family mad --depth 100000", 600),
 }
-COMMAND_TIMEOUT = 900
 METHOD = (
     "one child process per run: python -m treeshift.cli <command> with PYTHONPATH at the side's src, "
     "RLIMIT_AS 3e9 bytes and one BLAS thread set on that child only; wall_s is perf_counter around "
@@ -147,18 +148,13 @@ def _summary(runs: list[dict]) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--rungs", nargs="+", choices=tuple(LADDER),
-                        help="ladder rungs to run (default: all, or none when --command is given)")
-    parser.add_argument("--command", action="append", default=[],
-                        help="extra rung: treeshift CLI arguments, named by their text (repeatable)")
+    parser.add_argument("--rungs", nargs="+", choices=tuple(LADDER), help="ladder rungs to run (default: all)")
     parser.add_argument("--repeat", type=int, default=1, help="runs of each rung on each side")
     parser.add_argument("--against", metavar="REV", help="also run each rung on `git archive REV`")
-    parser.add_argument("--timeout", type=float, help="seconds before a run is killed (default: per rung)")
     parser.add_argument("--out-dir", default=ROOT, help="directory of the BENCH_scale_<sha>.json file")
     args = parser.parse_args(argv)
 
-    rungs = {name: LADDER[name] for name in args.rungs or ([] if args.command else LADDER)}
-    rungs.update({text: (text, COMMAND_TIMEOUT) for text in args.command})
+    rungs = {name: LADDER[name] for name in args.rungs or LADDER}
     try:
         head, dirty = _git("rev-parse", "--short", "HEAD"), bool(_git("status", "--porcelain", "--", "src"))
     except (OSError, subprocess.CalledProcessError):  # not a git checkout
@@ -192,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
                 turn += 1
                 for label in order:
                     side = sides[label]
-                    run = run_once(side["src"], shlex.split(command), args.timeout or timeout)
+                    run = run_once(side["src"], shlex.split(command), timeout)
                     entry["runs"].append({"side": label, "git": side["git"],
                                           "src_sha256": side["src_sha256"], **run})
                     print(f"{name} [{label}]: {run['wall_s']} s, {run['max_rss_mb']} MB, "

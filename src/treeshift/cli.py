@@ -54,7 +54,7 @@ from .ops import (
     operator_norm_power,
 )
 from .report import write_report
-from .tree import FAMILIES, TreeSpecError, _load_object, load_tree_file
+from .tree import FAMILIES, TreeSpecError, _childless, _load_object, load_tree_file
 from .wold import (
     BALANCE_ABS_TOL,
     BALANCE_REL_TOL,
@@ -194,7 +194,8 @@ def _run_radius(args, s: TruncatedShift, family: Optional[str]) -> dict:
     if tree.n_vertices == 1:
         raise ValueError("tree has no edges, no path to estimate along")
     # Row i is path i of enumerate_paths.
-    ends, est = _tail_radii(tree, s.lam, start, range(tree.n_vertices))
+    ends = _childless(tree.first_child)
+    est = _tail_radii(tree.parent, tree.depth, s.lam, ends, start, range(tree.n_vertices))
     rows = [[i, tree.labels[v], d, v in tree.genuine_leaves, min(start, d), e]
             for i, (v, d, e) in enumerate(zip(ends.tolist(), tree.depth[ends].tolist(), est.tolist()))]
     return {

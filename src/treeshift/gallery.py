@@ -8,6 +8,8 @@ in ``GALLERY_FAMILIES``.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
@@ -96,33 +98,31 @@ def path_radius_estimate(s: TruncatedShift, p: PathSelector, n: int) -> float:
     if max(n, 1) > length:
         raise HorizonError(f"tail start {max(n, 1)} passes the end of a length-{length} path")
     PathSelector.from_vertices(s.tree, p.vertices)
-    chain = treemod.DirectedTree.from_bfs_parents(range(-1, length))  # path vertex k as id k
-    return _tail_radii(chain, s.lam[list(p.vertices)], n, p.vertices)[1].item(0)
+    k = np.arange(length + 1)  # path vertex k as id k, at depth k
+    return _tail_radii(k - 1, k, s.lam[list(p.vertices)], k[-1:], n, p.vertices).item(0)
 
 
-def _tail_radii(tree, lam, tail_start: int, ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The childless ids of tree, ascending, and the path estimate at each, from
-    one pass that keeps a walk's bits: prod(v) = prod(parent) * lam(v), CPython's
-    ``**`` (``np.power`` rounds differently) and Python's min(tail(parent), r(v)).
+def _tail_radii(parent, depth, lam, ends, tail_start: int, ids: Sequence[int]) -> np.ndarray:
+    """The path estimate at each terminal in ends, from one pass over the
+    breadth-first ids that keeps a walk's bits: prod(v) = prod(parent) * lam(v),
+    CPython's ``**`` (``np.power`` rounds differently) and min(tail(parent), r(v)).
     A negative tail_start is refused, then a non-finite product, naming the
-    shallowest one (as ``ids[v]``) on the lowest such terminal's path."""
+    shallowest one (as ``ids[v]``) on the path of the first such terminal."""
     if tail_start < 0:
         raise ValueError("n must be nonnegative")
-    parent, prod, est = tree.parent, np.ones(tree.n_vertices), np.empty(tree.n_vertices)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for d, (lo, hi) in enumerate(zip(tree.gen_offsets[1:-1], tree.gen_offsets[2:]), start=1):
-            up = parent[lo:hi]
-            prod[lo:hi] = prod[up] * lam[lo:hi]
-            r = np.array([x ** (1.0 / d) for x in prod[lo:hi].tolist()])
-            est[lo:hi] = r if d <= max(tail_start, 1) else np.where(r < est[up], r, est[up])
-    ends = treemod._childless(tree.first_child)
-    bad = ends[~np.isfinite(prod[ends])]
+    n, start = len(parent), max(tail_start, 1)
+    prod, est = array("d", [1.0]) * n, array("d", [0.0]) * n
+    for v, u, d, w in zip(range(1, n), parent[1:].tolist(), depth[1:].tolist(), lam[1:].tolist()):
+        prod[v] = p = prod[u] * w
+        r, e = p ** (1.0 / d), est[u]
+        est[v] = r if d <= start or r < e else e
+    bad = ends[~np.isfinite(np.frombuffer(prod)[ends])]
     if bad.size:
         v = bad.item(0)
-        while not np.isfinite(prod[parent[v]]):
+        while not math.isfinite(prod[parent[v]]):
             v = parent.item(v)
         raise ValueError(f"the weight product from the root to vertex {ids[v]} overflows float64")
-    return ends, est[ends]
+    return np.frombuffer(est)[ends]
 
 
 def t2_expected_peel_coefficient(j: int, alpha: float) -> float:
