@@ -196,8 +196,10 @@ def _run_radius(args, s: TruncatedShift, family: Optional[str]) -> dict:
     # Row i is path i of enumerate_paths.
     ends = _childless(tree.first_child)
     est = _tail_radii(tree.parent, tree.depth, s.lam, ends, start, range(tree.n_vertices))
-    rows = [[i, tree.labels[v], d, v in tree.genuine_leaves, min(start, d), e]
-            for i, (v, d, e) in enumerate(zip(ends.tolist(), tree.depth[ends].tolist(), est.tolist()))]
+    terminals = ends.tolist()
+    rows = [[i, label, d, v in tree.genuine_leaves, min(start, d), e]
+            for i, (v, label, d, e) in enumerate(zip(terminals, tree.labels_of(terminals),
+                                                     tree.depth[ends].tolist(), est.tolist()))]
     return {
         "inputs": {"tail_start": args.tail_start},
         "tolerances": {},
@@ -220,7 +222,7 @@ def _run_approx(args, s: TruncatedShift, family: Optional[str]) -> dict:
     n_probes = min(s.tree.n_vertices, args.probes)
     probes = [TreeVector.basis(s.tree, u) for u in range(n_probes)]
     profile = sot_error_profile(s, phi, levels, probes)
-    labels = s.tree.labels
+    labels = s.tree.labels_of(range(n_probes))
     rows = [
         [r.n, r.probe_index, labels[r.probe_index], r.error, r.bound, r.error <= r.bound + args.tol]
         for r in profile.rows

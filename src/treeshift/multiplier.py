@@ -233,12 +233,21 @@ def fejer_symbol(n: int) -> TrigPoly:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return TrigPoly.from_coeffs({k: 1.0 - abs(k) / (n + 1) for k in range(-n, n + 1)})
+    return TrigPoly.from_coeffs({k: _fejer_hat(n, k) for k in range(-n, n + 1)})
+
+
+def _fejer_hat(n: int, k: int) -> float:
+    return 1.0 - abs(k) / (n + 1)
 
 
 def hadamard(p: TrigPoly, phi: Symbol) -> Symbol:
     """Entrywise product of the hat coefficients: k -> p.hat(k) * phi(k)."""
-    out = _coefficients(range(min(p.degree, phi.degree) + 1), lambda k: p.hat(k) * phi.value(k))
+    return _hadamard(p.hat, p.degree, phi)
+
+
+def _hadamard(hat: Callable[[int], complex], degree: int, phi: Symbol) -> Symbol:
+    """k -> hat(k) * phi(k) on the orders 0..min(degree, phi.degree), the only ones both can hold."""
+    out = _coefficients(range(min(degree, phi.degree) + 1), lambda k: hat(k) * phi.value(k))
     return Symbol(values=out, degree=max(out) if out else 0)
 
 
@@ -250,8 +259,10 @@ def gamma_apply(s: TruncatedShift, phi: Symbol, f: TreeVector) -> TreeVector:
                 * phi(k) * f(k-th ancestor of v).
 
     This is a one-row batch of ``_gamma_rows``, the kernel the circle
-    quadrature runs on a chunk of rotated symbols at once. The result is
-    bitwise that of the scalar formula summed over k in ascending order.
+    quadrature runs on a chunk of rotated symbols at once; it works on
+    full-width rows whose orders past depth(v) add exact zeros at v. The
+    result is bitwise that of the scalar formula summed over k in
+    ascending order.
     """
     _same_tree(s, f)
     p = np.array([phi.values_upto(min(phi.degree, s.max_depth))], dtype=complex)
@@ -267,37 +278,82 @@ def _gamma_rows(
 
     Row r of the result is the multiplier of the symbol with order-k
     coefficient p_re[r, k] + i p_im[r, k] applied to f, as dense real and
-    imaginary arrays over the vertex ids. Order k gathers the order k - 1
-    weight products and f values through the parent array, over the
-    vertices of depth >= k; those gathers are shared by every row.
-    Complex values are kept as separate real and imaginary float64
-    arrays and every product is ``_cmul``, CPython's rounding. A row
-    whose order-k coefficient is zero skips that order, as the scalar
-    formula does.
+    imaginary arrays over the vertex ids. Complex values are kept as
+    separate real and imaginary float64 arrays and every product is
+    CPython's rounding. A row whose order-k coefficient is zero skips
+    that order, as the scalar formula does: it is left out of that
+    order's products, not computed and masked, so an inf weight product
+    meets no 0 coefficient there.
+
+    Every order works on whole rows of N entries. The order-k weight
+    products prod(v) = prod_{k-1}(parent v) * lam(v) and the gathered f
+    values f(k-th ancestor of v) are length-N arrays, shared by every
+    row, with exact zeros on the ids above depth k (the head, ids below
+    ``gen_offsets[k]``); two sets of them alternate between orders. The
+    products of an order are written into four rows x N work buffers
+    allocated once per call, and the sums are whole-array adds.
+
+    Why the heads change no bit: with p finite, the head of
+    (prod * p) * f is (0 * p) * 0, a zero of either sign. Each sum starts
+    at +0.0, and a sum of two floats is -0.0 only if both are -0.0, so no
+    sum ever holds -0.0, and adding a zero of either sign leaves any
+    value, +0.0 included, unchanged. The same argument lets prod * p drop
+    the 0.0 * p parts of (prod + 0j) * p: they can change only the sign
+    of a zero product. A non-finite p (a rotated coefficient that
+    overflowed) breaks both, since 0.0 * inf is nan; such a call keeps
+    the 0.0 * p parts and clears the heads.
     """
     n = len(f_re)
-    offsets = s.tree.gen_offsets
+    offsets = s.tree.gen_offsets.tolist()
+    live = (p_re != 0) | (p_im != 0)
+    n_live = live.sum(axis=0).tolist()
+    finite = bool(np.isfinite(p_re).all() and np.isfinite(p_im).all())
     acc_re = np.zeros((len(p_re), n))
     acc_im = np.zeros((len(p_re), n))
-    prod = np.ones(n)
+    t_re, t_im, m_a, m_b = (np.empty((len(p_re), n)) for _ in range(4))
+    cur = np.stack([np.ones(n), f_re, f_im])  # prod, f_re, f_im at order k
+    nxt = np.empty_like(cur)
     for k in range(p_re.shape[1]):
+        lo = offsets[k]
         if k:
-            # Restrict the order k - 1 arrays (ids from offsets[k - 1]) to
-            # depth >= k by gathering at each vertex's parent.
-            up = s.tree.parent[offsets[k]:] - offsets[k - 1]
-            f_re, f_im = f_re[up], f_im[up]
-            prod = prod[up] * s.lam[offsets[k]:]
-        live = (p_re[:, k] != 0) | (p_im[:, k] != 0)
-        if not live.any():
+            # Gather the order k - 1 arrays at each parent, on depth >= k
+            # (every index is in range; "clip" writes to out unbuffered).
+            nxt[:, :lo] = 0.0
+            for src, dst in zip(cur, nxt):
+                np.take(src, s.tree.parent[lo:], out=dst[lo:], mode="clip")
+            np.multiply(nxt[0, lo:], s.lam[lo:], out=nxt[0, lo:])
+            cur, nxt = nxt, cur
+        rows = n_live[k]
+        if not rows:
             continue
-        rows = slice(None) if live.all() else live
-        # (prod * pk) * f with prod promoted to prod + 0j, as in CPython.
-        t_re, t_im = _cmul(prod, 0.0, p_re[rows, k, None], p_im[rows, k, None])
-        m_re, m_im = _cmul(t_re, t_im, f_re, f_im)
-        tail = slice(int(offsets[k]), n)
-        acc_re[rows, tail] += m_re
-        acc_im[rows, tail] += m_im
+        pk_re, pk_im = p_re[:, k, None], p_im[:, k, None]
+        if rows < len(p_re):
+            pk_re, pk_im = pk_re[live[:, k]], pk_im[live[:, k]]
+        prod, x_re, x_im = cur
+        tr, ti, ma, mb = t_re[:rows], t_im[:rows], m_a[:rows], m_b[:rows]
+        np.multiply(prod, pk_re, out=tr)
+        np.multiply(prod, pk_im, out=ti)
+        if not finite:
+            np.subtract(tr, 0.0 * pk_im, out=tr)
+            np.add(ti, 0.0 * pk_re, out=ti)
+            tr[:, :lo] = 0.0
+            ti[:, :lo] = 0.0
+        # (t * f).re = t_re f_re - t_im f_im and (t * f).im = t_re f_im + t_im f_re
+        np.multiply(tr, x_re, out=ma)
+        np.multiply(ti, x_im, out=mb)
+        _add_rows(acc_re, live[:, k], np.subtract(ma, mb, out=ma))
+        np.multiply(tr, x_im, out=ma)
+        np.multiply(ti, x_re, out=mb)
+        _add_rows(acc_im, live[:, k], np.add(ma, mb, out=ma))
     return acc_re, acc_im
+
+
+def _add_rows(acc: np.ndarray, live: np.ndarray, m: np.ndarray) -> None:
+    """acc[live] += m, a whole-array add when every row is live."""
+    if len(m) == len(acc):
+        acc += m
+    else:
+        acc[live] += m
 
 
 def mult_column(s: TruncatedShift, phi: Symbol, u: VertexId) -> TreeVector:
@@ -381,11 +437,15 @@ def circle_pair_integral(
     vertices. Each chunk materialises the rotated symbols as a roots x
     (K + 1) matrix, with ``rotate_symbol``'s rounding, and applies them
     all at once through ``_gamma_rows``, the kernel ``gamma_apply`` runs
-    on one row. Each row is paired with g by a sequential sum of the
+    on one row: every order works on full-width roots x N rows, whose
+    entries above that order's depth add exact zeros that change no bit.
+    Each row is paired with g by a sequential sum of the
     terms M f(v) * conj(g(v)) over g's entries in insertion order, as
-    ``TreeVector.inner`` walks them, and q(w) times the pairing is
-    accumulated over ascending roots, so the result is bitwise that of
-    one ``gamma_apply`` and one ``inner`` per root.
+    ``TreeVector.inner`` walks them (when those are every id in
+    ascending order, the rows are paired as they are, with no gather),
+    and q(w) times the pairing is accumulated over ascending roots, so
+    the result is bitwise that of one ``gamma_apply`` and one ``inner``
+    per root.
     """
     _same_tree(s, f)
     _same_tree(s, g)
@@ -401,6 +461,8 @@ def circle_pair_integral(
     x = f.to_dense()
     cols, gs = g._ids, g._vals
     gc_re, gc_im = gs.real, -gs.imag  # conj(g), in g's insertion order
+    if len(cols) == len(x) and bool((cols == np.arange(len(x))).all()):
+        cols = slice(None)  # g walks every id in ascending order: pair the rows as they are
     finite_g = bool(np.isfinite(gs).all())
     chunk = max(1, _CHUNK_ENTRIES // s.tree.n_vertices)
     total = 0j
@@ -489,7 +551,9 @@ def sot_error_profile(
         col_mass = sum(abs(c) * mult_column(s, phi, u).norm() for u, c in f.items())
         prev = None
         for n in levels:
-            damped = hadamard(fejer_symbol(n), phi)
+            # hadamard(fejer_symbol(n), phi) without the 2n + 1 kernel
+            # coefficients: only orders up to min(n, K) reach the product.
+            damped = _hadamard(lambda k: complex(_fejer_hat(n, k)), n, phi)
             err = gamma_apply(s, damped, f).minus(reference).norm()
             if prev is not None and err > prev + 1e-12:
                 monotone = False

@@ -101,6 +101,10 @@ class DirectedTree:
     def labels(self) -> tuple[str, ...]:
         return tuple(map(str, range(self.n_vertices))) if self.names is None else self.names
 
+    def labels_of(self, ids: Iterable[VertexId]) -> list[str]:
+        """The labels of ``ids``, in order, formatting only those (``labels`` formats all N)."""
+        return list(map(str, ids)) if self.names is None else [self.names[v] for v in ids]
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectedTree):
             return NotImplemented

@@ -164,6 +164,35 @@ def vector_from_dense(tree, arr):
     return DictVector.from_dense(tree, arr)
 
 
+def loop_gamma_apply(s, coeffs, f):
+    """The ancestor sum of f in CPython complex arithmetic, one vertex at a time.
+
+    ``coeffs[k]`` is the order-k coefficient; orders past the list read
+    as zero. At each vertex v the orders run ascending up to depth(v),
+    a zero coefficient skips its order, and the term is
+    (complex(prod, 0.0) * coeffs[k]) * f(k-th ancestor), where prod
+    multiplies the weights from the k-th ancestor's child down to v in
+    that order. Returns the dense complex result over the vertex ids.
+    """
+    parent = s.tree.parent.tolist()
+    lam = s.lam.tolist()
+    out = np.zeros(s.tree.n_vertices, dtype=complex)
+    for v in range(s.tree.n_vertices):
+        chain = [v]  # chain[k] is the k-th ancestor of v
+        while chain[-1] != 0:
+            chain.append(parent[chain[-1]])
+        total = 0j
+        for k in range(min(len(coeffs), len(chain))):
+            if coeffs[k] == 0:
+                continue
+            prod = 1.0
+            for u in reversed(chain[:k]):
+                prod *= lam[u]
+            total += (complex(prod, 0.0) * coeffs[k]) * f.get(chain[k])
+        out[v] = total
+    return out
+
+
 def loop_circle_pair_integral(s, q, phi, f, g, n_points=None):
     """The circle quadrature as one rotated-symbol ``gamma_apply`` and one
     dict inner product per root of unity, summed in ascending root order."""

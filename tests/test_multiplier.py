@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from treeshift import (
     TreeVector,
     TreeSpecError,
     TrigPoly,
+    TruncatedShift,
     apply_shift,
     circle_pair_integral,
     fejer_symbol,
@@ -28,7 +30,8 @@ from treeshift import (
 )
 
 from treeshift import multiplier
-from oracles import dense_mult_matrix, loop_circle_pair_integral, random_vector
+from treeshift.ops import _join
+from oracles import dense_mult_matrix, loop_circle_pair_integral, loop_gamma_apply, random_vector
 from test_wold import weighted_trees
 
 
@@ -287,7 +290,8 @@ def test_quadrature_bitwise_equals_per_root_loop(monkeypatch):
             n_points = deg + min(phi.degree, s.max_depth) + 1 + int(rng.integers(0, 4))
         seen.update(kind for kind, hit in [
             ("sparse f", len(f_ids) < n), ("sparse g", len(g_ids) < n),
-            ("descending g", trial % 2 and len(g_ids) > 1), ("K > D", phi.degree > s.max_depth),
+            ("descending g", trial % 2 and len(g_ids) > 1), ("every id of g, ascending", g_ids == list(range(n))),
+            ("K > D", phi.degree > s.max_depth),
             ("deg q = 0", deg == 0), ("explicit n_points", n_points is not None),
         ] if hit)
         want = loop_circle_pair_integral(s, q, phi, f, g, n_points)
@@ -296,7 +300,7 @@ def test_quadrature_bitwise_equals_per_root_loop(monkeypatch):
             monkeypatch.setattr(multiplier, "_CHUNK_ENTRIES", budget)
             got = circle_pair_integral(s, q, phi, f, g, n_points)
             assert _hex(got) == _hex(want), (trial, budget)
-    assert len(seen) == 6, seen
+    assert len(seen) == 7, seen
     # inner() never reaches a non-finite g(v) where the image vanishes.
     s = make(GallerySpec(family="t2", depth=3, params={"alpha": 0.5}))
     f = TreeVector.basis(s.tree, 0)
@@ -307,6 +311,101 @@ def test_quadrature_bitwise_equals_per_root_loop(monkeypatch):
     with np.errstate(invalid="ignore"):  # inf * 0 in the terms that inner() skips
         got = circle_pair_integral(s, q, Symbol.indicator(0), f, g)
     assert _hex(got) == _hex(want)
+
+
+def _bits(a):
+    """The bytes of a complex array, with every NaN in one canonical form."""
+    a = np.array(a, dtype=complex)
+    a.real[np.isnan(a.real)] = math.nan
+    a.imag[np.isnan(a.imag)] = math.nan
+    return a.tobytes()
+
+
+def test_gamma_apply_bitwise_equals_scalar_loop():
+    rng = np.random.default_rng([15, 9])
+    seen = set()
+    for trial in range(12):
+        s = _random_shift(int(rng.integers(10_000)), depth=int(rng.integers(1, 6)))
+        k_max = int(rng.integers(0, 9))
+        phi = Symbol.from_support({
+            k: complex(*rng.standard_normal(2)) for k in range(k_max + 1) if k == k_max or rng.random() < 0.7
+        })
+        ids = [v for v in range(s.tree.n_vertices) if trial % 2 or rng.random() < 0.5]
+        f = TreeVector(s.tree, {v: complex(*rng.standard_normal(2)) for v in ids})
+        seen.add(phi.degree > s.max_depth)
+        want = loop_gamma_apply(s, phi.values_upto(phi.degree), f)
+        assert _bits(gamma_apply(s, phi, f).to_dense()) == _bits(want), trial
+    assert seen == {True, False}
+
+
+def _rows_match_loop(s, p, x):
+    """``_gamma_rows`` on the coefficient rows p, each row checked bitwise
+    against ``loop_gamma_apply``; returns the rows as complex arrays."""
+    acc_re, acc_im = multiplier._gamma_rows(s, p.real, p.imag, x.real, x.imag)
+    f = TreeVector.from_dense(s.tree, x)
+    rows = [_join(acc_re[r], acc_im[r]) for r in range(len(p))]
+    for r, row in enumerate(rows):
+        assert _bits(row) == _bits(loop_gamma_apply(s, p[r].tolist(), f)), r
+    return rows
+
+
+def test_gamma_rows_bitwise_equal_scalar_loop_per_row():
+    rng = np.random.default_rng([16, 9])
+    for trial in range(8):
+        s = _random_shift(int(rng.integers(10_000)), depth=int(rng.integers(2, 6)))
+        k_max = int(rng.integers(1, s.max_depth + 1))
+        p = rng.standard_normal((5, k_max + 1)) + 1j * rng.standard_normal((5, k_max + 1))
+        p[rng.random(p.shape) < 0.3] = 0
+        p[0] = 0
+        p[1].imag[::2] = 0
+        p[2, k_max], p[3, k_max] = 0, 1.0 - 0.5j  # zero and nonzero rows at one order
+        x = random_vector(s.tree, rng).to_dense()
+        _rows_match_loop(s, p, x)
+
+
+def test_gamma_rows_with_overflowing_weight_products():
+    # Weights of 1e150 make every weight product of order 3 or more inf.
+    tree = _random_shift(7, depth=5).tree
+    s = TruncatedShift(tree, np.full(tree.n_vertices - 1, 1e150))
+    x = random_vector(tree, np.random.default_rng([17, 9])).to_dense()
+    p = np.array([[1.0, 0.5j, -2.0, 1.0 + 1.0j, 0.0, 3.0],
+                  [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                  [0.0, 2.0, 1.0j, 0.0, 0.0, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _rows_match_loop(s, p, x)
+    assert np.isnan(rows[0]).any()
+    assert all(np.isfinite(row).all() for row in rows[1:])
+    # Rows whose coefficient is zero at the inf orders are skipped there,
+    # never computed and masked, so they raise no inf * 0 warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):  # the weight products themselves overflow
+            multiplier._gamma_rows(s, p[1:].real, p[1:].imag, x.real, x.imag)
+
+
+def test_gamma_rows_with_non_finite_coefficients():
+    # A rotated coefficient can overflow. 0.0 * inf is nan, so such a call
+    # keeps the 0.0 * p parts of CPython's product and leaves the heads out.
+    s = _random_shift(11, depth=4)
+    x = random_vector(s.tree, np.random.default_rng([18, 9])).to_dense()
+    p = np.array([[1.0, complex(math.inf, 1.0), 0.5j, 0.0, 2.0],
+                  [1.0, 1.0j, 0.0, complex(1.0, -math.inf), 0.0],
+                  [0.5, 0.0, 1.0 - 1.0j, 0.0, 0.25j]])
+    with np.errstate(invalid="ignore"):
+        rows = _rows_match_loop(s, p, x)
+    assert np.isfinite(rows[2]).all()
+    assert np.isfinite(rows[1][s.tree.depth < 3]).all()
+    # Rotating a finite coefficient near the float64 limit overflows; the
+    # root, which order 1 never reaches, keeps a finite pairing.
+    phi = Symbol.from_support({0: 1.0, 1: 1.5e308 + 1.5e308j})
+    f = g = TreeVector.basis(s.tree, 0)
+    q = TrigPoly.from_coeffs({0: 1.0})
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_re, p_im = multiplier._rotated_rows(phi, [cmath.exp(0.25j * math.pi)], 1)
+        assert math.isinf(p_im[0, 1])
+        want = loop_circle_pair_integral(s, q, phi, f, g)
+        got = circle_pair_integral(s, q, phi, f, g)
+    assert math.isfinite(abs(want)) and _hex(got) == _hex(want)
 
 
 def test_deep_ray_quadrature_memory_is_chunked():
@@ -350,6 +449,24 @@ def test_sot_profile_bound_and_monotonicity():
     assert len(errs) == 4 and errs[0] >= errs[-1]
     with pytest.raises(ValueError):
         sot_error_profile(s, phi, [-1], probes[:1])
+
+
+def test_sot_rows_equal_the_full_fejer_hadamard_product():
+    # The profile damps phi on orders 0..min(n, K) only; each row must be
+    # bitwise the one the full 2n + 1 kernel gives, for n below and above K.
+    s = _random_shift(21, depth=6)
+    rng = np.random.default_rng([19, 9])
+    phi = Symbol.from_support({0: 1.0, 1: 0.5j, 3: -0.25 + 1.0j, 6: 2.0})
+    probes = [TreeVector.basis(s.tree, 0), random_vector(s.tree, rng)]
+    levels = [0, 1, 2, 3, 5, 6, 7, 12]
+    profile = sot_error_profile(s, phi, levels, probes)
+    want = []
+    for f in probes:
+        reference = gamma_apply(s, phi, f)
+        for n in levels:
+            damped = gamma_apply(s, hadamard(fejer_symbol(n), phi), f)
+            want.append((n, damped.minus(reference).norm()))
+    assert [(r.n, r.error.hex()) for r in profile.rows] == [(n, e.hex()) for n, e in want]
 
 
 def test_sot_bound_uses_weighted_column_mass():

@@ -229,8 +229,12 @@ def test_from_bfs_parents_derives_structure():
     assert tuple(map(tuple, t.generations)) == ((0,), (1, 2), (3, 4, 5, 6))
     assert t.labels == ("0", "1", "2", "3", "4", "5", "6")
     assert not t.genuine_leaves  # every childless vertex sits at the cut
+    assert t.labels_of([6, 0, 3]) == ["6", "0", "3"]
+    t = DirectedTree.from_bfs_parents([-1, 0, 0, 1])
+    assert t.labels_of(range(2)) == ["0", "1"] and "labels" not in vars(t)  # formats only the ids asked for
     t = DirectedTree.from_bfs_parents([0, 0, 0, 1], labels="rabc", genuine_leaves=[2])
     assert t.labels == ("r", "a", "b", "c") and t.genuine_leaves == frozenset({2})
+    assert t.labels_of([3, 1]) == ["c", "a"]
     assert DirectedTree.from_bfs_parents([0, 0, 0, 1]).genuine_leaves == frozenset({2})
     assert tuple(map(tuple, DirectedTree.from_bfs_parents([-1]).generations)) == ((0,),)
     for bad in ([], [0, 1], [0, 0, 2], [0, 0, 1, 0], [0, -1]):
