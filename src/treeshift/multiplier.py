@@ -242,12 +242,7 @@ def _fejer_hat(n: int, k: int) -> float:
 
 def hadamard(p: TrigPoly, phi: Symbol) -> Symbol:
     """Entrywise product of the hat coefficients: k -> p.hat(k) * phi(k)."""
-    return _hadamard(p.hat, p.degree, phi)
-
-
-def _hadamard(hat: Callable[[int], complex], degree: int, phi: Symbol) -> Symbol:
-    """k -> hat(k) * phi(k) on the orders 0..min(degree, phi.degree), the only ones both can hold."""
-    out = _coefficients(range(min(degree, phi.degree) + 1), lambda k: hat(k) * phi.value(k))
+    out = _coefficients(range(min(p.degree, phi.degree) + 1), lambda k: p.hat(k) * phi.value(k))
     return Symbol(values=out, degree=max(out) if out else 0)
 
 
@@ -551,9 +546,10 @@ def sot_error_profile(
         col_mass = sum(abs(c) * mult_column(s, phi, u).norm() for u, c in f.items())
         prev = None
         for n in levels:
-            # hadamard(fejer_symbol(n), phi) without the 2n + 1 kernel
-            # coefficients: only orders up to min(n, K) reach the product.
-            damped = _hadamard(lambda k: complex(_fejer_hat(n, k)), n, phi)
+            # hadamard(fejer_symbol(n), phi) reads only the kernel's orders
+            # 0..min(n, K): build just those, not all 2n + 1.
+            kernel = TrigPoly.from_coeffs({k: _fejer_hat(n, k) for k in range(min(n, k_bound) + 1)})
+            damped = hadamard(kernel, phi)
             err = gamma_apply(s, damped, f).minus(reference).norm()
             if prev is not None and err > prev + 1e-12:
                 monotone = False
