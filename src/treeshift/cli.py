@@ -67,12 +67,13 @@ from .wold import (
     wold_gram,
 )
 
-def _table(name: str, rows: Sequence[Sequence], *columns: tuple) -> dict:
-    """columns: (name, op, tol or None) triples; rows parallel to them."""
+def _table(name: str, cells: Sequence[Sequence], *columns: tuple) -> dict:
+    """columns: (name, op, tol or None) triples; cells: one sequence of Python
+    scalars per triple, all of one length. The writer lays out the rows."""
     return {
         "name": name,
         "columns": [{"name": c[0], "op": c[1], "tol": c[2]} for c in columns],
-        "rows": [list(r) for r in rows],
+        "cells": list(cells),
     }
 
 
@@ -152,33 +153,28 @@ def _run_norms(args, s: TruncatedShift, family: Optional[str]) -> dict:
     max_n = args.max_power if args.max_power is not None else s.max_depth
     if not 1 <= max_n <= s.max_depth:
         raise ValueError(f"max power must lie in [1, {s.max_depth}]")
-    rows = []
-    failures = 0
-    mad, tol = family == "mad", args.tol
-    for n in range(1, max_n + 1):
+    powers, roots, values, attained, flags = range(1, max_n + 1), [], [], [], []
+    for n in powers:
         est = operator_norm_power(s, n)
         # power_norm(s, 0, n), read from the order-n array est was taken from.
-        e0 = math.sqrt(s.power_norms_sq(n).item(0))
-        value, flagged = est.value, est.may_grow_beyond_horizon
-        rows.append([n, e0, value, est.attained_at, flagged, value ** (1.0 / n)])
-        if mad:
-            if abs(e0 - n) > tol * n:
-                failures += 1
-            # The flagged rows only see the window sup, not the true norm.
-            elif not flagged and abs(value - (n + 1)) > tol * (n + 1):
-                failures += 1
-    if mad:
-        verdict = "pass" if failures == 0 else "fail"
-        checked_tol = args.tol
-    else:
-        verdict = "evidence-only"
-        checked_tol = None
+        roots.append(math.sqrt(s.power_norms_sq(n).item(0)))
+        values.append(est.value)
+        attained.append(est.attained_at)
+        flags.append(est.may_grow_beyond_horizon)
+    checked_tol, verdict = None, "evidence-only"
+    if family == "mad":
+        tol = checked_tol = args.tol
+        # The flagged rows only see the window sup, not the true norm.
+        failed = any(abs(e0 - n) > tol * n or not flagged and abs(value - (n + 1)) > tol * (n + 1)
+                     for n, e0, value, flagged in zip(powers, roots, values, flags))
+        verdict = "fail" if failed else "pass"
     return {
         "inputs": {"max_power": max_n},
         "tolerances": {"closed_form_rel": checked_tol},
         "verdict": verdict,
         "tables": [_table(
-            "power_norms", rows,
+            "power_norms", [powers, roots, values, attained, flags,
+                            [v ** (1.0 / n) for n, v in zip(powers, values)]],
             ("n", "row index", None),
             ("norm_root", "power_norm(shift, root, n)", checked_tol),
             ("op_norm", "operator_norm_power(shift, n).value", checked_tol),
@@ -196,16 +192,16 @@ def _run_radius(args, s: TruncatedShift, family: Optional[str]) -> dict:
     # Row i is path i of enumerate_paths.
     ends = _childless(tree.first_child)
     est = _tail_radii(tree.parent, tree.depth, s.lam, ends, start, range(tree.n_vertices))
-    terminals = ends.tolist()
-    rows = [[i, label, d, v in tree.genuine_leaves, min(start, d), e]
-            for i, (v, label, d, e) in enumerate(zip(terminals, tree.labels_of(terminals),
-                                                     tree.depth[ends].tolist(), est.tolist()))]
+    terminals, lengths = ends.tolist(), tree.depth[ends].tolist()
+    cells = [range(len(terminals)), tree.labels_of(terminals), lengths,
+             [v in tree.genuine_leaves for v in terminals], [min(start, d) for d in lengths],
+             est.tolist()]
     return {
         "inputs": {"tail_start": args.tail_start},
         "tolerances": {},
         "verdict": "evidence-only",
         "tables": [_table(
-            "path_radii", rows,
+            "path_radii", cells,
             ("path", "index into enumerate_paths", None),
             ("terminal", "label of the deepest path vertex", None),
             ("length", "edge count", None),
@@ -235,7 +231,7 @@ def _run_approx(args, s: TruncatedShift, family: Optional[str]) -> dict:
         "monotone": profile.monotone,
         "support_bound": profile.support_bound,
         "tables": [_table(
-            "cesaro_errors", rows,
+            "cesaro_errors", zip(*rows),
             ("level", "averaging kernel order n", None),
             ("probe", "basis vertex id", None),
             ("probe_label", "vertex label", None),
@@ -284,7 +280,7 @@ def _run_integral(args, s: TruncatedShift, family: Optional[str]) -> dict:
         "tolerances": {"pairing_abs": args.tol, "monomial_abs": mono_tol},
         "verdict": "pass" if ok else "fail",
         "tables": [_table(
-            "circle_integrals", rows,
+            "circle_integrals", zip(*rows),
             ("case", "seeded case index", None),
             ("poly_degree", "degree of the circle polynomial", None),
             ("phi_degree", "symbol support bound", None),
@@ -314,7 +310,7 @@ def _run_wold(args, s: TruncatedShift, family: Optional[str]) -> dict:
         "tolerances": {"roundtrip_abs": args.tol},
         "verdict": "pass" if ok else "fail",
         "tables": [_table(
-            "roundtrips", rows,
+            "roundtrips", zip(*rows),
             ("case", "seeded case index", None),
             ("horizon", "number of peel steps", None),
             ("roundtrip_error", "norm(reconstruct(peel(f)) - f)", args.tol),
@@ -355,7 +351,7 @@ def _run_balanced(args, s: TruncatedShift, family: Optional[str]) -> dict:
         "locally_power_balanced": loc.ok,
         "tables": [
             _table(
-                "generation_norms", rows,
+                "generation_norms", zip(*rows),
                 ("generation", "depth", None),
                 ("vertices", "generation size", None),
                 ("min_norm", "min over u of norm(S e_u)", None),
@@ -363,7 +359,7 @@ def _run_balanced(args, s: TruncatedShift, family: Optional[str]) -> dict:
                 ("spread", "max - min", None),
             ),
             _table(
-                "sibling_power_check", local_rows,
+                "sibling_power_check", zip(*local_rows),
                 ("max_power", "orders compared, capped per sibling horizon", None),
                 ("ok", "all sibling power norms agree", None),
                 ("witness_u", "first mismatching vertex or -1", None),
@@ -408,7 +404,7 @@ def _run_gram(args, s: TruncatedShift, family: Optional[str]) -> dict:
         "injective": inj.injective,
         "kernel_dim": basis.total_dim,
         "tables": [_table(
-            "gram_pairings", rows,
+            "gram_pairings", zip(*rows),
             ("n", "left power", None),
             ("m", "right power", None),
             ("max_abs", "max |<S^n g_i, S^m h_j>| over the kernel basis", args.tol),
@@ -454,7 +450,7 @@ def _run_gallery(args, s, family) -> dict:
         "tolerances": {},
         "verdict": "pass" if ok else "fail",
         "tables": [_table(
-            "fixtures", rows,
+            "fixtures", zip(*rows),
             ("family", "gallery family name", None),
             ("depth", "truncation depth", None),
             ("vertices", "vertex count", None),
@@ -501,7 +497,7 @@ def _run_peel(args, s: TruncatedShift, family: Optional[str]) -> dict:
         "verdict": "pass" if ok else "fail",
         "roundtrip_error": roundtrip,
         "tables": [_table(
-            "layer_coefficients", rows,
+            "layer_coefficients", zip(*rows),
             ("j", "layer index", None),
             ("gamma_peeled", "minus the layer coefficient at the first lower-ray vertex", args.tol),
             ("gamma_closed", "-1/((j+1) alpha^j (1+alpha^2))", None),

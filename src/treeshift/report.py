@@ -1,9 +1,11 @@
 """Report writer: report.json and one CSV per table, as byte-stable text.
 
-report.json holds exactly the text of ``json.dumps(report, sort_keys=True,
-indent=2, allow_nan=False)`` plus a newline. Each CSV holds a header of
-column names and one line per table row. Floats in CSVs use 17
-significant digits; report.json holds Python's shortest round-trip repr.
+A table is ``{"name", "columns", "cells"}``, with one sequence of scalars
+per column in ``cells``. report.json holds exactly the text of
+``json.dumps(report, sort_keys=True, indent=2, allow_nan=False)`` plus a
+newline, each table's cells written as its "rows", one list per row. Each
+CSV holds a header of column names and one line per row. Floats in CSVs
+use 17 significant digits; report.json holds Python's shortest round-trip repr.
 """
 
 from __future__ import annotations
@@ -70,22 +72,23 @@ class _Cells(NamedTuple):
 
 
 def _cells(table: dict) -> _Cells:
-    """Encode a table's cells one column at a time.
+    """Encode a table's cells one column at a time, as table["cells"] holds them.
 
     A column of floats is %r in JSON and %.17g in the CSV, a column of ints
     %d in both and a column of bools true/false in both. Any other column
     is encoded cell by cell: json.dumps for JSON, and for the CSV the
     cell's text (as for a float or bool column, else str()) quoted as
-    ``csv.writer`` quotes it. Raises TypeError on a row whose length is not
-    the column count or on a cell that is not a scalar, and ValueError on a
-    NaN or infinity.
+    ``csv.writer`` quotes it. Raises TypeError unless there is one column
+    per column spec, all of one length, or on a cell that is not a scalar,
+    and ValueError on a NaN or infinity.
     """
-    rows = table["rows"]
+    columns = table["cells"]
     width = len(table["columns"])
-    if any(len(r) != width for r in rows):
-        raise TypeError(f"table {table['name']!r}: every row must have {width} cells")
+    n_rows = len(columns[0]) if columns else 0
+    if len(columns) != width or any(len(col) != n_rows for col in columns):
+        raise TypeError(f"table {table['name']!r}: cells must be {width} columns of equal length")
     json_fmts, json_cols, csv_fmts, csv_cols = [], [], [], []
-    for col in zip(*rows):
+    for col in columns:
         kinds = set(map(type, col))
         if kinds == {float}:
             if not all(map(math.isfinite, col)):
@@ -109,7 +112,7 @@ def _cells(table: dict) -> _Cells:
         csv_fmts.append(fmts[1])
         json_cols.append(texts[0])
         csv_cols.append(texts[1])
-    return _Cells(len(rows), json_fmts, _by_row(json_cols), csv_fmts, _by_row(csv_cols))
+    return _Cells(n_rows, json_fmts, _by_row(json_cols), csv_fmts, _by_row(csv_cols))
 
 
 def _by_row(columns: list) -> tuple:
@@ -117,9 +120,9 @@ def _by_row(columns: list) -> tuple:
     return tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
-def _rows_json(cells: _Cells, _rows: list, pad: str) -> str:
-    """_json(rows, pad) for the rows cells was made from, by one % over a
-    row template repeated once per row."""
+def _rows_json(cells: _Cells, pad: str) -> str:
+    """_json(rows, pad) for the table's rows, by one % over a row template
+    repeated once per row."""
     if not cells.n_rows:
         return "[]"
     row, cell = "\n" + pad + "  ", "\n" + pad + "    "
@@ -135,9 +138,9 @@ def _csv_text(table: dict, cells: _Cells) -> str:
 
 
 def _tables_json(cells: list, tables: list, pad: str) -> str:
-    """_json(tables, pad) for the report's list of tables, rows from their cells."""
-    items = [_object(t, pad + "  ", {"rows": functools.partial(_rows_json, c)})
-             for t, c in zip(tables, cells)]
+    """_json(tables, pad) for the report's tables with rows in place of cells."""
+    items = [_object({"columns": t["columns"], "name": t["name"], "rows": c}, pad + "  ",
+                     {"rows": _rows_json}) for t, c in zip(tables, cells)]
     return _block("[]", items, pad)
 
 
@@ -145,16 +148,16 @@ def write_report(out_dir: str, report: dict) -> str:
     """Write report.json and one CSV per table into out_dir.
 
     report.json holds exactly the text of ``json.dumps(report,
-    sort_keys=True, indent=2, allow_nan=False)`` plus a newline. Table rows,
-    flat lists of scalars, are encoded in one pass per table that works
-    column by column (``_cells``), then laid out by one % over a row
-    template repeated once per row, in report.json and in the CSV alike;
-    everything else is encoded by ``json.dumps`` itself. A CSV cell is
-    "%.17g" of a float, true/false of a bool and str() of anything else,
-    quoted as ``csv.writer`` quotes it. A NaN or infinite number, which
-    JSON cannot hold, raises ``ValueError``, and a row of the wrong length
-    or a cell that is not a scalar ``TypeError``, before any file or
-    directory is created.
+    sort_keys=True, indent=2, allow_nan=False)`` plus a newline, each
+    table's "cells" (one sequence per column) written as "rows" (one list
+    per row). The cells are encoded one column at a time (``_cells``), then
+    laid out by one % over a row template repeated once per row, in
+    report.json and in the CSV alike; everything else is encoded by
+    ``json.dumps`` itself. A CSV cell is "%.17g" of a float, true/false of a
+    bool and str() of anything else, quoted as ``csv.writer`` quotes it. A
+    NaN or infinite number, which JSON cannot hold, raises ``ValueError``,
+    and miscounted or unequal columns or a cell that is not a scalar
+    ``TypeError``, before any file or directory is created.
     """
     tables = report["tables"]
     try:
@@ -166,7 +169,7 @@ def write_report(out_dir: str, report: dict) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+        fh.writelines((text, "\n"))
     for tab, csv_text in zip(tables, csvs):
         with open(os.path.join(out_dir, f"{tab['name']}.csv"), "w", encoding="utf-8", newline="") as fh:
             fh.write(csv_text)

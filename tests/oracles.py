@@ -520,9 +520,17 @@ def _fmt_cell(x):
     return str(x)
 
 
+def row_table(table):
+    """A report table as report.json lists it: the cells, one sequence per
+    column, rebuilt as one list per row."""
+    return {"name": table["name"], "columns": table["columns"],
+            "rows": [list(row) for row in zip(*table["cells"])]}
+
+
 def loop_csv_text(table):
-    """A report table as CSV text: the header, then one writerow per row of
-    cells formatted one by one through an isinstance chain."""
+    """A report table in row form (``row_table``) as CSV text: the header,
+    then one writerow per row of cells formatted one by one through an
+    isinstance chain."""
     fh = io.StringIO()
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow([c["name"] for c in table["columns"]])

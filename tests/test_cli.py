@@ -20,7 +20,7 @@ from treeshift import GallerySpec, kernel_basis, make, operator_norm_power, powe
 from treeshift.cli import _run_norms, main
 from treeshift.report import write_report
 
-from oracles import loop_csv_text
+from oracles import loop_csv_text, row_table
 from test_wold import weighted_trees
 
 pytestmark = pytest.mark.usefixtures("clean_env")
@@ -458,14 +458,14 @@ def test_mutated_inputs_exit_two_with_one_line_or_report(case, phi_run):
 
 @st.composite
 def _reports(draw):
-    """Dicts shaped like a report: schema keys, nested inputs, tables of flat rows."""
+    """Dicts shaped like a report: schema keys, nested inputs, tables of equal-length columns."""
     tables = []
     for i in range(draw(st.integers(0, 3))):
-        width = draw(st.integers(0, 4))
+        width, n_rows = draw(st.integers(0, 4)), draw(st.integers(0, 4))
         columns = [{"name": draw(_texts), "op": draw(_texts), "tol": draw(st.none() | st.floats(0, 1))}
                    for _ in range(width)]
-        rows = draw(st.lists(st.lists(_scalars, min_size=width, max_size=width), max_size=4))
-        tables.append({"name": f"t{i}", "columns": columns, "rows": rows})
+        cells = [draw(st.lists(_scalars, min_size=n_rows, max_size=n_rows)) for _ in range(width)]
+        tables.append({"name": f"t{i}", "columns": columns, "cells": cells})
     extra = draw(st.dictionaries(st.sampled_from(["balanced", "monotone", "regime", "zz"]), _values))
     return {**extra, "schema": 1, "experiment": draw(_texts),
             "inputs": {"tree_spec": draw(_values), "max_power": draw(st.integers(1, 9))},
@@ -476,9 +476,9 @@ def _reports(draw):
 _ONE_CELL = {"name": "c", "op": "", "tol": None}
 
 
-def _one_table(columns, rows):
+def _one_table(columns, cells):
     return {"schema": 1, "experiment": "e", "inputs": {}, "tolerances": {}, "verdict": "pass",
-            "tables": [{"name": "t", "columns": columns, "rows": rows}]}
+            "tables": [{"name": "t", "columns": columns, "cells": cells}]}
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -486,29 +486,29 @@ def _one_table(columns, rows):
 @example({"schema": 1, "experiment": "", "inputs": {}, "tolerances": {}, "verdict": "", "tables": []})
 @example({"schema": 1, "experiment": "e", "inputs": {"tree_spec": {"labels": ['q"', "a,b", "é"]}},
           "tolerances": {}, "verdict": "pass", "tables": [
-              {"name": "empty", "columns": [_ONE_CELL], "rows": []},
-              {"name": "one", "columns": [_ONE_CELL], "rows": [[-0.0], [5e-324], [1e308], [1e16],
-                                                              [2**70], ["x\ny"], [None], [True]]},
-              {"name": "none", "columns": [], "rows": [[], []]},
+              {"name": "empty", "columns": [_ONE_CELL], "cells": [[]]},
+              {"name": "one", "columns": [_ONE_CELL],
+               "cells": [[-0.0, 5e-324, 1e308, 1e16, 2**70, "x\ny", None, True]]},
+              {"name": "none", "columns": [], "cells": []},
           ]})
 # One example per column kind the column pass tells apart.
-@example(_one_table([_ONE_CELL], [[True], [False], [True]]))
-@example(_one_table([_ONE_CELL], [[None], [None]]))
-@example(_one_table([_ONE_CELL, _ONE_CELL], [[1, 2.5], [-0.0, 2**70], [3, 1e-7]]))
-@example(_one_table([_ONE_CELL, _ONE_CELL], [[1, True], [False, 0], [2, 2]]))
-@example(_one_table([_ONE_CELL, _ONE_CELL], [["a,b", "%d"], ['say "hi"', "x\ry"], ["x\ny", "%"],
-                                             ["", "%%s"]]))
+@example(_one_table([_ONE_CELL], [[True, False, True]]))
+@example(_one_table([_ONE_CELL], [[None, None]]))
+@example(_one_table([_ONE_CELL, _ONE_CELL], [[1, -0.0, 3], [2.5, 2**70, 1e-7]]))
+@example(_one_table([_ONE_CELL, _ONE_CELL], [[1, False, 2], [True, 0, 2]]))
+@example(_one_table([_ONE_CELL, _ONE_CELL], [["a,b", 'say "hi"', "x\ny", ""], ["%d", "x\ry", "%", "%%s"]]))
 @example(_one_table([_ONE_CELL], [[""]]))
-@example(_one_table([_ONE_CELL], [["%s"], ["\r"], [""], ['"']]))
+@example(_one_table([_ONE_CELL], [["%s", "\r", "", '"']]))
 def test_report_writer_matches_json_dumps(report):
+    rows_report = {**report, "tables": [row_table(t) for t in report["tables"]]}
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "r")
         assert write_report(out, report) == os.path.join(out, "report.json")
         with open(os.path.join(out, "report.json"), "r", encoding="utf-8", newline="") as fh:
-            assert fh.read() == json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+            assert fh.read() == json.dumps(rows_report, sort_keys=True, indent=2, allow_nan=False) + "\n"
         names = ["report.json"] + [f"{t['name']}.csv" for t in report["tables"]]
         assert sorted(os.listdir(out)) == sorted(names)
-        for tab in report["tables"]:
+        for tab in rows_report["tables"]:
             with open(os.path.join(out, f"{tab['name']}.csv"), "rb") as fh:
                 assert fh.read() == loop_csv_text(tab).encode("utf-8")
 
@@ -518,7 +518,7 @@ def test_report_writer_matches_json_dumps(report):
 def test_report_writer_refuses_non_finite_before_writing(tmp_path, where, bad):
     # "row" puts bad in an all-float column, "mixed_row" in a column of ints and floats.
     first = 1 if where == "mixed_row" else 1.0
-    table = {"name": "t", "columns": [_ONE_CELL], "rows": [[first], [2.0 if where == "inputs" else bad]]}
+    table = {"name": "t", "columns": [_ONE_CELL], "cells": [[first, 2.0 if where == "inputs" else bad]]}
     report = {"schema": 1, "inputs": {"x": [bad] if where == "inputs" else 0.5}, "tables": [table]}
     out = tmp_path / "r"
     with pytest.raises(ValueError, match="non-finite"):
@@ -527,19 +527,20 @@ def test_report_writer_refuses_non_finite_before_writing(tmp_path, where, bad):
 
 
 def test_report_writer_refuses_non_scalar_cells(tmp_path):
-    table = {"name": "t", "columns": [_ONE_CELL], "rows": [[1], [[2]]]}
+    table = {"name": "t", "columns": [_ONE_CELL], "cells": [[1, [2]]]}
     with pytest.raises(TypeError, match="cells"):
         write_report(str(tmp_path / "r"), {"schema": 1, "tables": [table]})
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("width, rows", [(2, [[1, 2], [3]]), (2, [[1, 2], [3, 4, 5]]), (1, [[1.0], []]),
-                                         (0, [[], [None]])])
-def test_report_writer_refuses_ragged_rows(tmp_path, width, rows):
-    # A second, well-formed table: nothing of the report is written either.
-    tables = [{"name": "ok", "columns": [_ONE_CELL], "rows": [[1]]},
-              {"name": "t", "columns": [_ONE_CELL] * width, "rows": rows}]
-    with pytest.raises(TypeError, match=f"every row must have {width} cells"):
+@pytest.mark.parametrize("width, cells", [(2, [[1, 2], [3]]), (2, [[1], [2, 3, 4]]), (1, [[1.0], []]),
+                                          (0, [[None]]), (2, [[1, 2]]), (1, [[], []])])
+def test_report_writer_refuses_unequal_columns(tmp_path, width, cells):
+    # Columns of unequal length, or not one per column spec. A second,
+    # well-formed table: nothing of the report is written either.
+    tables = [{"name": "ok", "columns": [_ONE_CELL], "cells": [[1]]},
+              {"name": "t", "columns": [_ONE_CELL] * width, "cells": cells}]
+    with pytest.raises(TypeError, match=f"cells must be {width} columns of equal length"):
         write_report(str(tmp_path / "r"), {"schema": 1, "tables": tables})
     assert not (tmp_path / "r").exists()
 
@@ -552,11 +553,12 @@ def test_deep_ray_report_bytes(tmp_path):
                       make(GallerySpec(family="mad", depth=416)), "mad")
     with open(os.path.join(out, "report.json"), "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
-    report = {**json.loads(text), "tables": body["tables"]}
-    assert len(body["tables"][0]["rows"]) == 416
+    table = row_table(body["tables"][0])
+    report = {**json.loads(text), "tables": [table]}
+    assert len(table["rows"]) == 416
     assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
     with open(os.path.join(out, "power_norms.csv"), "rb") as fh:
-        assert fh.read() == loop_csv_text(body["tables"][0]).encode("utf-8")
+        assert fh.read() == loop_csv_text(table).encode("utf-8")
 
 
 def _bits(rows):
@@ -569,7 +571,7 @@ def test_norms_rows_match_per_row_queries(s):
     for shift in (s, make(GallerySpec(family="mad", depth=s.max_depth + 1))):
         for max_n in range(1, shift.max_depth + 1):
             args = argparse.Namespace(max_power=max_n, tol=1e-12)
-            rows = _run_norms(args, shift, None)["tables"][0]["rows"]
+            rows = row_table(_run_norms(args, shift, None)["tables"][0])["rows"]
             want = []
             # Descending, so every order is rebuilt from order 1 rather than read at the cursor.
             for n in range(max_n, 0, -1):
@@ -653,6 +655,18 @@ def test_peel_report_matches_closed_form(tmp_path):
     assert abs(by_j[0][1] + 0.8) <= 1e-12
     assert abs(by_j[0][1] - by_j[0][2]) <= 1e-10
     assert report["roundtrip_error"] <= 1e-10
+
+
+@pytest.mark.parametrize("shift", [["--family", "broom_leaf"],
+                                   ["--family", "random", "--branching", "1,2,3", "--depth", "6", "--seed", "5"]])
+def test_radius_tail_start_past_int64(tmp_path, shift):
+    # Each tail_start cell is min(tail_start, length) in Python ints, so a
+    # start of 2**70 is every path's length (broom_leaf: lengths 1 and 2).
+    # The golden radius_random_tail_2e70 pins the second report's bytes.
+    out = str(tmp_path / "r")
+    assert _run(["radius", *shift, "--tail-start", str(2**70), "--out", out]) == 0
+    rows = _read_report(out)["tables"][0]["rows"]
+    assert rows and all(row[4] == row[2] for row in rows)
 
 
 def test_wold_and_radius_and_gallery(tmp_path):

@@ -27,7 +27,7 @@ from treeshift import (
 
 from treeshift.cli import _run_radius
 
-from oracles import dense_shift_matrix, loop_family, loop_path_radii
+from oracles import dense_shift_matrix, loop_family, loop_path_radii, row_table
 
 
 def test_mad_weight_rule():
@@ -244,7 +244,7 @@ _RADIUS_SPECS = {
 
 
 def _runner_rows(s, tail_start):
-    return _run_radius(argparse.Namespace(tail_start=tail_start), s, None)["tables"][0]["rows"]
+    return row_table(_run_radius(argparse.Namespace(tail_start=tail_start), s, None)["tables"][0])["rows"]
 
 
 def _rows_or_refusal(run, s, tail_start):
@@ -258,10 +258,11 @@ def _rows_or_refusal(run, s, tail_start):
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(st.sampled_from(sorted(_RADIUS_SPECS)).flatmap(_RADIUS_SPECS.get),
-       st.sampled_from([-1, 0, 1, 2, "D", "D+3"]))
+       st.sampled_from([-1, 0, 1, 2, "D", "D+3", 2**70]))
 def test_radius_rows_match_the_per_path_walk_bitwise(spec, tail):
     # Every family (broom_leaf's short paths, t2_zero's zeros) and --tree
-    # specs with 0.0, -0.0 and overflowing weights, at each tail start.
+    # specs with 0.0, -0.0 and overflowing weights, at each tail start;
+    # 2**70 lies past int64, so every tail_start cell is the path length.
     s = load_shift(spec)
     tail_start = {"D": s.max_depth, "D+3": s.max_depth + 3}.get(tail, tail)
     runner = _rows_or_refusal(_runner_rows, s, tail_start)

@@ -48,6 +48,14 @@ CASES = {
     "peel_t2": ["peel", "--family", "t2", "--alpha", "0.5", "--depth", "12"],
     "gallery": ["gallery", "--seed", "3"],
     "radius_broom_leaf": ["radius", "--family", "broom_leaf", "--tail-start", "2"],
+    "radius_random": ["radius", "--family", "random", "--branching", "1,2,3", "--depth", "6",
+                      "--seed", "5"],
+    # A tail start past int64: every row's tail_start cell is its length.
+    "radius_random_tail_2e70": ["radius", "--family", "random", "--branching", "1,2,3",
+                                "--depth", "6", "--seed", "5", "--tail-start", str(2**70)],
+    # Vertex labels such as "(0,0)", which the CSV quotes.
+    "approx_t2": ["approx", "--family", "t2", "--alpha", "0.5", "--depth", "5", "--probes", "6",
+                  "--levels", "1,3"],
 }
 
 

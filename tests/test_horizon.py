@@ -11,6 +11,8 @@ unflagged value at depth D stays unflagged at D + 1.
 The fixed-depth families (broom, broom_leaf) have no deeper build.
 """
 
+import argparse
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,10 @@ from treeshift import (
     peel,
     sot_error_profile,
 )
+from treeshift.cli import _run_radius
 from treeshift.tree import FAMILIES
+
+from oracles import row_table
 
 NESTED = [name for name, fam in FAMILIES.items() if fam.fixed_depth is None]
 # t2_zero has two vanishing columns, and peel refuses a non-injective shift.
@@ -184,3 +189,43 @@ def test_balance_witnesses_nest_across_horizons(family, data):
             assert _witness(got) == _witness(want)
         elif not got.ok:
             assert deep.tree.depth[got.v] + got.power == depth + 1
+
+
+def _radii(s, tail_start):
+    """{terminal id: estimate} over the rows of the radius report."""
+    table = row_table(_run_radius(argparse.Namespace(tail_start=tail_start), s, None)["tables"][0])
+    ids = {label: v for v, label in enumerate(s.tree.labels)}
+    return {ids[row[1]]: row[5] for row in table["rows"]}
+
+
+@pytest.mark.parametrize("family", NESTED)
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(data=st.data())
+def test_radius_estimates_only_fall_across_horizons(family, data):
+    shallow, deep = data.draw(nested_builds(family))
+    depth = shallow.max_depth
+    tail_start = data.draw(st.integers(0, depth))
+    want, got = _radii(shallow, tail_start), _radii(deep, tail_start)
+    parent = deep.tree.parent
+    # A terminal at depth <= D is one of both builds, its path and the
+    # walk's products the same: the row is final. A terminal at depth
+    # D + 1 extends its parent's row, and with the tail starting at
+    # generation <= D its estimate is min(the parent's estimate, its own
+    # term), so it can only fall. No flag in the report says so yet.
+    for v, est in got.items():
+        if v in want:
+            assert est.hex() == want[v].hex(), v
+        else:
+            assert est <= want[parent.item(v)], v
+
+
+def test_radius_estimates_can_rise_when_the_tail_starts_past_the_horizon():
+    # The exception to the bound above: with tail_start > D a depth-(D + 1)
+    # row's tail starts at or below its terminal, so its estimate is its
+    # own term, which may exceed the parent's. Random (1,2,3) builds of
+    # depth 3-7 all show such rows.
+    params = {"seed": 0, "branching": (1, 2, 3)}
+    shallow, deep = (make(GallerySpec(family="random", depth=d, params=params)) for d in (3, 4))
+    want, got = _radii(shallow, 4), _radii(deep, 4)
+    parent = deep.tree.parent
+    assert any(est > want[parent.item(v)] for v, est in got.items() if v not in want)
