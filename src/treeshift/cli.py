@@ -328,12 +328,8 @@ def _run_balanced(args, s: TruncatedShift, family: Optional[str]) -> dict:
     bal = is_balanced(s)
     loc = is_locally_power_balanced(s, max_n)
     norms = np.sqrt(s.power_norms_sq(1))  # power_norm(s, u, 1) of every interior u
-    offsets = s.tree.gen_offsets.tolist()
-    rows = []
-    for d in range(s.max_depth):
-        gen = norms[offsets[d]:offsets[d + 1]]
-        lo, hi = gen.min().item(), gen.max().item()
-        rows.append([d, offsets[d + 1] - offsets[d], lo, hi, hi - lo])
+    starts = s.tree.gen_offsets[:-2]  # first id of each interior generation; none is empty
+    lo, hi = np.minimum.reduceat(norms, starts), np.maximum.reduceat(norms, starts)
     # Constant first norms force constant higher power norms, so a balanced
     # shift failing the sibling check would be an internal contradiction.
     consistent = loc.ok or not bal.ok
@@ -351,7 +347,8 @@ def _run_balanced(args, s: TruncatedShift, family: Optional[str]) -> dict:
         "locally_power_balanced": loc.ok,
         "tables": [
             _table(
-                "generation_norms", zip(*rows),
+                "generation_norms", [range(s.max_depth), np.diff(s.tree.gen_offsets[:-1]).tolist(),
+                                     lo.tolist(), hi.tolist(), (hi - lo).tolist()],
                 ("generation", "depth", None),
                 ("vertices", "generation size", None),
                 ("min_norm", "min over u of norm(S e_u)", None),

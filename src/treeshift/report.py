@@ -11,19 +11,21 @@ use 17 significant digits; report.json holds Python's shortest round-trip repr.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import json
 import math
 import os
 import types
-from typing import NamedTuple
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _BOOL_TEXT = ("false", "true").__getitem__
 # CSV text of a cell by its exact type; every other scalar is str().
 _CSV_CELL = {float: "%.17g".__mod__, bool: _BOOL_TEXT}
 _JSON_CELL = json.JSONEncoder(allow_nan=False).encode
+_BLOCK = 1 << 14  # rows formatted and written at a time
+# report.json holds a table's "rows" at a fixed depth under "tables": each
+# row opens on _ROW and each of its cells on _ROW + "  ".
+_ROW, _ROWS_END = "\n" + " " * 8, "\n" + " " * 6 + "]"
 
 
 def _json(value, pad: str) -> str:
@@ -50,6 +52,15 @@ def _object(d: dict, pad: str, encoders: dict) -> str:
     return _block("{}", fields, pad)
 
 
+def _tables_json(tables: list, pad: str) -> str:
+    """_json(tables, pad) with each table's "rows" in place of its cells, left
+    as a raw NUL. json.dumps escapes every control character, so a raw NUL in
+    the text can only be such a placeholder."""
+    items = [_object({"columns": t["columns"], "name": t["name"], "rows": None}, pad + "  ",
+                     {"rows": lambda rows, pad: "\0"}) for t in tables]
+    return _block("[]", items, pad)
+
+
 def _csv_lines(rows) -> list:
     """The lines csv.writer (QUOTE_MINIMAL, "\\n" line ends) writes for rows."""
     lines = []
@@ -57,91 +68,52 @@ def _csv_lines(rows) -> list:
     return lines
 
 
-class _Cells(NamedTuple):
-    """A table's cells after the column pass.
+def _encode(table: dict) -> tuple:
+    """Check and encode a table's cells one column at a time, as table["cells"] holds them.
 
-    For report.json and for the CSV: the % directive of each column, and
-    the matching arguments, flattened row by row.
-    """
-
-    n_rows: int
-    json_fmts: list
-    json_args: tuple
-    csv_fmts: list
-    csv_args: tuple
-
-
-def _cells(table: dict) -> _Cells:
-    """Encode a table's cells one column at a time, as table["cells"] holds them.
-
-    A column of floats is %r in JSON and %.17g in the CSV, a column of ints
-    %d in both and a column of bools true/false in both. Any other column
-    is encoded cell by cell: json.dumps for JSON, and for the CSV the
-    cell's text (as for a float or bool column, else str()) quoted as
-    ``csv.writer`` quotes it. Raises TypeError unless there is one column
-    per column spec, all of one length, or on a cell that is not a scalar,
-    and ValueError on a NaN or infinity.
+    Returns the CSV header line, the % templates of one report.json row and
+    of one CSV row, and the argument columns both templates read, one
+    argument per row from each. A column of floats is one argument column,
+    %r in JSON and %.17g in the CSV; a column of ints is %d in both and a
+    column of bools true/false in both. Any other column is encoded cell by
+    cell into two argument columns, json.dumps text and CSV text (the text
+    of a float or bool cell as in those columns, else str(), quoted as
+    ``csv.writer`` quotes it), and each template skips the other's with
+    %.0s. Raises TypeError unless there is one column per column spec, all
+    of one length, or on a cell that is not a scalar, and ValueError on a
+    NaN or infinity.
     """
     columns = table["cells"]
     width = len(table["columns"])
     n_rows = len(columns[0]) if columns else 0
     if len(columns) != width or any(len(col) != n_rows for col in columns):
         raise TypeError(f"table {table['name']!r}: cells must be {width} columns of equal length")
-    json_fmts, json_cols, csv_fmts, csv_cols = [], [], [], []
+    json_fmts, csv_fmts, args = [], [], []
     for col in columns:
         kinds = set(map(type, col))
         if kinds == {float}:
             if not all(map(math.isfinite, col)):
                 raise ValueError("non-finite cell")
-            fmts, texts = ("%r", "%.17g"), (col, col)
+            fmts, texts = ("%r", "%.17g"), [col]
         elif kinds == {int}:
-            fmts, texts = ("%d", "%d"), (col, col)
+            fmts, texts = ("%d", "%d"), [col]
         elif kinds == {bool}:
-            words = tuple(map(_BOOL_TEXT, col))
-            fmts, texts = ("%s", "%s"), (words, words)
+            fmts, texts = ("%s", "%s"), [tuple(map(_BOOL_TEXT, col))]
         elif kinds <= _SCALARS:
             # csv.writer writes a row whose one field is empty as "", so a
             # lone column is quoted as one-field rows, any other beside a "".
             tail = ("",) if width > 1 else ()
             lines = _csv_lines((_CSV_CELL.get(type(x), str)(x), *tail) for x in col)
-            fmts = ("%s", "%s")
-            texts = (list(map(_JSON_CELL, col)), [line[:-1 - len(tail)] for line in lines])
+            fmts = ("%s%.0s", "%.0s%s")
+            texts = [list(map(_JSON_CELL, col)), [line[:-1 - len(tail)] for line in lines]]
         else:
             raise TypeError("table cells must be str, int, float, bool or None")
         json_fmts.append(fmts[0])
         csv_fmts.append(fmts[1])
-        json_cols.append(texts[0])
-        csv_cols.append(texts[1])
-    return _Cells(n_rows, json_fmts, _by_row(json_cols), csv_fmts, _by_row(csv_cols))
-
-
-def _by_row(columns: list) -> tuple:
-    """The cells of equal-length columns, flattened row by row."""
-    return tuple(itertools.chain.from_iterable(zip(*columns)))
-
-
-def _rows_json(cells: _Cells, pad: str) -> str:
-    """_json(rows, pad) for the table's rows, by one % over a row template
-    repeated once per row."""
-    if not cells.n_rows:
-        return "[]"
-    row, cell = "\n" + pad + "  ", "\n" + pad + "    "
-    body = ",".join(cell + f for f in cells.json_fmts)
-    template = row + ("[" + body + row + "]" if body else "[]")
-    return "[" + ",".join([template] * cells.n_rows) % cells.json_args + "\n" + pad + "]"
-
-
-def _csv_text(table: dict, cells: _Cells) -> str:
-    """The CSV of a table: the header through csv.writer, then the rows by one %."""
+        args += texts
     header = _csv_lines([[c["name"] for c in table["columns"]]])[0]
-    return header + ((",".join(cells.csv_fmts) + "\n") * cells.n_rows) % cells.csv_args
-
-
-def _tables_json(cells: list, tables: list, pad: str) -> str:
-    """_json(tables, pad) for the report's tables with rows in place of cells."""
-    items = [_object({"columns": t["columns"], "name": t["name"], "rows": c}, pad + "  ",
-                     {"rows": _rows_json}) for t, c in zip(tables, cells)]
-    return _block("[]", items, pad)
+    json_row = _ROW + "[" + ",".join(_ROW + "  " + f for f in json_fmts) + _ROW + "]"
+    return header, json_row, ",".join(csv_fmts) + "\n", args
 
 
 def write_report(out_dir: str, report: dict) -> str:
@@ -150,27 +122,36 @@ def write_report(out_dir: str, report: dict) -> str:
     report.json holds exactly the text of ``json.dumps(report,
     sort_keys=True, indent=2, allow_nan=False)`` plus a newline, each
     table's "cells" (one sequence per column) written as "rows" (one list
-    per row). The cells are encoded one column at a time (``_cells``), then
-    laid out by one % over a row template repeated once per row, in
-    report.json and in the CSV alike; everything else is encoded by
-    ``json.dumps`` itself. A CSV cell is "%.17g" of a float, true/false of a
-    bool and str() of anything else, quoted as ``csv.writer`` quotes it. A
-    NaN or infinite number, which JSON cannot hold, raises ``ValueError``,
-    and miscounted or unequal columns or a cell that is not a scalar
-    ``TypeError``, before any file or directory is created.
+    per row). Every table is first checked and encoded one column at a time
+    (``_encode``); everything else is encoded by ``json.dumps`` itself.
+    Then each table's rows are written in blocks of ``_BLOCK``: one argument
+    tuple per block, and one % over a row template repeated once per row,
+    for report.json and for the CSV alike. A CSV cell is "%.17g" of a float,
+    true/false of a bool and str() of anything else, quoted as
+    ``csv.writer`` quotes it. A NaN or infinite number, which JSON cannot
+    hold, raises ``ValueError``, and miscounted or unequal columns or a cell
+    that is not a scalar ``TypeError``, before any file or directory is
+    created.
     """
     tables = report["tables"]
     try:
-        cells = [_cells(t) for t in tables]
-        text = _object(report, "", {"tables": functools.partial(_tables_json, cells)})
+        encoded = [_encode(t) for t in tables]
+        text = _object(report, "", {"tables": _tables_json}) + "\n"
     except ValueError:
         raise ValueError("the report holds a non-finite number; nothing was written") from None
-    csvs = [_csv_text(t, c) for t, c in zip(tables, cells)]
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
+    head, *tails = text.split("\0")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines((text, "\n"))
-    for tab, csv_text in zip(tables, csvs):
-        with open(os.path.join(out_dir, f"{tab['name']}.csv"), "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
+        fh.write(head)
+        for tab, (header, json_row, csv_row, args), tail in zip(tables, encoded, tails):
+            with open(os.path.join(out_dir, f"{tab['name']}.csv"), "w", encoding="utf-8", newline="") as out:
+                out.write(header)
+                sep, rows = "[", zip(*args)
+                while block := tuple(itertools.chain.from_iterable(itertools.islice(rows, _BLOCK))):
+                    n = len(block) // len(args)
+                    fh.write((sep + ",".join([json_row] * n)) % block)
+                    out.write((csv_row * n) % block)
+                    sep = ","
+            fh.writelines(("[]" if sep == "[" else _ROWS_END, tail))
     return path
