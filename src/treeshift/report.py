@@ -142,16 +142,16 @@ def write_report(out_dir: str, report: dict) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
     head, *tails = text.split("\0")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head)
+    with open(path, "w", encoding="utf-8", newline="\n") as json_fh:
+        json_fh.write(head)
         for tab, (header, json_row, csv_row, args), tail in zip(tables, encoded, tails):
-            with open(os.path.join(out_dir, f"{tab['name']}.csv"), "w", encoding="utf-8", newline="") as out:
-                out.write(header)
+            with open(os.path.join(out_dir, f"{tab['name']}.csv"), "w", encoding="utf-8", newline="") as csv_fh:
+                csv_fh.write(header)
                 sep, rows = "[", zip(*args)
                 while block := tuple(itertools.chain.from_iterable(itertools.islice(rows, _BLOCK))):
                     n = len(block) // len(args)
-                    fh.write((sep + ",".join([json_row] * n)) % block)
-                    out.write((csv_row * n) % block)
+                    json_fh.write((sep + ",".join([json_row] * n)) % block)
+                    csv_fh.write((csv_row * n) % block)
                     sep = ","
-            fh.writelines(("[]" if sep == "[" else _ROWS_END, tail))
+            json_fh.writelines(("[]" if sep == "[" else _ROWS_END, tail))
     return path
