@@ -572,8 +572,8 @@ def test_report_writer_block_boundaries(tmp_path):
 
 def test_report_writer_memory_is_bounded_by_a_block(tmp_path):
     # The writer holds one block of rows at a time, not the whole text of
-    # either file: its peak stays well below the size of report.json (0.39
-    # of it for this table, against 3.6 when both files were built whole).
+    # either file, so its peak stays well below the size of report.json:
+    # 0.39 of it for this table, where holding both texts whole reads 3.6.
     n = 1 << 17
     cells = [[i * 0.1 + 1 / 3 for i in range(n)], list(range(-n, n, 2)), [i % 3 == 0 for i in range(n)]]
     report = {"schema": 1, "tables": [{"name": "t", "columns": [_ONE_CELL] * 3, "cells": cells}]}
