@@ -60,6 +60,7 @@ LADDER = {
     "radius_random2_d17": (f"radius {RANDOM2} 17", 600),
     "radius_random2_d19": (f"radius {RANDOM2} 19", 600),
     "radius_mad_1e5": ("radius --family mad --depth 100000", 600),
+    "approx_random2_d17": (f"approx {RANDOM2} 17", 600),
     "approx_random2_d19": (f"approx {RANDOM2} 19", 900),
     "approx_mad_1e4": ("approx --family mad --depth 10000", 600),
     "integral_random2_d19": (f"integral {RANDOM2} 19 --cases 1", 900),

@@ -46,7 +46,6 @@ from .multiplier import (
     sot_error_profile,
 )
 from .ops import (
-    HorizonError,
     TreeVector,
     TruncatedShift,
     boundary_mass,
@@ -54,7 +53,7 @@ from .ops import (
     operator_norm_power,
 )
 from .report import write_report
-from .tree import FAMILIES, TreeSpecError, _childless, _load_object, load_tree_file
+from .tree import FAMILIES, _childless, _load_object, load_tree_file
 from .wold import (
     BALANCE_ABS_TOL,
     BALANCE_REL_TOL,
@@ -655,7 +654,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = {**body, "schema": 1, "experiment": args.command,
                       "inputs": {**inputs, **body["inputs"]}}
             path = write_report(os.environ.get("TREESHIFT_OUT") or args.out, report)
-    except (TreeSpecError, HorizonError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

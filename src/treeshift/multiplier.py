@@ -253,17 +253,29 @@ def gamma_apply(s: TruncatedShift, phi: Symbol, f: TreeVector) -> TreeVector:
                 (weight product from the k-th ancestor of v down to v)
                 * phi(k) * f(k-th ancestor of v).
 
-    This is a one-row batch of ``_gamma_rows``, the kernel the circle
-    quadrature runs on a chunk of rotated symbols at once; it works on
-    full-width rows whose orders past depth(v) add exact zeros at v. The
-    result is bitwise that of the scalar formula summed over k in
-    ascending order.
+    The output is 0 below depth d + min(K, D), with d the depth of f's
+    deepest support vertex and K the symbol degree, so only the ids up to
+    that depth (capped at D) are computed: f is scattered into a dense
+    prefix of that length and the result holds its nonzero entries. The
+    cost so follows the prefix f reaches, not the tree. This is a one-row
+    batch of ``_gamma_rows``, the kernel the circle quadrature runs on a
+    chunk of rotated symbols at once; within the prefix, orders past
+    depth(v) add exact zeros at v. The result is bitwise that of the
+    scalar formula summed over k in ascending order. The one difference
+    from running the kernel on the whole tree is past the prefix: there a
+    weight product that overflowed to inf meets f = 0 and gives NaN, which
+    the prefix leaves out (the output is 0 there).
     """
     _same_tree(s, f)
-    p = np.array([phi.values_upto(min(phi.degree, s.max_depth))], dtype=complex)
-    x = f.to_dense()
+    k_max = min(phi.degree, s.max_depth)
+    p = np.array([phi.values_upto(k_max)], dtype=complex)
+    top = int(s.tree.depth[f._ids].max(initial=0))
+    x = np.zeros(int(s.tree.gen_offsets[min(top + k_max, s.max_depth) + 1]), dtype=complex)
+    x[f._ids] = f._vals
     acc_re, acc_im = _gamma_rows(s, p.real, p.imag, x.real, x.imag)
-    return TreeVector.from_dense(s.tree, _join(acc_re[0], acc_im[0]))
+    out = _join(acc_re[0], acc_im[0])
+    ids = np.flatnonzero(out)
+    return TreeVector._of(s.tree, ids, out[ids])
 
 
 def _gamma_rows(
@@ -280,12 +292,15 @@ def _gamma_rows(
     order's products, not computed and masked, so an inf weight product
     meets no 0 coefficient there.
 
-    Every order works on whole rows of N entries. The order-k weight
+    The rows cover the ids below n = len(f_re), a prefix of whole
+    generations: every vertex's ancestors lie in it, and the full tree is
+    n = N. Every order works on whole rows of n entries. The order-k weight
     products prod(v) = prod_{k-1}(parent v) * lam(v) and the gathered f
-    values f(k-th ancestor of v) are length-N arrays, shared by every
-    row, with exact zeros on the ids above depth k (the head, ids below
-    ``gen_offsets[k]``); two sets of them alternate between orders. The
-    products of an order are written into four rows x N work buffers
+    values f(k-th ancestor of v) are length-n arrays, read from
+    ``parent[lo:n]`` and ``lam[lo:n]``, shared by every row, with exact
+    zeros on the ids above depth k (the head, ids below
+    ``gen_offsets[k]`` = lo); two sets of them alternate between orders.
+    The products of an order are written into four rows x n work buffers
     allocated once per call, and the sums are whole-array adds.
 
     Why the heads change no bit: with p finite, the head of
@@ -315,8 +330,8 @@ def _gamma_rows(
             # (every index is in range; "clip" writes to out unbuffered).
             nxt[:, :lo] = 0.0
             for src, dst in zip(cur, nxt):
-                np.take(src, s.tree.parent[lo:], out=dst[lo:], mode="clip")
-            np.multiply(nxt[0, lo:], s.lam[lo:], out=nxt[0, lo:])
+                np.take(src, s.tree.parent[lo:n], out=dst[lo:], mode="clip")
+            np.multiply(nxt[0, lo:], s.lam[lo:n], out=nxt[0, lo:])
             cur, nxt = nxt, cur
         rows = n_live[k]
         if not rows:

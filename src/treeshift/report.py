@@ -26,39 +26,7 @@ _BLOCK = 1 << 14  # rows formatted and written at a time
 # report.json holds a table's "rows" at a fixed depth under "tables": each
 # row opens on _ROW and each of its cells on _ROW + "  ".
 _ROW, _ROWS_END = "\n" + " " * 8, "\n" + " " * 6 + "]"
-
-
-def _json(value, pad: str) -> str:
-    """json.dumps(value, sort_keys=True, indent=2, allow_nan=False) nested at indentation pad.
-
-    Encoded strings escape their newlines, so every newline in the text is
-    layout and one replace re-indents it.
-    """
-    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n" + pad)
-
-
-def _block(brackets: str, items: list, pad: str) -> str:
-    """Encoded items laid out as indent=2 lays out a container nested at pad."""
-    if not items:
-        return brackets
-    inner = "\n" + pad + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
-
-
-def _object(d: dict, pad: str, encoders: dict) -> str:
-    """_json(d, pad), with the value of each key in encoders encoded by it."""
-    inner = pad + "  "
-    fields = [f"{json.dumps(k)}: {encoders.get(k, _json)(d[k], inner)}" for k in sorted(d)]
-    return _block("{}", fields, pad)
-
-
-def _tables_json(tables: list, pad: str) -> str:
-    """_json(tables, pad) with each table's "rows" in place of its cells, left
-    as a raw NUL. json.dumps escapes every control character, so a raw NUL in
-    the text can only be such a placeholder."""
-    items = [_object({"columns": t["columns"], "name": t["name"], "rows": None}, pad + "  ",
-                     {"rows": lambda rows, pad: "\0"}) for t in tables]
-    return _block("[]", items, pad)
+_ROWS_KEY = '"rows": '
 
 
 def _csv_lines(rows) -> list:
@@ -123,35 +91,44 @@ def write_report(out_dir: str, report: dict) -> str:
     sort_keys=True, indent=2, allow_nan=False)`` plus a newline, each
     table's "cells" (one sequence per column) written as "rows" (one list
     per row). Every table is first checked and encoded one column at a time
-    (``_encode``); everything else is encoded by ``json.dumps`` itself.
-    Then each table's rows are written in blocks of ``_BLOCK``: one argument
-    tuple per block, and one % over a row template repeated once per row,
-    for report.json and for the CSV alike. A CSV cell is "%.17g" of a float,
-    true/false of a bool and str() of anything else, quoted as
-    ``csv.writer`` quotes it. A NaN or infinite number, which JSON cannot
-    hold, raises ``ValueError``, and miscounted or unequal columns or a cell
-    that is not a scalar ``TypeError``, before any file or directory is
-    created.
+    (``_encode``). The rest of report.json is ``json.dumps``'s own text of
+    the report with each table cut to its "columns", its "name" and a NaN
+    as its "rows": once a first ``json.dumps`` with ``allow_nan=False`` has
+    refused every other NaN, a NaN can only be such a placeholder, and an
+    encoded string escapes every ``"``, so that text splits exactly on
+    ``"rows": NaN``. Then each table's rows are written in blocks of
+    ``_BLOCK``: one argument tuple per block, and one % over a row template
+    repeated once per row, for report.json and for the CSV alike. A CSV
+    cell is "%.17g" of a float, true/false of a bool and str() of anything
+    else, quoted as ``csv.writer`` quotes it. A NaN or infinite number,
+    which JSON cannot hold, raises ``ValueError``, and miscounted or
+    unequal columns or a cell that is not a scalar ``TypeError``, before
+    any file or directory is created.
     """
     tables = report["tables"]
+
+    def skeleton(rows) -> dict:
+        return {**report, "tables": [{"columns": t["columns"], "name": t["name"], "rows": rows} for t in tables]}
+
     try:
         encoded = [_encode(t) for t in tables]
-        text = _object(report, "", {"tables": _tables_json}) + "\n"
+        json.dumps(skeleton(None), sort_keys=True, allow_nan=False)
     except ValueError:
         raise ValueError("the report holds a non-finite number; nothing was written") from None
+    text = json.dumps(skeleton(math.nan), sort_keys=True, indent=2) + "\n"
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
-    head, *tails = text.split("\0")
+    head, *tails = text.split(_ROWS_KEY + "NaN")
     with open(path, "w", encoding="utf-8", newline="\n") as json_fh:
         json_fh.write(head)
         for tab, (header, json_row, csv_row, args), tail in zip(tables, encoded, tails):
             with open(os.path.join(out_dir, f"{tab['name']}.csv"), "w", encoding="utf-8", newline="") as csv_fh:
                 csv_fh.write(header)
-                sep, rows = "[", zip(*args)
+                sep, rows = _ROWS_KEY + "[", zip(*args)
                 while block := tuple(itertools.chain.from_iterable(itertools.islice(rows, _BLOCK))):
                     n = len(block) // len(args)
                     json_fh.write((sep + ",".join([json_row] * n)) % block)
                     csv_fh.write((csv_row * n) % block)
                     sep = ","
-            json_fh.writelines(("[]" if sep == "[" else _ROWS_END, tail))
+            json_fh.writelines((_ROWS_KEY + "[]" if sep != "," else _ROWS_END, tail))
     return path

@@ -499,6 +499,14 @@ def _one_table(columns, cells):
 @example(_one_table([_ONE_CELL, _ONE_CELL], [["a,b", 'say "hi"', "x\ny", ""], ["%d", "x\ry", "%", "%%s"]]))
 @example(_one_table([_ONE_CELL], [[""]]))
 @example(_one_table([_ONE_CELL], [["%s", "\r", "", '"']]))
+# Text that a split on NaN or on ": NaN" rather than on '"rows": NaN' would cut.
+@example({"schema": 1, "experiment": 'rows": NaN', "verdict": "NaN",
+          "inputs": {"rows": 2.5, "a: NaN": ["NaN", "a: NaN", 'rows": NaN', "Infinity", "\x00"]},
+          "tolerances": {'rows": NaN': 1e-9, "Infinity": None}, "tables": [
+              {"name": "rows", "columns": [{"name": 'rows": NaN', "op": "a: NaN", "tol": None}],
+               "cells": [['"rows": NaN', "NaN", "-Infinity", "\x00"]]},
+              {"name": "NaN", "columns": [{"name": "\x00", "op": "Infinity", "tol": 0.5}], "cells": [[]]},
+          ]})
 def test_report_writer_matches_json_dumps(report):
     rows_report = {**report, "tables": [row_table(t) for t in report["tables"]]}
     with tempfile.TemporaryDirectory() as tmp:
@@ -513,13 +521,17 @@ def test_report_writer_matches_json_dumps(report):
                 assert fh.read() == loop_csv_text(tab).encode("utf-8")
 
 
-@pytest.mark.parametrize("where", ["row", "inputs", "mixed_row"])
+@pytest.mark.parametrize("where", ["row", "inputs", "mixed_row", "tol", "tolerances"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_report_writer_refuses_non_finite_before_writing(tmp_path, where, bad):
-    # "row" puts bad in an all-float column, "mixed_row" in a column of ints and floats.
+    # "row" puts bad in an all-float column, "mixed_row" in a column of ints
+    # and floats, "tol" in a column spec's tol; the rest name the report key.
     first = 1 if where == "mixed_row" else 1.0
-    table = {"name": "t", "columns": [_ONE_CELL], "cells": [[first, 2.0 if where == "inputs" else bad]]}
-    report = {"schema": 1, "inputs": {"x": [bad] if where == "inputs" else 0.5}, "tables": [table]}
+    in_cells = where in ("row", "mixed_row")
+    column = {**_ONE_CELL, "tol": bad if where == "tol" else None}
+    table = {"name": "t", "columns": [column], "cells": [[first, bad if in_cells else 2.0]]}
+    report = {"schema": 1, "inputs": {"x": [bad] if where == "inputs" else 0.5},
+              "tolerances": {"abs": bad if where == "tolerances" else 1e-9}, "tables": [table]}
     out = tmp_path / "r"
     with pytest.raises(ValueError, match="non-finite"):
         write_report(str(out), report)

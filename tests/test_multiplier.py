@@ -408,6 +408,50 @@ def test_gamma_rows_with_non_finite_coefficients():
     assert math.isfinite(abs(want)) and _hex(got) == _hex(want)
 
 
+def _full_width(s, phi, f):
+    """gamma_apply as it ran before the prefix: ``_gamma_rows`` on f's
+    dense array over all N vertices, its nonzero entries as a vector."""
+    p = np.array([phi.values_upto(min(phi.degree, s.max_depth))], dtype=complex)
+    x = f.to_dense()
+    acc_re, acc_im = multiplier._gamma_rows(s, p.real, p.imag, x.real, x.imag)
+    return TreeVector.from_dense(s.tree, _join(acc_re[0], acc_im[0]))
+
+
+_finite_complex = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(weighted_trees(weights=st.just(0.0) | st.floats(0.25, 4.0)), st.data())
+def test_gamma_apply_on_its_prefix_bitwise_equals_full_width_rows(s, data):
+    offsets = s.tree.gen_offsets.tolist()
+    deepest = data.draw(st.integers(-1, s.max_depth), label="deepest")  # -1: the zero vector
+    ids = set()
+    if deepest >= 0:
+        ids = data.draw(st.sets(st.integers(0, offsets[deepest + 1] - 1), max_size=5), label="ids")
+        ids.add(data.draw(st.integers(offsets[deepest], offsets[deepest + 1] - 1), label="at deepest"))
+    f = TreeVector(s.tree, {v: data.draw(_finite_complex) for v in sorted(ids)})
+    coeffs = data.draw(st.lists(st.just(0j) | _finite_complex, min_size=1, max_size=s.max_depth + 3))
+    phi = Symbol.from_rule(coeffs.__getitem__, len(coeffs) - 1)
+    got, want = gamma_apply(s, phi, f), _full_width(s, phi, f)
+    assert got._ids.tobytes() == want._ids.tobytes()
+    assert got._vals.tobytes() == want._vals.tobytes()
+
+
+def test_gamma_apply_leaves_out_the_nan_past_its_prefix():
+    # Weights of 1e150 make every weight product of order 3 inf. On e_0 the
+    # output is 0 below depth 3, where the full-width rows meet f = 0 with
+    # an inf product and give NaN; the prefix never computes those ids.
+    tree = _random_shift(7, depth=6, branching=(2,)).tree
+    s = TruncatedShift(tree, np.full(tree.n_vertices - 1, 1e150))
+    e0 = TreeVector.basis(tree, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, full = gamma_apply(s, Symbol.ones(3), e0), _full_width(s, Symbol.ones(3), e0)
+    below = tree.depth[full._ids] > 3
+    assert below.sum() == 112 and np.isnan(full._vals[below]).all()
+    assert got._ids.tobytes() == full._ids[~below].tobytes()
+    assert got._vals.tobytes() == full._vals[~below].tobytes()
+
+
 def test_deep_ray_quadrature_memory_is_chunked():
     s = make(GallerySpec(family="mad", depth=2000))
     rng = np.random.default_rng([13, 9])
