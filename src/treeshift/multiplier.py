@@ -278,8 +278,18 @@ def gamma_apply(s: TruncatedShift, phi: Symbol, f: TreeVector) -> TreeVector:
     return TreeVector._of(s.tree, ids, out[ids])
 
 
+def _gamma_buffers(rows: int, n: int) -> tuple[np.ndarray, ...]:
+    """Work arrays of ``_gamma_rows`` for up to ``rows`` symbols over n ids."""
+    return (*(np.empty((rows, n)) for _ in range(6)), np.empty((3, n)), np.empty((3, n)))
+
+
 def _gamma_rows(
-    s: TruncatedShift, p_re: np.ndarray, p_im: np.ndarray, f_re: np.ndarray, f_im: np.ndarray
+    s: TruncatedShift,
+    p_re: np.ndarray,
+    p_im: np.ndarray,
+    f_re: np.ndarray,
+    f_im: np.ndarray,
+    buffers: Optional[tuple[np.ndarray, ...]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ancestor sum of f for a batch of symbols, one per row of p.
 
@@ -300,8 +310,11 @@ def _gamma_rows(
     ``parent[lo:n]`` and ``lam[lo:n]``, shared by every row, with exact
     zeros on the ids above depth k (the head, ids below
     ``gen_offsets[k]`` = lo); two sets of them alternate between orders.
-    The products of an order are written into four rows x n work buffers
-    allocated once per call, and the sums are whole-array adds.
+    The products of an order are written into four rows x n work buffers,
+    and the sums are whole-array adds. ``buffers`` is a
+    ``_gamma_buffers(r, n)`` set with r >= rows, which a caller running
+    several batches passes to each; without it the call allocates its own.
+    The returned arrays are views into the set, valid until its next use.
 
     Why the heads change no bit: with p finite, the head of
     (prod * p) * f is (0 * p) * 0, a zero of either sign. Each sum starts
@@ -318,11 +331,11 @@ def _gamma_rows(
     live = (p_re != 0) | (p_im != 0)
     n_live = live.sum(axis=0).tolist()
     finite = bool(np.isfinite(p_re).all() and np.isfinite(p_im).all())
-    acc_re = np.zeros((len(p_re), n))
-    acc_im = np.zeros((len(p_re), n))
-    t_re, t_im, m_a, m_b = (np.empty((len(p_re), n)) for _ in range(4))
-    cur = np.stack([np.ones(n), f_re, f_im])  # prod, f_re, f_im at order k
-    nxt = np.empty_like(cur)
+    acc_re, acc_im, t_re, t_im, m_a, m_b, cur, nxt = buffers or _gamma_buffers(len(p_re), n)
+    acc_re, acc_im = acc_re[: len(p_re)], acc_im[: len(p_re)]
+    acc_re.fill(0.0)
+    acc_im.fill(0.0)
+    cur[0], cur[1], cur[2] = 1.0, f_re, f_im  # prod, f_re, f_im at order k
     for k in range(p_re.shape[1]):
         lo = offsets[k]
         if k:
@@ -447,7 +460,8 @@ def circle_pair_integral(
     vertices. Each chunk materialises the rotated symbols as a roots x
     (K + 1) matrix, with ``rotate_symbol``'s rounding, and applies them
     all at once through ``_gamma_rows``, the kernel ``gamma_apply`` runs
-    on one row: every order works on full-width roots x N rows, whose
+    on one row, in one set of work buffers per call, sized for the largest
+    chunk: every order works on full-width roots x N rows, whose
     entries above that order's depth add exact zeros that change no bit.
     Each row is paired with g by a sequential sum of the
     terms M f(v) * conj(g(v)) over g's entries in insertion order, as
@@ -475,11 +489,15 @@ def circle_pair_integral(
         cols = slice(None)  # g walks every id in ascending order: pair the rows as they are
     finite_g = bool(np.isfinite(gs).all())
     chunk = max(1, _CHUNK_ENTRIES // s.tree.n_vertices)
+    # One chunk allocates its own set, freed before the pairing: a set kept
+    # through it leaves the pairing's temporaries on top of the heap, which
+    # glibc returns at each call's end (79 page faults per call at N = 255).
+    buffers = _gamma_buffers(chunk, len(x)) if chunk < n_points else None
     total = 0j
     for lo in range(0, n_points, chunk):
         ws = roots[lo:lo + chunk]
         p_re, p_im = _rotated_rows(phi, ws, k_max)
-        acc_re, acc_im = _gamma_rows(s, p_re, p_im, x.real, x.imag)
+        acc_re, acc_im = _gamma_rows(s, p_re, p_im, x.real, x.imag, buffers)
         a_re, a_im = acc_re[:, cols], acc_im[:, cols]
         t_re, t_im = _cmul(a_re, a_im, gc_re, gc_im)
         if not finite_g:

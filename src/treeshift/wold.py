@@ -146,8 +146,9 @@ class KernelBasis:
     @cached_property
     def _layout(self) -> tuple[np.ndarray, np.ndarray]:
         """Each block's first child, in block order, and each block's first column."""
-        first = np.concatenate([cls.first for cls in self.classes])
-        dims = np.concatenate([np.full(len(cls.first), len(cls.nkeys)) for cls in self.classes])
+        none = np.zeros(0, dtype=int)  # a basis of no class has no block
+        first = np.concatenate([none, *(cls.first for cls in self.classes)])
+        dims = np.concatenate([none, *(np.full(len(cls.first), len(cls.nkeys)) for cls in self.classes)])
         order = np.argsort(first)
         dims = dims[order]
         return first[order], np.cumsum(dims) - dims
@@ -229,6 +230,13 @@ class BalanceResult:
 
 @dataclass(frozen=True)
 class GramResult:
+    """The dim x dim pairings of ``wold_gram`` for the powers (n, m).
+
+    ``matrix`` is exact zeros outside its top-left live corner (see
+    ``wold_gram``); ``exceeds_horizon`` is true when some block's S^max(n, m)
+    image leaves the window, so the corner does not cover every column.
+    """
+
     matrix: np.ndarray
     n: int
     m: int
@@ -658,21 +666,35 @@ def wold_gram(
 
     ``ladder`` is ``power_images(s, basis, top)`` for some top >= max(n,
     m); one ladder serves every pair up to its top. Without it one is
-    built here up to max(n, m). The matrix is ``ladder[n].T @
-    conj(ladder[m])``. A basis of another tree, or a ladder that stops
-    short of max(n, m), raises ``ValueError``.
+    built here up to max(n, m). Blocks run by ascending first child, so
+    the columns whose S^k image can be nonzero, those of blocks at depth
+    <= max_depth - k, are a prefix of live(k) columns. The matrix is
+    ``ladder[n][:, :h].T @ conj(ladder[m][:, :w])`` in its top-left h x w
+    corner and exact zeros elsewhere, with h = live(n) and w = live(m),
+    each raised to at least min(2, dim): numpy sends a product with one
+    row or one column to gemv, which rounds differently from the gemm of
+    the full ``ladder[n].T @ conj(ladder[m])``. A basis of another tree,
+    or a ladder that stops short of max(n, m), raises ``ValueError``.
     """
     _same_tree(s, basis)
     if n < 0 or m < 0:
         raise ValueError("powers must be nonnegative")
     if ladder is not None and len(ladder) <= max(n, m):
         raise ValueError(f"the ladder stops at power {len(ladder) - 1}, below {max(n, m)}")
-    deepest = s.tree.depth.item(basis._layout[0][-1])  # blocks run by ascending first child
-    exceeds = deepest + max(n, m) > s.max_depth
+    first, starts = basis._layout
+    dim = basis.total_dim
+    block_depths = s.tree.depth[first]
+    live = np.searchsorted(block_depths, [s.max_depth - n, s.max_depth - m], side="right")
+    h, w = np.append(starts, dim)[live].tolist()
+    exceeds = min(h, w) < dim
     if strict and exceeds:
+        deepest = block_depths.item(-1)
         raise HorizonError(f"gram orders ({n}, {m}) pass the horizon for a block at depth {deepest}")
     images = power_images(s, basis, max(n, m)) if ladder is None else ladder
-    return GramResult(matrix=images[n].T @ np.conj(images[m]), n=n, m=m, exceeds_horizon=exceeds)
+    h, w = max(h, min(2, dim)), max(w, min(2, dim))
+    matrix = np.zeros((dim, dim), dtype=complex)
+    matrix[:h, :w] = images[n][:, :h].T @ np.conj(images[m][:, :w])
+    return GramResult(matrix=matrix, n=n, m=m, exceeds_horizon=exceeds)
 
 
 def image_dim(s: TruncatedShift, n: int, basis: KernelBasis) -> int:

@@ -698,6 +698,24 @@ def test_gram_regimes(tmp_path):
     assert report["verdict"] == "evidence-only"
 
 
+@pytest.mark.parametrize("weight", [1e80, 1e150])
+def test_gram_overflow_exits_two_without_report(tmp_path, capsys, weight):
+    # A depth-3 binary tree of equal weights. At 1e80 the ladder is finite
+    # and the pairings (1, 3) and (2, 3) overflow; at 1e150 S^3 of the root
+    # holds inf, and each pairing against it is inf or NaN. wold_gram
+    # multiplies only the live columns, and drops exact-zero columns only:
+    # an overflowed pairing lies in the live block, and a live column with
+    # an inf meets at least one column on the other side, so the refusal
+    # stays.
+    spec = tmp_path / "tree.json"
+    spec.write_text(json.dumps({"vertices": 15, "parents": [None, *(v // 2 for v in range(14))],
+                                "weights": [0.0, *[weight] * 14]}))
+    out = tmp_path / "r"
+    assert _run(["gram", "--tree", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: the report holds a non-finite number; nothing was written\n"
+    assert not out.exists()
+
+
 def test_approx_report(tmp_path):
     out = str(tmp_path / "r")
     assert _run(["approx", "--family", "t2", "--alpha", "0.5", "--depth", "8",

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -393,6 +397,103 @@ def test_power_ladder_bitwise_equal_per_vector_loop():
                     assert got.matrix.shape == alone.matrix.shape, (case, n, m)
                     assert got.matrix.tobytes() == alone.matrix.tobytes(), (case, n, m)
                     assert got.exceeds_horizon == alone.exceeds_horizon, (case, n, m)
+
+
+# Run in a child per OpenBLAS kernel: every (n, m) pair of the gram goldens
+# and of a few seeded trees, with the live widths counted from the block
+# depths alone. Prints one JSON line: pairs checked, failures, the pairs
+# with a live width of 1 on a basis of dim > 1, and the dims seen.
+_LIVE_GRAM_CHILD = """
+import json, sys
+import numpy as np
+from treeshift import GallerySpec, KernelBasis, kernel_basis, make, power_images, random_balanced, wold_gram
+from treeshift.cli import _build_parser, _build_shift
+
+def cases():
+    for name, argv in json.loads(sys.argv[1]).items():
+        args = _build_parser().parse_args(argv)
+        s = _build_shift(args)[0]
+        yield name, s, kernel_basis(s), min(args.max_power, s.max_depth)
+    def random(depth, seed, branching):
+        return make(GallerySpec(family="random", depth=depth, params={"seed": seed, "branching": branching}))
+    t2 = make(GallerySpec(family="t2", depth=4, params={"alpha": 0.5}))
+    for name, s, interior_only in (
+        ("random2_d8", random(8, 0, (2,)), True),
+        ("random12_d7", random(7, 5, (1, 2)), True),
+        ("random3_d5", random(5, 2, (3,)), True),
+        ("balanced2_d7", random_balanced(seed=4, branching=(2,), depth=7), True),
+        ("random123_d5_full", random(5, 9, (1, 2, 3)), False),
+        ("balanced23_d5_full", random_balanced(seed=3, branching=(2, 3), depth=5), False),
+        ("unilateral_d4", make(GallerySpec(family="unilateral", depth=4)), True),
+        ("t2_d4", t2, True),
+    ):
+        yield name, s, kernel_basis(s, interior_only), s.max_depth
+    yield "t2_d4_empty", t2, KernelBasis(t2.tree, True, ()), t2.max_depth
+
+pairs, bad, narrow, dims = 0, [], [], set()
+for name, s, basis, top in cases():
+    ladder = power_images(s, basis, top)
+    dim = basis.total_dim
+    dims.add(dim)
+    depths = np.repeat(basis.support_depths(), [b.dim for b in basis.blocks])
+    live = [int(np.sum(depths <= s.max_depth - k)) for k in range(top + 1)]
+    for k, block in enumerate(ladder):
+        if np.any(block[:, live[k]:] != 0):
+            bad.append([name, k, k, "dead column not zero"])
+    for n in range(top + 1):
+        for m in range(top + 1):
+            g = wold_gram(s, n, m, basis, ladder=ladder)
+            full = ladder[n].T @ np.conj(ladder[m])
+            h, w = max(live[n], min(2, dim)), max(live[m], min(2, dim))
+            rest = g.matrix.copy()
+            rest[:h, :w] = 0
+            if g.matrix[:h, :w].tobytes() != full[:h, :w].tobytes():
+                bad.append([name, n, m, "live block"])
+            if np.any(rest != 0):
+                bad.append([name, n, m, "rest not zero"])
+            if g.max_abs != (float(np.max(np.abs(full))) if full.size else 0.0):
+                bad.append([name, n, m, "max_abs"])
+            if dim > 1 and min(live[n], live[m]) == 1:
+                narrow.append([name, n, m])
+            pairs += 1
+print(json.dumps({"pairs": pairs, "bad": bad, "narrow": narrow, "dims": sorted(dims)}))
+"""
+
+
+def _cpu_flags() -> set:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return next((set(line.split(":", 1)[1].split()) for line in fh if line.startswith("flags")), set())
+    except OSError:
+        return set()
+
+
+# Each forced kernel with the CPU flag it needs: forcing a kernel whose
+# instructions the CPU lacks kills the child. Sandybridge is left out: its
+# kernel rounds the narrower product differently from the full one (122 of
+# 1 650 pairs on random trees of depths 2-8), and the gram goldens already
+# fail under it with the full product (ROADMAP, State).
+@pytest.mark.parametrize("coretype, flag", [
+    (None, None), ("Haswell", "avx2"), ("Zen", "avx2"), ("SkylakeX", "avx512f"),
+])
+def test_live_gram_bitwise_equals_full_product_per_blas_kernel(coretype, flag):
+    from test_golden import CASES
+
+    if flag is not None and flag not in _cpu_flags():
+        pytest.skip(f"the CPU lacks {flag}, which the {coretype} kernel needs")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", **({"OPENBLAS_CORETYPE": coretype} if coretype else {}))
+    golden = {name: argv for name, argv in CASES.items() if argv[0] == "gram"}
+    assert len(golden) == 4
+    proc = subprocess.run([sys.executable, "-c", _LIVE_GRAM_CHILD, json.dumps(golden)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["bad"] == []
+    assert ["gram_random", 0, 4] in got["narrow"]
+    assert {0, 1, 2} <= set(got["dims"])
+    assert got["pairs"] == 516
 
 
 def test_short_ladder_refused():
