@@ -470,8 +470,8 @@ def _cpu_flags() -> set:
 
 # Each forced kernel with the CPU flag it needs: forcing a kernel whose
 # instructions the CPU lacks kills the child. Sandybridge is left out: its
-# kernel rounds the narrower product differently from the full one (122 of
-# 1 650 pairs on random trees of depths 2-8), and the gram goldens already
+# kernel rounds the narrower product differently from the full one (144 of
+# 1 286 pairs on random trees of depths 2-8), and the gram goldens already
 # fail under it with the full product (ROADMAP, State).
 @pytest.mark.parametrize("coretype, flag", [
     (None, None), ("Haswell", "avx2"), ("Zen", "avx2"), ("SkylakeX", "avx512f"),
