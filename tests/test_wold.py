@@ -468,19 +468,20 @@ def _cpu_flags() -> set:
         return set()
 
 
-# Each forced kernel with the CPU flag it needs: forcing a kernel whose
-# instructions the CPU lacks kills the child. Sandybridge is left out: its
-# kernel rounds the narrower product differently from the full one (144 of
-# 1 286 pairs on random trees of depths 2-8), and the gram goldens already
-# fail under it with the full product (ROADMAP, State).
+# Each kernel with the CPU flag it needs (None: the kernel OpenBLAS picks):
+# forcing a kernel whose instructions the CPU lacks kills the child, and a
+# CPU without avx2 gets Sandybridge's or an older kernel. Sandybridge is
+# left out: its kernel rounds the narrower product differently from the
+# full one (144 of 1 286 pairs on random trees of depths 2-8), and the gram
+# goldens already fail under it with the full product (ROADMAP, State).
 @pytest.mark.parametrize("coretype, flag", [
-    (None, None), ("Haswell", "avx2"), ("Zen", "avx2"), ("SkylakeX", "avx512f"),
+    (None, "avx2"), ("Haswell", "avx2"), ("Zen", "avx2"), ("SkylakeX", "avx512f"),
 ])
 def test_live_gram_bitwise_equals_full_product_per_blas_kernel(coretype, flag):
     from test_golden import CASES
 
-    if flag is not None and flag not in _cpu_flags():
-        pytest.skip(f"the CPU lacks {flag}, which the {coretype} kernel needs")
+    if flag not in _cpu_flags():
+        pytest.skip(f"the CPU lacks {flag}, which the {coretype or 'native'} kernel needs here")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", **({"OPENBLAS_CORETYPE": coretype} if coretype else {}))
