@@ -149,6 +149,8 @@ def _unit_random_vector(tree, rng) -> TreeVector:
 
 
 def _run_norms(args, s: TruncatedShift, family: Optional[str]) -> dict:
+    if s.max_depth < 1:
+        raise ValueError("a depth-0 tree has no power to tabulate")
     max_n = args.max_power if args.max_power is not None else s.max_depth
     if not 1 <= max_n <= s.max_depth:
         raise ValueError(f"max power must lie in [1, {s.max_depth}]")

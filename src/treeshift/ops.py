@@ -244,15 +244,15 @@ class TruncatedShift:
                           lam(w)^2 * norm(S^(n-1) e_w)^2
 
     which ``power_norms_sq`` evaluates one order at a time with a single
-    ``np.bincount`` over the parent array. Order 1 is kept for the
-    lifetime of the shift; a single cursor holds the most recent higher
-    order and moves forward from it, or restarts from order 1 when a
-    lower order is asked for. Memory stays O(vertices) at any depth. An
-    order with an entry that overflows float64 raises ``ValueError``, at
-    construction for order 1 and in ``power_norms_sq`` above it. The
-    weights (a mapping from child id to weight, or the weights of vertices
-    1..N-1 in id order) are validated once, against this tree, when
-    ``lam`` is filled.
+    ``np.bincount`` over the parent array (on a ray, one product). Order 1
+    is kept for the lifetime of the shift; a single cursor holds the most
+    recent higher order and moves forward from it, or restarts from order
+    1 when a lower order is asked for. Memory stays O(vertices) at any
+    depth. An order with an entry that overflows float64 raises
+    ``ValueError``, at construction for order 1 and in ``power_norms_sq``
+    above it. The weights (a mapping from child id to weight, or the
+    weights of vertices 1..N-1 in id order) are validated once, against
+    this tree, when ``lam`` is filled.
     """
 
     def __init__(
@@ -283,18 +283,24 @@ class TruncatedShift:
         naming the first such vertex. Up to it, nothing can overflow and
         the check is skipped.
         """
-        tree = self.tree
-        size = tree.gen_offsets.item(tree.max_depth - n + 1)
-        m = len(prev)
         if n <= self._safe_orders:
-            return np.bincount(tree.parent[1:m], self._lam2[1:m] * prev[1:], minlength=size)
+            return self._child_sums(prev, n)
         with np.errstate(over="ignore"):
-            out = np.bincount(tree.parent[1:m], self._lam2[1:m] * prev[1:], minlength=size)
+            out = self._child_sums(prev, n)
         bad = ~np.isfinite(out)
         if bad.any():
             v = int(np.argmax(bad))
             raise ValueError(f"norm(S^{n} e_{v})^2 overflows float64 (power norms of order {n})")
         return out
+
+    def _child_sums(self, prev: np.ndarray, n: int) -> np.ndarray:
+        """Each vertex's sum of lam(w)^2 * prev(w) over its children w, one ``np.bincount``."""
+        tree = self.tree
+        m = len(prev)
+        terms = self._lam2[1:m] * prev[1:]
+        if tree.n_vertices == tree.max_depth + 1:
+            return terms  # a ray: each sum has one term, and 0.0 + x is x
+        return np.bincount(tree.parent[1:m], terms, minlength=tree.gen_offsets.item(tree.max_depth - n + 1))
 
     def power_norms_sq(self, n: int) -> np.ndarray:
         """Read-only array of norm(S^n e_u)^2 for every u with depth(u) + n <= max_depth.

@@ -232,19 +232,26 @@ class BalanceResult:
 class GramResult:
     """The dim x dim pairings of ``wold_gram`` for the powers (n, m).
 
-    ``matrix`` is exact zeros outside its top-left live corner (see
-    ``wold_gram``); ``exceeds_horizon`` is true when some block's S^max(n, m)
-    image leaves the window, so the corner does not cover every column.
+    Only the live top-left ``corner`` is stored (``wold_gram``); ``matrix``
+    pads it to dim x dim with exact zeros when first read. ``exceeds_horizon``
+    is true when some block's S^max(n, m) image leaves the window.
     """
 
-    matrix: np.ndarray
+    corner: np.ndarray
+    dim: int
     n: int
     m: int
     exceeds_horizon: bool
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        matrix = np.zeros((self.dim, self.dim), dtype=complex)
+        matrix[: self.corner.shape[0], : self.corner.shape[1]] = self.corner
+        return matrix
+
     @property
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.matrix))) if self.matrix.size else 0.0
+        return float(np.max(np.abs(self.corner))) if self.corner.size else 0.0
 
 
 def _has_zero(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -630,21 +637,30 @@ def _basis_block(s: TruncatedShift, basis: KernelBasis) -> np.ndarray:
     return block
 
 
-def power_images(s: TruncatedShift, basis: KernelBasis, top: int) -> list[np.ndarray]:
-    """The ladder [S^0 B, ..., S^top B] of power images of the basis.
+def _live_widths(s: TruncatedShift, basis: KernelBasis, powers) -> np.ndarray:
+    """live(k) for each k in ``powers``: the columns of the blocks at depth <= max_depth - k."""
+    first, starts = basis._layout
+    at = np.searchsorted(s.tree.depth[first], s.max_depth - np.asarray(powers), side="right")
+    return np.append(starts, basis.total_dim)[at]
 
-    Entry k is an N x dim block with one column per basis vector, in the
-    column order of ``vectors()``. The basis is scattered once and each
-    block is shifted on from the one before by ``apply_shift``, so the
-    ladder costs ``top`` block shifts and holds top + 1 blocks. A basis of
-    another tree raises ``ValueError``.
+
+def power_images(s: TruncatedShift, basis: KernelBasis, top: int) -> list[np.ndarray]:
+    """The ladder [S^0 B, ..., S^top B] of power images of the basis, on their live columns.
+
+    Entry k is S^k of the first width(k) basis vectors, in the column order
+    of ``vectors()``, as an N x width(k) block: width(k) is live(k) (see
+    ``wold_gram``) raised to at least min(2, dim), and S^k of every later
+    vector is exactly zero. The basis is scattered once and block k is
+    shifted from the first width(k) columns of block k - 1 by
+    ``apply_shift``. A basis of another tree raises ``ValueError``.
     """
     _same_tree(s, basis)
     if top < 0:
         raise ValueError("top power must be nonnegative")
+    widths = np.maximum(_live_widths(s, basis, range(1, top + 1)), min(2, basis.total_dim))
     images = [_basis_block(s, basis)]
-    for _ in range(top):
-        images.append(apply_shift(s, images[-1]))
+    for width in widths.tolist():
+        images.append(apply_shift(s, images[-1][:, :width]))
     return images
 
 
@@ -664,37 +680,33 @@ def wold_gram(
     the untruncated one. Such gram matrices are flagged, and rejected when
     strict=True.
 
-    ``ladder`` is ``power_images(s, basis, top)`` for some top >= max(n,
-    m); one ladder serves every pair up to its top. Without it one is
-    built here up to max(n, m). Blocks run by ascending first child, so
-    the columns whose S^k image can be nonzero, those of blocks at depth
-    <= max_depth - k, are a prefix of live(k) columns. The matrix is
-    ``ladder[n][:, :h].T @ conj(ladder[m][:, :w])`` in its top-left h x w
-    corner and exact zeros elsewhere, with h = live(n) and w = live(m),
-    each raised to at least min(2, dim): numpy sends a product with one
-    row or one column to gemv, which rounds differently from the gemm of
-    the full ``ladder[n].T @ conj(ladder[m])``. A basis of another tree,
-    or a ladder that stops short of max(n, m), raises ``ValueError``.
+    ``ladder`` is ``power_images(s, basis, top)``, or its blocks on all dim
+    columns, for some top >= max(n, m); without it one is built up to
+    max(n, m). Blocks run by ascending first child, so the columns whose
+    S^k image can be nonzero, those of blocks at depth <= max_depth - k,
+    are a prefix of live(k) columns. The result holds the h x w corner
+    ``ladder[n][:, :h].T @ conj(ladder[m][:, :w])``, h = live(n) and w =
+    live(m) each raised to at least min(2, dim): numpy sends a product with
+    one row or column to gemv, which rounds differently from the gemm of
+    the full product, whose other entries are exact zeros. A basis of
+    another tree, or a ladder that stops short of max(n, m), raises
+    ``ValueError``.
     """
     _same_tree(s, basis)
     if n < 0 or m < 0:
         raise ValueError("powers must be nonnegative")
     if ladder is not None and len(ladder) <= max(n, m):
         raise ValueError(f"the ladder stops at power {len(ladder) - 1}, below {max(n, m)}")
-    first, starts = basis._layout
     dim = basis.total_dim
-    block_depths = s.tree.depth[first]
-    live = np.searchsorted(block_depths, [s.max_depth - n, s.max_depth - m], side="right")
-    h, w = np.append(starts, dim)[live].tolist()
+    h, w = _live_widths(s, basis, (n, m)).tolist()
     exceeds = min(h, w) < dim
     if strict and exceeds:
-        deepest = block_depths.item(-1)
+        deepest = s.tree.depth.item(basis._layout[0][-1])
         raise HorizonError(f"gram orders ({n}, {m}) pass the horizon for a block at depth {deepest}")
     images = power_images(s, basis, max(n, m)) if ladder is None else ladder
     h, w = max(h, min(2, dim)), max(w, min(2, dim))
-    matrix = np.zeros((dim, dim), dtype=complex)
-    matrix[:h, :w] = images[n][:, :h].T @ np.conj(images[m][:, :w])
-    return GramResult(matrix=matrix, n=n, m=m, exceeds_horizon=exceeds)
+    corner = images[n][:, :h].T @ np.conj(images[m][:, :w])
+    return GramResult(corner=corner, dim=dim, n=n, m=m, exceeds_horizon=exceeds)
 
 
 def image_dim(s: TruncatedShift, n: int, basis: KernelBasis) -> int:

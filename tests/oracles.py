@@ -113,6 +113,22 @@ def loop_apply_adjoint(s, f):
     return DictVector(s.tree, out)
 
 
+def bincount_power_norms(s, top):
+    """Orders 1..top of norm(S^n e_u)^2 by the recursion over the children,
+    each one ``np.bincount`` over the parent array whatever the tree's
+    shape, on the prefix with depth(u) + n <= max_depth. Unchecked: an
+    order that overflows holds inf."""
+    tree, lam2 = s.tree, s.lam * s.lam
+    orders, prev = [], np.ones(tree.n_vertices)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, top + 1):
+            m = len(prev)
+            size = tree.gen_offsets[tree.max_depth - n + 1]
+            prev = np.bincount(tree.parent[1:m], lam2[1:m] * prev[1:], minlength=size)
+            orders.append(prev)
+    return orders
+
+
 def dense_shift_matrix(s):
     """Matrix with lam(v) at (v, parent(v)); the operator's full matrix."""
     n = s.tree.n_vertices

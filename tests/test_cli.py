@@ -204,6 +204,11 @@ _DEEP = b"[" * 100_000 + b"]" * 100_000
 @pytest.mark.parametrize("argv, doc, message", [
     (["norms", "--max-power", "5", "--family", "mad", "--depth", "4"], None,
      "error: max power must lie in [1, 4]"),
+    # Refused before the power range, which would be the empty [1, 0].
+    (["norms"], {"vertices": 1, "parents": [None]}, "error: a depth-0 tree has no power to tabulate"),
+    # Order 16 of a weight-1e10 ray is 1e320 at the root; order 15 is 1e300.
+    (["norms"], {"vertices": 41, "parents": [None, *range(40)], "weights": [0] + [1e10] * 40},
+     "error: norm(S^16 e_0)^2 overflows float64 (power norms of order 16)"),
     (["norms"], {"vertices": ["a", "b"], "edges": [[0, 1, 1]]}, "error: edge [0, 1, 1] is not a pair"),
     (["norms"], {"vertices": ["a", "b"], "edges": [1]}, "error: edge 1 is not a pair"),
     (["norms"], {"vertices": ["a", "b"], "edges": [[0, 7]]}, "error: edge endpoint 7 outside 0..1"),
@@ -300,7 +305,7 @@ _DEEP = b"[" * 100_000 + b"]" * 100_000
     (_INTEGRAL_PHI, {"rule": "power_law", "exponent": 1, "K": _HUGE},
      _PAST_MAXSIZE % "the truncation degree K"),
     (_APPROX_PHI, {"support": [[_HUGE, 1, 0]]}, _PAST_MAXSIZE % "a symbol order"),
-], ids=["max_power", "triple_edge", "scalar_edge", "endpoint_range", "vertices_string",
+], ids=["max_power", "norms_root_only", "norms_ray_overflow", "triple_edge", "scalar_edge", "endpoint_range", "vertices_string",
         "edges_string", "json_array", "peel_depth_2", "radius_root_only", "radius_overflow",
         "radius_overflow_tail_start", "radius_overflow_lowest_terminal",
         "radius_root_only_negative_tail", "radius_negative_tail_before_overflow", "random_depth_huge",

@@ -229,3 +229,36 @@ def test_radius_estimates_can_rise_when_the_tail_starts_past_the_horizon():
     want, got = _radii(shallow, 4), _radii(deep, 4)
     parent = deep.tree.parent
     assert any(est > want[parent.item(v)] for v, est in got.items() if v not in want)
+
+
+# Per nested family, over depths 1-6 (from the family's least depth) and
+# seeds 0-4 of the random families at their default branching, t2 at
+# alpha 0.5: (flagged rows whose value differs on the depth-(D + 1) build,
+# flagged rows). unilateral and t2 attain their norms at depth 0 and never
+# set the flag.
+_NORM_FLAG_WITNESSES = {
+    "unilateral": (0, 0), "mad": (6, 6), "t2": (0, 0), "t2_zero": (4, 8),
+    "random": (50, 105), "random_balanced": (5, 105),
+}
+
+
+@pytest.mark.parametrize("family", NESTED)
+def test_operator_norm_flag_has_a_tightness_witness(family):
+    # A flagged sup may grow past the horizon; for each family that sets the
+    # flag, some depth-(D + 1) build shows a larger sup, so the flag is not
+    # set where nothing could change.
+    fam = FAMILIES[family]
+    params = [{"seed": seed} for seed in range(5)] if family.startswith("random") else [{}]
+    if family == "t2":
+        params = [{"alpha": 0.5}]
+    differ = flagged = 0
+    for p in params:
+        for depth in range(max(fam.min_depth, 1), 7):
+            shallow, deep = (make(GallerySpec(family=family, depth=d, params=p)) for d in (depth, depth + 1))
+            for n in range(1, depth + 1):
+                est = operator_norm_power(shallow, n)
+                if est.may_grow_beyond_horizon:
+                    flagged += 1
+                    differ += operator_norm_power(deep, n).value != est.value
+    assert (differ, flagged) == _NORM_FLAG_WITNESSES[family]
+    assert differ > 0 or flagged == 0

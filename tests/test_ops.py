@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -29,6 +30,7 @@ from treeshift import (
 
 from oracles import (
     DictVector,
+    bincount_power_norms,
     dense_shift_matrix,
     loop_apply_adjoint,
     loop_apply_shift,
@@ -150,6 +152,45 @@ def test_power_norms_sq_refusals_survive_the_cursor(s):
         for n in (depth + 1, depth + 2):
             with pytest.raises(HorizonError):
                 s.power_norms_sq(n)
+
+
+def _ray(weights):
+    return TruncatedShift(build_tree({"vertices": len(weights) + 1, "parents": [None, *range(len(weights))]}),
+                          weights)
+
+
+def _check_ray_orders(s):
+    """Every order of a ray's power norms bitwise equals the bincount oracle's,
+    up to the first that overflows, which is refused naming its first vertex.
+    Returns that order, or None."""
+    for n, want in enumerate(bincount_power_norms(s, s.max_depth), start=1):
+        bad = ~np.isfinite(want)
+        if bad.any():
+            message = f"norm(S^{n} e_{int(np.argmax(bad))})^2 overflows float64 (power norms of order {n})"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                s.power_norms_sq(n)
+            return n
+        assert s.power_norms_sq(n).tobytes() == want.tobytes(), n
+    return None
+
+
+@pytest.mark.parametrize("weights, refused", [
+    ([1e10] * 40, 16),  # _safe_orders 15: order 16 is checked and is 1e320
+    ([2.0] * 520, 512),  # _safe_orders 498.3: orders 499-511 are checked and finite
+    ([3.0] * 199 + [0.0] + [3.0] * 130, None),  # _safe_orders 314.4: orders past 199 are all zero
+], ids=["overflow_at_16", "checked_and_finite", "zero_weight"])
+def test_ray_power_norms_equal_bincount_oracle(weights, refused):
+    s = _ray(weights)
+    assert s._safe_orders < s.max_depth
+    assert _check_ray_orders(s) == refused
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.just(0.0) | st.floats(0.25, 4.0) | st.floats(1e3, 1e12), min_size=1, max_size=60))
+def test_ray_power_norms_match_bincount_oracle_bitwise(weights):
+    # Weights up to 1e12 put _safe_orders as low as 12.5, so orders on both
+    # sides of it, and refused ones, are drawn.
+    _check_ray_orders(_ray(weights))
 
 
 def test_weight_system_validation():

@@ -378,6 +378,25 @@ def test_gram_and_images_bitwise_equal_per_vector_loop():
                     assert image_intersection_dim(s, n, m, kb) == want, (case, n, m)
 
 
+def _ladder_widths(s, basis, top):
+    """width(k) for k = 0..top: the columns of the blocks at depth <= max_depth - k,
+    counted from the block depths alone, raised to at least min(2, dim)."""
+    depths = np.repeat(basis.support_depths(), [b.dim for b in basis.blocks])
+    return [max(int(np.sum(depths <= s.max_depth - k)), min(2, basis.total_dim)) for k in range(top + 1)]
+
+
+def _check_ladder(s, kb, ladder, case):
+    """Each stored block is the first width(k) columns of the per-vector loop's
+    S^k B, and every later column of the loop's is exactly zero."""
+    for n, (block, width) in enumerate(zip(ladder, _ladder_widths(s, kb, len(ladder) - 1))):
+        want = loop_dense_images(s, n, kb)
+        # Equal entries; a zero part may differ in sign, as ``apply_shift``
+        # documents for blocks.
+        assert block.shape == (s.tree.n_vertices, width), (case, n)
+        assert np.array_equal(block, want[:, :width]), (case, n)
+        assert not np.any(want[:, width:]), (case, n)
+
+
 def test_power_ladder_bitwise_equal_per_vector_loop():
     for case, s in enumerate(_image_fixtures()):
         for interior_only in (True, False):
@@ -385,28 +404,27 @@ def test_power_ladder_bitwise_equal_per_vector_loop():
             top = s.max_depth + 1
             ladder = power_images(s, kb, top)
             assert len(ladder) == top + 1
-            for n, block in enumerate(ladder):
-                # Equal entries; a zero part may differ in sign, as ``apply_shift``
-                # documents for blocks.
-                want = loop_dense_images(s, n, kb)
-                assert block.shape == want.shape and np.array_equal(block, want), (case, n)
+            _check_ladder(s, kb, ladder, case)
             for n in range(top + 1):
                 for m in range(top + 1):
                     got = wold_gram(s, n, m, kb, ladder=ladder)
                     alone = wold_gram(s, n, m, kb)
+                    assert got.corner.tobytes() == alone.corner.tobytes(), (case, n, m)
                     assert got.matrix.shape == alone.matrix.shape, (case, n, m)
                     assert got.matrix.tobytes() == alone.matrix.tobytes(), (case, n, m)
                     assert got.exceeds_horizon == alone.exceeds_horizon, (case, n, m)
 
 
 # Run in a child per OpenBLAS kernel: every (n, m) pair of the gram goldens
-# and of a few seeded trees, with the live widths counted from the block
-# depths alone. Prints one JSON line: pairs checked, failures, the pairs
-# with a live width of 1 on a basis of dim > 1, and the dims seen.
+# and of a few seeded trees, against a ladder on all dim columns built in
+# the child, with the live widths counted from the block depths alone.
+# Prints one JSON line: pairs checked, failures, the pairs with a live
+# width of 1 on a basis of dim > 1, and the dims seen.
 _LIVE_GRAM_CHILD = """
 import json, sys
 import numpy as np
-from treeshift import GallerySpec, KernelBasis, kernel_basis, make, power_images, random_balanced, wold_gram
+from treeshift import (GallerySpec, KernelBasis, apply_shift, kernel_basis, make, power_images, random_balanced,
+                       wold_gram)
 from treeshift.cli import _build_parser, _build_shift
 
 def cases():
@@ -433,22 +451,30 @@ def cases():
 pairs, bad, narrow, dims = 0, [], [], set()
 for name, s, basis, top in cases():
     ladder = power_images(s, basis, top)
+    # The same blocks on all dim columns, each shifted from the one before.
+    wide = ladder[:1]
+    for _ in range(top):
+        wide.append(apply_shift(s, wide[-1]))
     dim = basis.total_dim
     dims.add(dim)
     depths = np.repeat(basis.support_depths(), [b.dim for b in basis.blocks])
     live = [int(np.sum(depths <= s.max_depth - k)) for k in range(top + 1)]
-    for k, block in enumerate(ladder):
-        if np.any(block[:, live[k]:] != 0):
+    for k, (block, full) in enumerate(zip(ladder, wide)):
+        if np.any(full[:, live[k]:] != 0):
             bad.append([name, k, k, "dead column not zero"])
+        if block.tobytes() != full[:, :max(live[k], min(2, dim))].tobytes():
+            bad.append([name, k, k, "ladder block"])
     for n in range(top + 1):
         for m in range(top + 1):
             g = wold_gram(s, n, m, basis, ladder=ladder)
-            full = ladder[n].T @ np.conj(ladder[m])
+            full = wide[n].T @ np.conj(wide[m])
             h, w = max(live[n], min(2, dim)), max(live[m], min(2, dim))
             rest = g.matrix.copy()
             rest[:h, :w] = 0
-            if g.matrix[:h, :w].tobytes() != full[:h, :w].tobytes():
+            if g.corner.shape != (h, w) or g.matrix[:h, :w].tobytes() != full[:h, :w].tobytes():
                 bad.append([name, n, m, "live block"])
+            if wold_gram(s, n, m, basis, ladder=wide).corner.tobytes() != g.corner.tobytes():
+                bad.append([name, n, m, "full-width ladder"])
             if np.any(rest != 0):
                 bad.append([name, n, m, "rest not zero"])
             if g.max_abs != (float(np.max(np.abs(full))) if full.size else 0.0):
@@ -837,9 +863,7 @@ def test_basis_projection_and_images_with_zero_weights_match_scalar_route(s, see
             assert [list(v.items()) for v in gb.vectors] == [list(v.items()) for v in wb.vectors]
             assert [_bits(v) for v in gb.vectors] == [_bits(v) for v in wb.vectors]
         assert _bits(project_kernel(s, f, got)) == _bits(loop_project_kernel(s, f, want))
-        # Equal entries; a zero part may differ in sign, as for every block shift.
-        for n, block in enumerate(power_images(s, got, s.max_depth + 1)):
-            assert np.array_equal(block, loop_dense_images(s, n, got)), (interior_only, n)
+        _check_ladder(s, got, power_images(s, got, s.max_depth + 1), interior_only)
 
 
 def test_peel_refuses_a_lift_that_underflows():
