@@ -294,7 +294,7 @@ class TruncatedShift:
         return out
 
     def _child_sums(self, prev: np.ndarray, n: int) -> np.ndarray:
-        """Each vertex's sum of lam(w)^2 * prev(w) over its children w, one ``np.bincount``."""
+        """Each vertex's sum of lam(w)^2 * prev(w) over its children w (a ray's sums are the terms)."""
         tree = self.tree
         m = len(prev)
         terms = self._lam2[1:m] * prev[1:]

@@ -305,8 +305,8 @@ _DEEP = b"[" * 100_000 + b"]" * 100_000
     (_INTEGRAL_PHI, {"rule": "power_law", "exponent": 1, "K": _HUGE},
      _PAST_MAXSIZE % "the truncation degree K"),
     (_APPROX_PHI, {"support": [[_HUGE, 1, 0]]}, _PAST_MAXSIZE % "a symbol order"),
-], ids=["max_power", "norms_root_only", "norms_ray_overflow", "triple_edge", "scalar_edge", "endpoint_range", "vertices_string",
-        "edges_string", "json_array", "peel_depth_2", "radius_root_only", "radius_overflow",
+], ids=["max_power", "norms_root_only", "norms_ray_overflow", "triple_edge", "scalar_edge", "endpoint_range",
+        "vertices_string", "edges_string", "json_array", "peel_depth_2", "radius_root_only", "radius_overflow",
         "radius_overflow_tail_start", "radius_overflow_lowest_terminal",
         "radius_root_only_negative_tail", "radius_negative_tail_before_overflow", "random_depth_huge",
         "mad_depth_huge", "broom_arms_huge", "phi_order_string", "phi_support_scalar", "phi_order_float",
