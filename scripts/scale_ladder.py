@@ -49,11 +49,13 @@ ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 RANDOM2 = "--family random --branching 2 --depth"
 
 # name -> (CLI arguments, timeout in seconds). Random (2,) depth 19 has
-# N = 1 048 575 vertices; mad depth 10^4 and 10^5 are rays of N = D + 1,
-# where every generation holds one vertex.
+# N = 1 048 575 vertices and random_balanced (3,) depth 11 N = 265 720,
+# every parent a sibling set of three; mad depth 10^4 and 10^5 are rays
+# of N = D + 1, where every generation holds one vertex.
 LADDER = {
     "wold_random2_d19": (f"wold {RANDOM2} 19 --cases 1", 600),
     "wold_mad_1e4": ("wold --family mad --depth 10000 --cases 1", 600),
+    "wold_balanced3_d11": ("wold --family random_balanced --branching 3 --depth 11 --cases 1", 600),
     "gram_random2_d11": (f"gram {RANDOM2} 11", 600),
     "gram_random2_d12": (f"gram {RANDOM2} 12", 600),
     "gram_random2_d14": (f"gram {RANDOM2} 14", 600),

@@ -293,9 +293,11 @@ def _run_integral(args, s: TruncatedShift, family: Optional[str]) -> dict:
 
 
 def _run_wold(args, s: TruncatedShift, family: Optional[str]) -> dict:
+    if s.max_depth < 1:
+        raise ValueError("a depth-0 tree has no peel step to take")
     horizon = args.horizon if args.horizon is not None else s.max_depth
-    if horizon < 1:
-        raise ValueError(f"peel horizon {horizon}: a round trip needs at least one peel step")
+    if not 1 <= horizon <= s.max_depth:
+        raise ValueError(f"wold horizon {horizon} must lie in [1, {s.max_depth}]")
     rng = np.random.default_rng([args.seed, 5])
     rows = []
     ok = True

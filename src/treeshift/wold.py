@@ -34,9 +34,16 @@ The layers are stored on the kernel basis' support only, O(N) entries
 in all.
 
 Order contract. The arithmetic is the per-vertex scalar route's, spelled
-out on real and imaginary parts: CPython's complex products
-(``ops._cmul``) and quotients, a float promoted to complex(x, 0.0), and
-every sum sequential from 0.0 in the order that route visits its terms.
+out on real and imaginary parts: CPython's complex quotients, a float
+promoted to complex(x, 0.0), and every sum sequential from 0.0 in the
+order that route visits its terms. The basis is real, since on a sibling
+set ker S* is the orthogonal complement of the real vector lam^u: the
+classes store float64, and the complex views give imaginary parts +0.0,
+as the scalar route's complex pass does. A basis value b meets x as
+x.real * b and x.imag * b. For finite x, CPython's complex product
+(``ops._cmul``) differs from that only in the sign of a zero term, which
+cannot move a nonzero sum; every stored sum is normalised with ``+ 0.0``,
+and ``_class_blocks`` rebuilds a parent where it meets an exact zero.
 The ``loop_*`` oracles in ``tests/oracles.py`` run that route on
 ``DictVector``, one dict per vector, as the bitwise reference. Every
 inner product walks the basis vector's keys in insertion order, as
@@ -64,8 +71,6 @@ from .ops import (
     HorizonError,
     TreeVector,
     TruncatedShift,
-    _cmul,
-    _join,
     _mixed_product,
     _row_sums,
     _same_tree,
@@ -106,7 +111,7 @@ class _SiblingClass:
 
     parents: np.ndarray  # (P,) ascending parent ids
     first: np.ndarray  # (P,) id of each parent's first child
-    vecs: np.ndarray  # (P, d, c) complex; zero off each vector's keys
+    vecs: np.ndarray  # (P, d, c) float64, the basis being real; zero off each vector's keys
     order: np.ndarray  # (d, c) row j: vector j's key positions in insertion order, then the rest
     nkeys: np.ndarray  # (d,) key count of each vector
 
@@ -114,20 +119,19 @@ class _SiblingClass:
     def walk(self) -> tuple:
         """What ``_project`` reads of the class, built on first use.
 
-        The (P, c) sibling ids; the (P, d, c) ids and the parts of conj(b_j)
+        The (P, c) sibling ids; the (P, d, c) ids and values of the vectors
         there, each vector's keys first; and the stops of the key walk, one
         (t, vectors) pair per key position t that is some vector's last key,
         in ascending t, the vectors as a slice where they are consecutive.
         """
         j, c = np.arange(len(self.nkeys)), self.order.shape[1]
-        conj = np.conj(self.vecs[:, j[:, None], self.order])
         rows = self.first[:, None] + np.arange(c)
         stops = []
         for t in np.unique(self.nkeys - 1).tolist():
             sel = np.flatnonzero(self.nkeys - 1 == t)
             consecutive = sel.item(-1) - sel.item(0) + 1 == len(sel)
             stops.append((t, slice(sel.item(0), sel.item(-1) + 1) if consecutive else sel))
-        return rows, rows[:, self.order], conj.real, conj.imag, tuple(stops)
+        return rows, rows[:, self.order], self.vecs[:, j[:, None], self.order], tuple(stops)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +177,7 @@ class KernelBasis:
         blocks = {}
         for cls in self.classes:
             keys = cls.first[:, None, None] + cls.order
-            vals = cls.vecs[:, np.arange(len(cls.nkeys))[:, None], cls.order]
+            vals = cls.vecs[:, np.arange(len(cls.nkeys))[:, None], cls.order].astype(complex)
             for u, ks, vs in zip(cls.parents.tolist(), keys, vals):
                 vectors = tuple(TreeVector._of(self.tree, k[:n], v[:n]) for n, k, v in zip(cls.nkeys, ks, vs))
                 blocks[u] = KernelBlock(parent=None if u < 0 else u, vectors=vectors)
@@ -254,11 +258,6 @@ class GramResult:
         return float(np.max(np.abs(self.corner))) if self.corner.size else 0.0
 
 
-def _has_zero(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Rows holding an entry with both parts zero, which a ``TreeVector`` prunes."""
-    return ((re == 0) & (im == 0)).any(axis=-1)
-
-
 def _sibling_block(s: TruncatedShift, u: VertexId) -> Optional[_SiblingClass]:
     """The block of one parent by the scalar route, as a class of one parent.
 
@@ -291,7 +290,7 @@ def _sibling_block(s: TruncatedShift, u: VertexId) -> Optional[_SiblingClass]:
         return None
     keys = [[v - kids.start for v in b] for b in vecs]
     order = np.array([k + [i for i in range(len(kids)) if i not in k] for k in keys])
-    block = np.array([[[b.get(v, 0j) for v in kids] for b in vecs]])
+    block = np.array([[[b.get(v, 0j).real for v in kids] for b in vecs]])
     nkeys = np.array([len(k) for k in keys])
     return _SiblingClass(np.array([u]), np.array([kids.start]), block, order, nkeys)
 
@@ -301,11 +300,11 @@ def _class_blocks(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``w`` is the (P, c) array of the weights. The pivot is the first
     child; candidate j is lam(v_(j+1)) e_(v_0) - lam(v_0) e_(v_(j+1)), and
-    the modified Gram-Schmidt pass runs across all parents together,
-    each operation spelled as the scalar route rounds it. Vector j's keys
-    sit at positions 0..j + 1, inserted as (0, j + 1, 1, ..., j); the
-    inner products with earlier vectors walk positions 0..k in ascending
-    order and the norm walks the insertion order.
+    the modified Gram-Schmidt pass runs across all parents together, on
+    real numbers, with the scalar route's term order. Vector j's keys sit
+    at positions 0..j + 1, inserted as (0, j + 1, 1, ..., j); the inner
+    products with earlier vectors walk positions 0..k in ascending order
+    and the norm walks the insertion order.
 
     Returns the (P, c - 1, c) vectors and a (P,) mask of parents where
     the scalar route would prune an exact zero or drop a short vector,
@@ -313,35 +312,28 @@ def _class_blocks(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``_sibling_block`` instead.
     """
     p, c = w.shape
-    re = np.zeros((p, c - 1, c))
-    im = np.zeros((p, c - 1, c))
+    vecs = np.zeros((p, c - 1, c))
     bad = np.zeros(p, dtype=bool)
     # Extreme weights can overflow, or divide by a zero norm; those parents
     # come out marked and are rebuilt, so numpy's warnings would say nothing.
     with np.errstate(all="ignore"):
         for j in range(c - 1):
             i = j + 1
-            wr = np.zeros((p, i + 1))
-            wi = np.zeros((p, i + 1))
-            wr[:, 0] = w[:, i]
-            wr[:, i] = -w[:, 0]
+            work = np.zeros((p, i + 1))
+            work[:, 0] = w[:, i]
+            work[:, i] = -w[:, 0]
             for k in range(j):
                 # Vector k's keys sit at positions 0..k + 1.
-                br, bi = re[:, k, : k + 2], im[:, k, : k + 2]
-                tr, ti = _cmul(wr[:, : k + 1], wi[:, : k + 1], br[:, : k + 1], -bi[:, : k + 1])
-                kr, ki = _row_sums(tr)[:, None], _row_sums(ti)[:, None]
-                xr, xi = _cmul(kr, ki, br, bi)
-                yr, yi = _cmul(-1.0, 0.0, xr, xi)
-                wr[:, : k + 2] += yr
-                wi[:, : k + 2] += yi
-                bad |= ((kr == 0) & (ki == 0))[:, 0] | _has_zero(xr, xi)
-                bad |= _has_zero(wr[:, : k + 2], wi[:, : k + 2])
-            sq = (wr * wr - wi * -wi)[:, [0, i, *range(1, i)]]
-            nrm = np.sqrt(_row_sums(sq))
+                b = vecs[:, k, : k + 2]
+                coef = _row_sums(work[:, : k + 1] * b[:, : k + 1])[:, None]
+                step = coef * b
+                work[:, : k + 2] -= step
+                bad |= (coef == 0)[:, 0] | (step == 0).any(axis=1) | (work[:, : k + 2] == 0).any(axis=1)
+            nrm = np.sqrt(_row_sums((work * work)[:, [0, i, *range(1, i)]]))
             bad |= ~(nrm > 1e-14)
-            re[:, j, : i + 1], im[:, j, : i + 1] = _cmul((1.0 / nrm)[:, None], 0.0, wr, wi)
-            bad |= _has_zero(re[:, j, : i + 1], im[:, j, : i + 1])
-    return _join(re, im), bad
+            vecs[:, j, : i + 1] = (1.0 / nrm)[:, None] * work
+            bad |= (vecs[:, j, : i + 1] == 0).any(axis=1)
+    return vecs, bad
 
 
 def kernel_basis(s: TruncatedShift, interior_only: bool = True) -> KernelBasis:
@@ -372,7 +364,7 @@ def kernel_basis(s: TruncatedShift, interior_only: bool = True) -> KernelBasis:
         zero, positive = npos == 0, npos == c
         if zero.any():
             # Vacuous constraint: every sibling direction lies in the kernel.
-            eye = np.tile(np.eye(c, dtype=complex), (int(zero.sum()), 1, 1))
+            eye = np.tile(np.eye(c), (int(zero.sum()), 1, 1))
             order = (np.arange(c)[:, None] + np.arange(c)) % c  # row j starts at j
             keep = sets[zero]
             classes.append(_SiblingClass(keep - 1, first[keep], eye, order, np.ones(c, dtype=int)))
@@ -410,19 +402,19 @@ def _project(basis: KernelBasis, x: np.ndarray, upto: int) -> np.ndarray:
     image sums coefficient times vector over the vectors in order, from
     0.0, as the scalar route accumulates it. Both sums are spelled as
     left-to-right adds over the key positions and over the vectors, each
-    vector's running sum read at its last key.
+    vector's running sum read at its last key. The basis is real, so each
+    part of x meets each basis value in one product.
     """
     out = np.zeros_like(x)
-    xr, xi = x.real, x.imag
     for cls in basis.classes:
         m = int(np.searchsorted(cls.parents, upto))
         if not m:
             continue
-        rows, ids, cr, ci, stops = cls.walk
+        rows, ids, keyed, stops = cls.walk
         b = cls.vecs
         if m < len(rows):
-            rows, ids, cr, ci, b = rows[:m], ids[:m], cr[:m], ci[:m], b[:m]
-        tr, ti = _cmul(xr[ids], xi[ids], cr, ci)
+            rows, ids, keyed, b = rows[:m], ids[:m], keyed[:m], b[:m]
+        tr, ti = x.real[ids] * keyed, x.imag[ids] * keyed
         sr, si = tr[:, :, 0], ti[:, :, 0]
         kr, ki = np.empty_like(sr), np.empty_like(si)
         t = 0
@@ -431,7 +423,7 @@ def _project(basis: KernelBasis, x: np.ndarray, upto: int) -> np.ndarray:
                 t += 1
                 sr, si = sr + tr[:, :, t], si + ti[:, :, t]
             kr[:, sel], ki[:, sel] = sr[:, sel], si[:, sel]
-        pr, pi = _cmul(kr[:, :, None] + 0.0, ki[:, :, None] + 0.0, b.real, b.imag)
+        pr, pi = (kr[:, :, None] + 0.0) * b, (ki[:, :, None] + 0.0) * b
         ir, ii = pr[:, 0], pi[:, 0]
         for j in range(1, b.shape[1]):
             ir, ii = ir + pr[:, j], ii + pi[:, j]
@@ -541,18 +533,23 @@ def _left_invert(s: TruncatedShift, r: np.ndarray, size: int) -> np.ndarray:
     ``size`` = ``gen_offsets[t]`` ids, those at depth <= t - 1. ``c / d``
     divides by complex(d, 0.0) in CPython: (re + im * 0.0) / d and
     (im - re * 0.0) / d. Peel has checked every interior d > 0. A nonzero
-    entry whose quotient underflows to exactly 0 raises ``ValueError``:
-    the round trip would lose it; a subnormal quotient is kept.
+    entry whose quotient underflows to exactly 0 raises ``ValueError`` (the
+    round trip would lose it; a subnormal quotient is kept), and so does a
+    quotient that overflows: ``_project`` reads finite numbers only.
     """
     up = apply_adjoint(s, r)[:size]
     col = s.power_norms_sq(1)[:size]
     out = np.empty_like(up)
     re, im = up.real, up.imag
-    out.real = (re + im * 0.0) / col
-    out.imag = (im - re * 0.0) / col
+    with np.errstate(over="ignore"):  # refused below, naming the vertex
+        out.real = (re + im * 0.0) / col
+        out.imag = (im - re * 0.0) / col
     if np.count_nonzero(out) < np.count_nonzero(up):
         v = int(np.argmax((out == 0) & (up != 0)))
         raise ValueError(f"peel lift underflows at vertex {v}: {complex(up[v])} / {col[v]} is 0")
+    if not (finite := np.isfinite(out)).all():
+        v = int(np.argmin(finite))
+        raise ValueError(f"peel lift overflows at vertex {v}: {complex(up[v])} / {col[v]} is not finite")
     return _pruned(out)
 
 

@@ -21,7 +21,7 @@ from treeshift import (
     gamma_apply,
     rotate_symbol,
 )
-from treeshift.ops import _cmul
+from treeshift.ops import _cmul, _join, _row_sums
 
 
 class DictVector:
@@ -287,26 +287,77 @@ def loop_project_kernel(s, f, blocks):
     return DictVector(s.tree, out)
 
 
-def cumsum_project(basis, x, upto):
+def cumsum_project(basis, x, upto, complex_rule=False):
     """``wold._project`` with each sum as one ``np.cumsum``: the coefficient
     <x, b> read at b's last key of a cumulative sum over its keys in
-    insertion order, the image a cumulative sum over the vectors."""
+    insertion order, the image a cumulative sum over the vectors.
+
+    Each product meets one part of x, or of a coefficient, with one real
+    basis value. With ``complex_rule`` the products are CPython's complex
+    ones on split parts, x times conj(b + 0i) and coefficient times
+    (b + 0i), the rule of a basis stored as complex numbers; on finite x
+    the two rules differ only in the sign of zero terms, so they give the
+    same bits.
+    """
     out = np.zeros_like(x)
     for cls in basis.classes:
         m = int(np.searchsorted(cls.parents, upto))
         if not m:
             continue
         j, c = np.arange(len(cls.nkeys)), cls.order.shape[1]
-        conj = np.conj(cls.vecs[:m, j[:, None], cls.order])
+        keyed = cls.vecs[:m, j[:, None], cls.order]
         rows = cls.first[:m, None] + np.arange(c)
         ids, last, b = rows[:, cls.order], j * c + cls.nkeys - 1, cls.vecs[:m]
-        tr, ti = _cmul(x.real[ids], x.imag[ids], conj.real, conj.imag)
+        if complex_rule:
+            tr, ti = _cmul(x.real[ids], x.imag[ids], keyed, -0.0)
+        else:
+            tr, ti = x.real[ids] * keyed, x.imag[ids] * keyed
         kr = np.cumsum(tr, axis=2).reshape(m, -1)[:, last, None] + 0.0
         ki = np.cumsum(ti, axis=2).reshape(m, -1)[:, last, None] + 0.0
-        pr, pi = _cmul(kr, ki, b.real, b.imag)
+        pr, pi = _cmul(kr, ki, b, 0.0) if complex_rule else (kr * b, ki * b)
         out.real[rows] = np.cumsum(pr, axis=1)[:, -1] + 0.0
         out.imag[rows] = np.cumsum(pi, axis=1)[:, -1] + 0.0
     return out
+
+
+def complex_class_blocks(w):
+    """``wold._class_blocks`` as it ran on complex numbers: every product
+    CPython's on split parts (``_cmul``), a float entering as (x, 0.0),
+    and the (P, c - 1, c) vectors returned complex.
+
+    The mask marks parents holding an exact zero (both parts) or a short
+    vector, or whose norm is not above 1e-14.
+    """
+    def has_zero(re, im):
+        return ((re == 0) & (im == 0)).any(axis=-1)
+
+    p, c = w.shape
+    re = np.zeros((p, c - 1, c))
+    im = np.zeros((p, c - 1, c))
+    bad = np.zeros(p, dtype=bool)
+    with np.errstate(all="ignore"):
+        for j in range(c - 1):
+            i = j + 1
+            wr = np.zeros((p, i + 1))
+            wi = np.zeros((p, i + 1))
+            wr[:, 0] = w[:, i]
+            wr[:, i] = -w[:, 0]
+            for k in range(j):
+                br, bi = re[:, k, : k + 2], im[:, k, : k + 2]
+                tr, ti = _cmul(wr[:, : k + 1], wi[:, : k + 1], br[:, : k + 1], -bi[:, : k + 1])
+                kr, ki = _row_sums(tr)[:, None], _row_sums(ti)[:, None]
+                xr, xi = _cmul(kr, ki, br, bi)
+                yr, yi = _cmul(-1.0, 0.0, xr, xi)
+                wr[:, : k + 2] += yr
+                wi[:, : k + 2] += yi
+                bad |= ((kr == 0) & (ki == 0))[:, 0] | has_zero(xr, xi)
+                bad |= has_zero(wr[:, : k + 2], wi[:, : k + 2])
+            sq = (wr * wr - wi * -wi)[:, [0, i, *range(1, i)]]
+            nrm = np.sqrt(_row_sums(sq))
+            bad |= ~(nrm > 1e-14)
+            re[:, j, : i + 1], im[:, j, : i + 1] = _cmul((1.0 / nrm)[:, None], 0.0, wr, wi)
+            bad |= has_zero(re[:, j, : i + 1], im[:, j, : i + 1])
+    return _join(re, im), bad
 
 
 def _loop_left_invert(s, r):

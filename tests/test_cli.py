@@ -190,6 +190,21 @@ def test_wold_refuses_a_lift_that_underflows(tmp_path, capsys, weight):
         assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("depth, weight", [(4, 1e-80), (6, 1e-60)])
+def test_wold_refuses_a_lift_that_overflows(tmp_path, capsys, depth, weight):
+    # Each lift divides by weight^2; the last one takes an entry near 1e159
+    # (1e239) at the root past the float64 range, where the report used to
+    # fail only at writing with a non-finite number.
+    spec = tmp_path / "ray.json"
+    doc = {"vertices": depth + 1, "parents": [None, *range(depth)], "weights": [0] + [weight] * depth}
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    out = str(tmp_path / "r")
+    assert _run(["wold", "--tree", str(spec), "--cases", "1", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: peel lift overflows at vertex 0: ") and err.endswith(" is not finite\n")
+    assert not os.path.exists(out)
+
+
 _APPROX_PHI = ["approx", "--family", "mad", "--depth", "4", "--levels", "1", "--phi"]
 _INTEGRAL_PHI = ["integral", "--family", "mad", "--depth", "4", "--cases", "1", "--phi"]
 _HUGE = 10 ** 401  # a JSON integer past the float64 range
@@ -218,6 +233,12 @@ _DEEP = b"[" * 100_000 + b"]" * 100_000
     (["norms"], [None, 0], "error: tree spec file must hold a JSON object"),
     (["peel", "--family", "t2", "--alpha", "0.5", "--depth", "2"], None,
      "error: need depth >= 3 to see at least one exact layer"),
+    (["wold", "--family", "mad", "--depth", "3", "--horizon", "0"], None,
+     "error: wold horizon 0 must lie in [1, 3]"),
+    (["wold", "--family", "mad", "--depth", "3", "--horizon", "4"], None,
+     "error: wold horizon 4 must lie in [1, 3]"),
+    # Refused before the horizon range, which would be the empty [1, 0].
+    (["wold"], {"vertices": 1, "parents": [None]}, "error: a depth-0 tree has no peel step to take"),
     (["radius"], {"vertices": 1, "parents": [None]}, "error: tree has no edges, no path to estimate along"),
     # The root-to-vertex-4 product is 1e400; the true tail infimum over the
     # window is (1e400)^(1/1004), about 2.5, not the overflowed 1e100.
@@ -306,8 +327,9 @@ _DEEP = b"[" * 100_000 + b"]" * 100_000
      _PAST_MAXSIZE % "the truncation degree K"),
     (_APPROX_PHI, {"support": [[_HUGE, 1, 0]]}, _PAST_MAXSIZE % "a symbol order"),
 ], ids=["max_power", "norms_root_only", "norms_ray_overflow", "triple_edge", "scalar_edge", "endpoint_range",
-        "vertices_string", "edges_string", "json_array", "peel_depth_2", "radius_root_only", "radius_overflow",
-        "radius_overflow_tail_start", "radius_overflow_lowest_terminal",
+        "vertices_string", "edges_string", "json_array", "peel_depth_2",
+        "wold_horizon_zero", "wold_horizon_past_depth", "wold_root_only", "radius_root_only",
+        "radius_overflow", "radius_overflow_tail_start", "radius_overflow_lowest_terminal",
         "radius_root_only_negative_tail", "radius_negative_tail_before_overflow", "random_depth_huge",
         "mad_depth_huge", "broom_arms_huge", "phi_order_string", "phi_support_scalar", "phi_order_float",
         "phi_order_bool", "phi_support_pair", "phi_rule_float", "phi_rule_string", "phi_rule_bool",

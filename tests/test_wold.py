@@ -35,10 +35,13 @@ from treeshift import (
     t2_expected_peel_coefficient,
     wold_gram,
 )
-from treeshift.wold import _project
+from treeshift.gallery import GALLERY_FAMILIES
+from treeshift.tree import FAMILIES
+from treeshift.wold import _class_blocks, _project
 
 from oracles import (
     closed_form_gram,
+    complex_class_blocks,
     cumsum_project,
     dense_shift_matrix,
     exact_kernel_pairings,
@@ -620,6 +623,44 @@ def test_kernel_basis_bitwise_equals_scalar_route():
                     assert _bits(gv) == _bits(wv), (case, gb.parent)
 
 
+def _assert_real_basis(s):
+    """Every class stores float64 vectors, and every vector of the complex
+    views has imaginary parts that are +0.0, bit for bit."""
+    for interior_only in (True, False):
+        basis = kernel_basis(s, interior_only)
+        assert all(cls.vecs.dtype == np.float64 for cls in basis.classes)
+        for v in basis.vectors():
+            assert all(c.imag.hex() == "0x0.0p+0" for c in v.coeffs.values()), interior_only
+
+
+def test_kernel_basis_is_stored_real_on_the_fixtures():
+    # The extreme and zero-weight fixtures send sibling sets through the
+    # dict route and the identity class.
+    for s in _basis_fixtures():
+        _assert_real_basis(s)
+
+
+@pytest.mark.parametrize("c", [2, 3, 4, 5, 9])
+def test_class_blocks_bitwise_equal_complex_route(c):
+    # Weights from 1e-308 to 1.7e308: per parent one scale times factors in
+    # [0.5, 2), or each weight at its own scale, so products and norms
+    # overflow and underflow. A marked parent's vectors are dropped and
+    # rebuilt by the scalar route; the kept ones must be the complex
+    # route's real parts, with imaginary parts +0.0 there.
+    rng = np.random.default_rng([37, c])
+    scale = 10.0 ** rng.uniform(-308, 307.9, (3000, 1)) * rng.uniform(0.5, 2.0, (3000, c))
+    apart = 10.0 ** rng.uniform(-308, 308.23, (3000, c))
+    w = np.clip(np.concatenate([scale, apart, rng.uniform(0.5, 2.0, (500, c))]), 1e-308, 1.7e308)
+    w[:4] = [1e-308] * c, [1.7e308] * c, [1e-308, *[1.7e308] * (c - 1)], [1.0, *[1e-308] * (c - 1)]
+    vecs, bad = _class_blocks(w)
+    want, want_bad = complex_class_blocks(w)
+    assert vecs.dtype == np.float64
+    assert bad.tobytes() == want_bad.tobytes()
+    assert 0 < bad.sum() < len(w)
+    assert vecs[~bad].tobytes() == want.real[~bad].tobytes()
+    assert not want.imag[~bad].view(np.uint64).any()
+
+
 def test_kernel_basis_leaves_the_children_view_unbuilt():
     # One sibling set reads its bounds from first_child: the children view
     # holds a range per vertex, which the tree would keep.
@@ -723,6 +764,11 @@ def test_project_bitwise_equals_cumsum_oracle_at_every_generation_boundary():
                     with np.errstate(invalid="ignore"):
                         got, want = _project(basis, x, upto), cumsum_project(basis, x, upto)
                     assert _part_bits(got) == _part_bits(want), (case, trial, interior_only, upto)
+                    if trial < 4:
+                        # On finite input the complex products of a basis
+                        # stored complex give the same bits.
+                        old = cumsum_project(basis, x, upto, complex_rule=True)
+                        assert _part_bits(old) == _part_bits(want), (case, trial, interior_only, upto)
 
 
 def test_peel_and_projection_reject_non_finite():
@@ -754,6 +800,29 @@ def weighted_trees(draw, min_children=0, weights=st.floats(0.25, 4.0)):
         frontier = nxt
     lam = draw(st.lists(weights, min_size=len(parent) - 1, max_size=len(parent) - 1))
     return TruncatedShift(DirectedTree.from_bfs_parents(parent), lam)
+
+
+@st.composite
+def gallery_shifts(draw):
+    """A shift of any gallery family at a small depth, with drawn params."""
+    family = draw(st.sampled_from(GALLERY_FAMILIES))
+    fam = FAMILIES[family]
+    depth = fam.fixed_depth or draw(st.integers(fam.min_depth, 4))
+    params = {}
+    if family == "t2":
+        params["alpha"] = draw(st.floats(0.05, 0.95))
+    elif family.startswith("random"):
+        params = {"seed": draw(st.integers(0, 2**16)),
+                  "branching": draw(st.sampled_from([(1,), (2,), (1, 2), (1, 2, 3), (2, 3), (5,)]))}
+    elif family.startswith("broom"):
+        params["arms"] = draw(st.integers(1, 6))
+    return make(GallerySpec(family=family, depth=depth, params=params))
+
+
+@settings(derandomize=True, deadline=None)
+@given(gallery_shifts() | weighted_trees(weights=st.just(0.0) | st.floats(0.25, 4.0)))
+def test_kernel_basis_is_stored_real(s):
+    _assert_real_basis(s)
 
 
 def _random_complex(n, seed, k=None):
@@ -874,3 +943,14 @@ def test_peel_refuses_a_lift_that_underflows():
     lost = TruncatedShift(tree, [1e150] * 3)
     with pytest.raises(ValueError, match="underflows at vertex 0"):
         peel(lost, f, 3)
+
+
+def test_peel_refuses_a_lift_that_overflows():
+    # Each lift divides by 1e-160: the fourth takes the root entry past the
+    # float64 range, with no numpy warning on the way.
+    tree = DirectedTree.from_bfs_parents([-1, 0, 1, 2, 3])
+    f = TreeVector.from_dense(tree, _random_complex(5, 7))
+    s = TruncatedShift(tree, [1e-80] * 4)
+    assert reconstruct(s, peel(s, f, 3)).minus(f).norm() <= 1e-10
+    with pytest.raises(ValueError, match=r"overflows at vertex 0: .* / 1e-160 is not finite"):
+        peel(s, f, 4)
