@@ -323,12 +323,13 @@ def _class_blocks(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             work[:, 0] = w[:, i]
             work[:, i] = -w[:, 0]
             for k in range(j):
-                # Vector k's keys sit at positions 0..k + 1.
+                # Vector k's keys sit at positions 0..k + 1. A zero coefficient
+                # zeroes every step entry, so ``step == 0`` marks it too.
                 b = vecs[:, k, : k + 2]
                 coef = _row_sums(work[:, : k + 1] * b[:, : k + 1])[:, None]
                 step = coef * b
                 work[:, : k + 2] -= step
-                bad |= (coef == 0)[:, 0] | (step == 0).any(axis=1) | (work[:, : k + 2] == 0).any(axis=1)
+                bad |= (step == 0).any(axis=1) | (work[:, : k + 2] == 0).any(axis=1)
             nrm = np.sqrt(_row_sums((work * work)[:, [0, i, *range(1, i)]]))
             bad |= ~(nrm > 1e-14)
             vecs[:, j, : i + 1] = (1.0 / nrm)[:, None] * work
@@ -402,8 +403,7 @@ def _project(basis: KernelBasis, x: np.ndarray, upto: int) -> np.ndarray:
     image sums coefficient times vector over the vectors in order, from
     0.0, as the scalar route accumulates it. Both sums are spelled as
     left-to-right adds over the key positions and over the vectors, each
-    vector's running sum read at its last key. The basis is real, so each
-    part of x meets each basis value in one product.
+    vector's running sum read at its last key.
     """
     out = np.zeros_like(x)
     for cls in basis.classes:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeshift import (
+    GALLERY_FAMILIES,
     DirectedTree,
     GallerySpec,
     HorizonError,
@@ -35,7 +36,6 @@ from treeshift import (
     t2_expected_peel_coefficient,
     wold_gram,
 )
-from treeshift.gallery import GALLERY_FAMILIES
 from treeshift.tree import FAMILIES
 from treeshift.wold import _class_blocks, _project
 
@@ -644,13 +644,17 @@ def test_kernel_basis_is_stored_real_on_the_fixtures():
 def test_class_blocks_bitwise_equal_complex_route(c):
     # Weights from 1e-308 to 1.7e308: per parent one scale times factors in
     # [0.5, 2), or each weight at its own scale, so products and norms
-    # overflow and underflow. A marked parent's vectors are dropped and
+    # overflow and underflow; and weights from a few exact values, where
+    # a Gram-Schmidt step can cancel an entry to exactly zero that a later
+    # step fills again (c >= 5). A marked parent's vectors are dropped and
     # rebuilt by the scalar route; the kept ones must be the complex
     # route's real parts, with imaginary parts +0.0 there.
     rng = np.random.default_rng([37, c])
     scale = 10.0 ** rng.uniform(-308, 307.9, (3000, 1)) * rng.uniform(0.5, 2.0, (3000, c))
     apart = 10.0 ** rng.uniform(-308, 308.23, (3000, c))
-    w = np.clip(np.concatenate([scale, apart, rng.uniform(0.5, 2.0, (500, c))]), 1e-308, 1.7e308)
+    values = np.array([1e-20, 1e-10, 1e-5, 0.5, 1.0, 2.0, 3.0, 4.0, 7.0, 1e10, 1e20])
+    exact = values[rng.integers(0, len(values), (3000, c))]
+    w = np.clip(np.concatenate([scale, apart, exact, rng.uniform(0.5, 2.0, (500, c))]), 1e-308, 1.7e308)
     w[:4] = [1e-308] * c, [1.7e308] * c, [1e-308, *[1.7e308] * (c - 1)], [1.0, *[1e-308] * (c - 1)]
     vecs, bad = _class_blocks(w)
     want, want_bad = complex_class_blocks(w)
