@@ -15,7 +15,9 @@ records:
 
 A run that times out or exits 2 is recorded as such, never dropped. With
 ``--against REV`` each rung also runs on ``git archive REV`` unpacked in a
-temporary directory, the two sides taking turns to run first.
+temporary directory, the two sides taking turns to run first. Before the
+first measured run, the invocation's first rung runs once on each side,
+untimed and unrecorded, so that no recorded run is the cold first one.
 
 Results go to ``BENCH_scale_<sha>.json`` (sha: the short HEAD of this
 checkout) in the repository root or ``--out-dir``. Runs are added to that
@@ -74,7 +76,9 @@ METHOD = (
     "one child process per run: python -m treeshift.cli <command> with PYTHONPATH at the side's src, "
     "RLIMIT_AS 3e9 bytes and one BLAS thread set on that child only; wall_s is perf_counter around "
     "the child, interpreter start included; max_rss_mb (ru_maxrss / 1024) and minflt come from "
-    "os.wait4; with --against the sides take turns to run first; no allocator tunable, no CPU affinity"
+    "os.wait4; with --against the sides take turns to run first; before the first measured run the "
+    "invocation's first rung runs once on each side, untimed and unrecorded; no allocator tunable, no CPU "
+    "affinity"
 )
 
 
@@ -182,6 +186,9 @@ def main(argv: list[str] | None = None) -> int:
             "machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version(),
             "numpy": metadata.version("numpy"), "rlimit_as_bytes": ADDRESS_SPACE, "blas_threads": 1,
         })
+        command, timeout = next(iter(rungs.values()))
+        for side in sides.values():  # the warm-up run, not recorded
+            run_once(side["src"], shlex.split(command), timeout)
         turn = 0
         for name, (command, timeout) in rungs.items():
             entry = doc["rungs"].setdefault(name, {"command": "python -m treeshift.cli " + command,

@@ -76,6 +76,19 @@ def _table(name: str, cells: Sequence[Sequence], *columns: tuple) -> dict:
     }
 
 
+def _body(inputs: dict, tolerances: dict, ok: Optional[bool], *tables: dict, **extra) -> dict:
+    """A runner's report body. ok True reads "pass", False "fail" and None
+    "evidence-only"; extra holds further top-level keys, such as "regime"."""
+    verdict = "evidence-only" if ok is None else "pass" if ok else "fail"
+    return {"inputs": inputs, "tolerances": tolerances, "verdict": verdict, "tables": list(tables), **extra}
+
+
+def _needs_depth(s: TruncatedShift, what: str) -> None:
+    """Refuse a depth-0 tree, which has no ``what`` to check."""
+    if s.max_depth < 1:
+        raise ValueError(f"a depth-0 tree has no {what}")
+
+
 def _integers(text: str) -> tuple:
     """argparse type of --branching and --levels: comma-separated integers."""
     try:
@@ -117,7 +130,9 @@ def _seed(text: str) -> int:
 
 
 def _finite(text: str) -> float:
-    """argparse type of --tol: any finite float; a negative one forces a fail."""
+    """argparse type of --tol: any finite float. A negative one fails every
+    check that reads it except approx's ``error <= bound + tol``, which a
+    bound above -tol still passes; gram's non-balanced regime reads no --tol."""
     x = float(text)
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
@@ -125,21 +140,22 @@ def _finite(text: str) -> float:
 
 
 def _build_shift(args) -> tuple[TruncatedShift, Optional[str], dict]:
-    """Shift, family name when known, and the echoed input description."""
+    """Shift, family name when known, and the echoed input description.
+
+    --tree and --family each give one tree-spec document. A --family
+    document is its own echo (the report writes a tuple as a list)."""
     if args.tree:
         doc = load_tree_file(args.tree)
-        shift = load_shift(doc)
-        family = str(doc["family"]) if "family" in doc else None
-        return shift, family, {"tree_file": args.tree, "tree_spec": doc}
-    if args.family:
+        echo = {"tree_file": args.tree, "tree_spec": doc}
+    elif args.family:
         given = {"alpha": args.alpha, "arms": args.arms, "branching": args.branching}
         params = {k: v for k, v in given.items() if v is not None}
         if "seed" in FAMILIES[args.family].params:
             params["seed"] = args.seed
-        shift = make(GallerySpec(family=args.family, depth=args.depth, params=params))
-        echoed = {k: list(v) if isinstance(v, tuple) else v for k, v in params.items()}
-        return shift, args.family, {"family": args.family, "depth": args.depth, "params": echoed}
-    raise ValueError("need either --tree FILE or --family NAME")
+        doc = echo = {"family": args.family, "depth": args.depth, "params": params}
+    else:
+        raise ValueError("need either --tree FILE or --family NAME")
+    return load_shift(doc), str(doc["family"]) if "family" in doc else None, echo
 
 
 def _unit_random_vector(tree, rng) -> TreeVector:
@@ -149,8 +165,7 @@ def _unit_random_vector(tree, rng) -> TreeVector:
 
 
 def _run_norms(args, s: TruncatedShift, family: Optional[str]) -> dict:
-    if s.max_depth < 1:
-        raise ValueError("a depth-0 tree has no power to tabulate")
+    _needs_depth(s, "power to tabulate")
     max_n = args.max_power if args.max_power is not None else s.max_depth
     if not 1 <= max_n <= s.max_depth:
         raise ValueError(f"max power must lie in [1, {s.max_depth}]")
@@ -162,28 +177,24 @@ def _run_norms(args, s: TruncatedShift, family: Optional[str]) -> dict:
         values.append(est.value)
         attained.append(est.attained_at)
         flags.append(est.may_grow_beyond_horizon)
-    checked_tol, verdict = None, "evidence-only"
-    if family == "mad":
-        tol = checked_tol = args.tol
-        # The flagged rows only see the window sup, not the true norm.
-        failed = any(abs(e0 - n) > tol * n or not flagged and abs(value - (n + 1)) > tol * (n + 1)
-                     for n, e0, value, flagged in zip(powers, roots, values, flags))
-        verdict = "fail" if failed else "pass"
-    return {
-        "inputs": {"max_power": max_n},
-        "tolerances": {"closed_form_rel": checked_tol},
-        "verdict": verdict,
-        "tables": [_table(
+    tol = args.tol if family == "mad" else None
+    # The flagged rows only see the window sup, not the true norm.
+    ok = None if tol is None else not any(
+        abs(e0 - n) > tol * n or not flagged and abs(value - (n + 1)) > tol * (n + 1)
+        for n, e0, value, flagged in zip(powers, roots, values, flags))
+    return _body(
+        {"max_power": max_n}, {"closed_form_rel": tol}, ok,
+        _table(
             "power_norms", [powers, roots, values, attained, flags,
                             [v ** (1.0 / n) for n, v in zip(powers, values)]],
             ("n", "row index", None),
-            ("norm_root", "power_norm(shift, root, n)", checked_tol),
-            ("op_norm", "operator_norm_power(shift, n).value", checked_tol),
+            ("norm_root", "power_norm(shift, root, n)", tol),
+            ("op_norm", "operator_norm_power(shift, n).value", tol),
             ("attained_at", "operator_norm_power(shift, n).attained_at", None),
             ("may_grow_beyond_horizon", "window flag", None),
             ("surrogate", "op_norm ** (1/n)", None),
-        )],
-    }
+        ),
+    )
 
 
 def _run_radius(args, s: TruncatedShift, family: Optional[str]) -> dict:
@@ -197,11 +208,9 @@ def _run_radius(args, s: TruncatedShift, family: Optional[str]) -> dict:
     cells = [range(len(terminals)), tree.labels_of(terminals), lengths,
              [v in tree.genuine_leaves for v in terminals], [min(start, d) for d in lengths],
              est.tolist()]
-    return {
-        "inputs": {"tail_start": args.tail_start},
-        "tolerances": {},
-        "verdict": "evidence-only",
-        "tables": [_table(
+    return _body(
+        {"tail_start": args.tail_start}, {}, None,
+        _table(
             "path_radii", cells,
             ("path", "index into enumerate_paths", None),
             ("terminal", "label of the deepest path vertex", None),
@@ -209,8 +218,8 @@ def _run_radius(args, s: TruncatedShift, family: Optional[str]) -> dict:
             ("leaf_terminated", "path ends at a genuine leaf", None),
             ("tail_start", "first generation entering the minimum", None),
             ("estimate", "path_radius_estimate(shift, path, tail_start)", None),
-        )],
-    }
+        ),
+    )
 
 
 def _run_approx(args, s: TruncatedShift, family: Optional[str]) -> dict:
@@ -224,14 +233,10 @@ def _run_approx(args, s: TruncatedShift, family: Optional[str]) -> dict:
         [r.n, r.probe_index, labels[r.probe_index], r.error, r.bound, r.error <= r.bound + args.tol]
         for r in profile.rows
     ]
-    ok = all(row[-1] for row in rows) and profile.monotone
-    return {
-        "inputs": {"phi": args.phi, "levels": levels, "probes": n_probes},
-        "tolerances": {"bound_slack_abs": args.tol},
-        "verdict": "pass" if ok else "fail",
-        "monotone": profile.monotone,
-        "support_bound": profile.support_bound,
-        "tables": [_table(
+    return _body(
+        {"phi": args.phi, "levels": levels, "probes": n_probes}, {"bound_slack_abs": args.tol},
+        all(row[-1] for row in rows) and profile.monotone,
+        _table(
             "cesaro_errors", zip(*rows),
             ("level", "averaging kernel order n", None),
             ("probe", "basis vertex id", None),
@@ -239,8 +244,9 @@ def _run_approx(args, s: TruncatedShift, family: Optional[str]) -> dict:
             ("error", "norm((damped - full multiplier) probe)", args.tol),
             ("bound", "(support/(n+1)) * weighted column mass", None),
             ("within_bound", "error <= bound + tol", None),
-        )],
-    }
+        ),
+        monotone=profile.monotone, support_bound=profile.support_bound,
+    )
 
 
 def _run_integral(args, s: TruncatedShift, family: Optional[str]) -> dict:
@@ -248,7 +254,6 @@ def _run_integral(args, s: TruncatedShift, family: Optional[str]) -> dict:
     fixed_phi = _parse_phi(args.phi) if args.phi else None
     rng = np.random.default_rng([args.seed, 4])
     rows = []
-    ok = True
     for case in range(args.cases):
         deg_p = int(rng.integers(0, 9))
         p = TrigPoly.from_coeffs(
@@ -273,14 +278,12 @@ def _run_integral(args, s: TruncatedShift, family: Optional[str]) -> dict:
         err = abs(quad - direct)
         k_mono = int(rng.integers(1, 9))
         mono = abs(circle_pair_integral(s, TrigPoly.monomial(k_mono), phi, f, g))
-        ok = ok and err <= args.tol and mono <= mono_tol
         rows.append([case, deg_p, phi.degree, err, k_mono, mono])
-    return {
-        "inputs": {"cases": args.cases, "seed": args.seed,
-                   "phi": args.phi if args.phi else "random-support-8"},
-        "tolerances": {"pairing_abs": args.tol, "monomial_abs": mono_tol},
-        "verdict": "pass" if ok else "fail",
-        "tables": [_table(
+    return _body(
+        {"cases": args.cases, "seed": args.seed, "phi": args.phi if args.phi else "random-support-8"},
+        {"pairing_abs": args.tol, "monomial_abs": mono_tol},
+        all(err <= args.tol and mono <= mono_tol for *_, err, _, mono in rows),
+        _table(
             "circle_integrals", zip(*rows),
             ("case", "seeded case index", None),
             ("poly_degree", "degree of the circle polynomial", None),
@@ -288,31 +291,27 @@ def _run_integral(args, s: TruncatedShift, family: Optional[str]) -> dict:
             ("pairing_error", "|quadrature - coefficientwise pairing|", args.tol),
             ("monomial_order", "positive order averaged", None),
             ("monomial_abs", "|circle mean of w^k pairing|", mono_tol),
-        )],
-    }
+        ),
+    )
 
 
 def _run_wold(args, s: TruncatedShift, family: Optional[str]) -> dict:
-    if s.max_depth < 1:
-        raise ValueError("a depth-0 tree has no peel step to take")
+    _needs_depth(s, "peel step to take")
     horizon = args.horizon if args.horizon is not None else s.max_depth
     if not 1 <= horizon <= s.max_depth:
         raise ValueError(f"wold horizon {horizon} must lie in [1, {s.max_depth}]")
     rng = np.random.default_rng([args.seed, 5])
     rows = []
-    ok = True
     for case in range(args.cases):
         f = _unit_random_vector(s.tree, rng)
         comp = peel(s, f, horizon)
         err = reconstruct(s, comp).minus(f).norm()
         nonzero = sum(1 for layer in comp.layers if layer.any())
-        ok = ok and err <= args.tol
         rows.append([case, horizon, err, comp.residual.norm(), boundary_mass(s, f), nonzero])
-    return {
-        "inputs": {"cases": args.cases, "seed": args.seed, "horizon": horizon},
-        "tolerances": {"roundtrip_abs": args.tol},
-        "verdict": "pass" if ok else "fail",
-        "tables": [_table(
+    return _body(
+        {"cases": args.cases, "seed": args.seed, "horizon": horizon}, {"roundtrip_abs": args.tol},
+        all(row[2] <= args.tol for row in rows),
+        _table(
             "roundtrips", zip(*rows),
             ("case", "seeded case index", None),
             ("horizon", "number of peel steps", None),
@@ -320,60 +319,53 @@ def _run_wold(args, s: TruncatedShift, family: Optional[str]) -> dict:
             ("residual_norm", "norm of the undecomposed part", None),
             ("boundary_norm", "input mass at the deepest generation", None),
             ("nonzero_layers", "layers with support", None),
-        )],
-    }
+        ),
+    )
 
 
 def _run_balanced(args, s: TruncatedShift, family: Optional[str]) -> dict:
     max_n = args.max_power
-    if s.max_depth < 1:
-        raise ValueError("a depth-0 tree has no interior generation to compare")
+    _needs_depth(s, "interior generation to compare")
     bal = is_balanced(s)
     loc = is_locally_power_balanced(s, max_n)
     norms = np.sqrt(s.power_norms_sq(1))  # power_norm(s, u, 1) of every interior u
     starts = s.tree.gen_offsets[:-2]  # first id of each interior generation; none is empty
     lo, hi = np.minimum.reduceat(norms, starts), np.maximum.reduceat(norms, starts)
-    # Constant first norms force constant higher power norms, so a balanced
-    # shift failing the sibling check would be an internal contradiction.
-    consistent = loc.ok or not bal.ok
     local_rows = [[
         max_n, loc.ok,
         -1 if loc.u is None else loc.u,
         -1 if loc.v is None else loc.v,
         0 if loc.power is None else loc.power,
     ]]
-    return {
-        "inputs": {"max_power": max_n},
-        "tolerances": {"rel": BALANCE_REL_TOL, "abs": BALANCE_ABS_TOL},
-        "verdict": "pass" if consistent else "fail",
-        "balanced": bal.ok,
-        "locally_power_balanced": loc.ok,
-        "tables": [
-            _table(
-                "generation_norms", [range(s.max_depth), np.diff(s.tree.gen_offsets[:-1]).tolist(),
-                                     lo.tolist(), hi.tolist(), (hi - lo).tolist()],
-                ("generation", "depth", None),
-                ("vertices", "generation size", None),
-                ("min_norm", "min over u of norm(S e_u)", None),
-                ("max_norm", "max over u of norm(S e_u)", None),
-                ("spread", "max - min", None),
-            ),
-            _table(
-                "sibling_power_check", zip(*local_rows),
-                ("max_power", "orders compared, capped per sibling horizon", None),
-                ("ok", "all sibling power norms agree", None),
-                ("witness_u", "first mismatching vertex or -1", None),
-                ("witness_v", "second mismatching vertex or -1", None),
-                ("power", "mismatching order or 0", None),
-            ),
-        ],
-    }
+    return _body(
+        {"max_power": max_n}, {"rel": BALANCE_REL_TOL, "abs": BALANCE_ABS_TOL},
+        # Constant first norms force constant higher power norms, so a balanced
+        # shift failing the sibling check would be an internal contradiction.
+        loc.ok or not bal.ok,
+        _table(
+            "generation_norms", [range(s.max_depth), np.diff(s.tree.gen_offsets[:-1]).tolist(),
+                                 lo.tolist(), hi.tolist(), (hi - lo).tolist()],
+            ("generation", "depth", None),
+            ("vertices", "generation size", None),
+            ("min_norm", "min over u of norm(S e_u)", None),
+            ("max_norm", "max over u of norm(S e_u)", None),
+            ("spread", "max - min", None),
+        ),
+        _table(
+            "sibling_power_check", zip(*local_rows),
+            ("max_power", "orders compared, capped per sibling horizon", None),
+            ("ok", "all sibling power norms agree", None),
+            ("witness_u", "first mismatching vertex or -1", None),
+            ("witness_v", "second mismatching vertex or -1", None),
+            ("power", "mismatching order or 0", None),
+        ),
+        balanced=bal.ok, locally_power_balanced=loc.ok,
+    )
 
 
 def _run_gram(args, s: TruncatedShift, family: Optional[str]) -> dict:
+    _needs_depth(s, "(n, m) power pair to compare")
     max_p = min(args.max_power, s.max_depth)
-    if max_p < 1:
-        raise ValueError("a depth-0 tree has no (n, m) power pair to compare")
     basis = kernel_basis(s)
     bal = is_balanced(s)
     inj = is_injective(s)
@@ -387,30 +379,22 @@ def _run_gram(args, s: TruncatedShift, family: Optional[str]) -> dict:
             overall_max = max(overall_max, max_abs)
             rows.append([n, m, max_abs, g.exceeds_horizon])
     if bal.ok:
-        regime = "orthogonal-factors"
-        verdict = "pass" if overall_max <= args.tol else "fail"
+        regime, ok = "orthogonal-factors", overall_max <= args.tol
     elif inj.injective:
-        regime = "expected-nonorthogonal"
-        verdict = "pass" if overall_max >= 1e-3 else "fail"
+        regime, ok = "expected-nonorthogonal", overall_max >= 1e-3
     else:
-        regime = "unclassified"
-        verdict = "evidence-only"
-    return {
-        "inputs": {"max_power": max_p},
-        "tolerances": {"orthogonality_abs": args.tol, "nonorthogonality_floor": 1e-3},
-        "verdict": verdict,
-        "regime": regime,
-        "balanced": bal.ok,
-        "injective": inj.injective,
-        "kernel_dim": basis.total_dim,
-        "tables": [_table(
+        regime, ok = "unclassified", None
+    return _body(
+        {"max_power": max_p}, {"orthogonality_abs": args.tol, "nonorthogonality_floor": 1e-3}, ok,
+        _table(
             "gram_pairings", zip(*rows),
             ("n", "left power", None),
             ("m", "right power", None),
             ("max_abs", "max |<S^n g_i, S^m h_j>| over the kernel basis", args.tol),
             ("exceeds_horizon", "some block image leaves the window", None),
-        )],
-    }
+        ),
+        regime=regime, balanced=bal.ok, injective=inj.injective, kernel_dim=basis.total_dim,
+    )
 
 
 def _run_gallery(args, s, family) -> dict:
@@ -445,11 +429,9 @@ def _run_gallery(args, s, family) -> dict:
             ok = ok and not bal
         if spec.family == "random_balanced":
             ok = ok and bal
-    return {
-        "inputs": {"seed": args.seed},
-        "tolerances": {},
-        "verdict": "pass" if ok else "fail",
-        "tables": [_table(
+    return _body(
+        {"seed": args.seed}, {}, ok,
+        _table(
             "fixtures", zip(*rows),
             ("family", "gallery family name", None),
             ("depth", "truncation depth", None),
@@ -461,8 +443,8 @@ def _run_gallery(args, s, family) -> dict:
             ("injective", "interior check and no genuine leaves", None),
             ("max_column_norm", "sqrt of the largest interior column norm squared", None),
             ("deterministic", "second build bitwise-identical", None),
-        )],
-    }
+        ),
+    )
 
 
 def _run_peel(args, s: TruncatedShift, family: Optional[str]) -> dict:
@@ -480,31 +462,25 @@ def _run_peel(args, s: TruncatedShift, family: Optional[str]) -> dict:
     comp = peel(s, f, depth)
     k21 = int(np.searchsorted(comp.kernel_ids, v21))
     rows = []
-    ok = True
     checked_up_to = min(10, depth - 2)
     for j in range(0, depth - 1):
         peeled = -comp.layers[j].item(k21).real
         closed = t2_expected_peel_coefficient(j, alpha)
-        err = abs(peeled - closed)
-        rows.append([j, peeled, closed, err, j <= checked_up_to])
-        if j <= checked_up_to:
-            ok = ok and err <= args.tol
+        rows.append([j, peeled, closed, abs(peeled - closed), j <= checked_up_to])
     roundtrip = reconstruct(s, comp).minus(f).norm()
-    ok = ok and roundtrip <= args.tol
-    return {
-        "inputs": {"profile": "f(lower ray, j) = 1/j"},
-        "tolerances": {"coefficient_abs": args.tol, "checked_up_to": checked_up_to},
-        "verdict": "pass" if ok else "fail",
-        "roundtrip_error": roundtrip,
-        "tables": [_table(
+    return _body(
+        {"profile": "f(lower ray, j) = 1/j"}, {"coefficient_abs": args.tol, "checked_up_to": checked_up_to},
+        all(err <= args.tol for *_, err, checked in rows if checked) and roundtrip <= args.tol,
+        _table(
             "layer_coefficients", zip(*rows),
             ("j", "layer index", None),
             ("gamma_peeled", "minus the layer coefficient at the first lower-ray vertex", args.tol),
             ("gamma_closed", "-1/((j+1) alpha^j (1+alpha^2))", None),
             ("abs_error", "|peeled - closed|", args.tol),
             ("in_verdict", "row participates in the verdict", None),
-        )],
-    }
+        ),
+        roundtrip_error=roundtrip,
+    )
 
 
 class Experiment(NamedTuple):
@@ -512,8 +488,8 @@ class Experiment(NamedTuple):
 
     help: str
     claim: str
-    # run(args, shift, family) returns the report minus "schema" and
-    # "experiment"; its "inputs" extend the shift's echo.
+    # run(args, shift, family) returns a ``_body``, the report minus "schema"
+    # and "experiment"; its "inputs" extend the shift's echo.
     run: Callable[..., dict]
     flags: tuple = ()  # (flag, add_argument keywords) pairs read by ``run``
     tol: Optional[float] = None  # default of --tol; None: no --tol

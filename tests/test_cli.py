@@ -61,11 +61,36 @@ def test_norms_pass_and_report_shape(tmp_path):
     assert header == "n,norm_root,op_norm,attained_at,may_grow_beyond_horizon,surrogate"
 
 
-def test_forced_failure_exit_code(tmp_path):
-    # Impossible tolerance: every closed-form row must be marked failing.
+@pytest.mark.parametrize("argv", [
+    ["norms", "--family", "mad", "--depth", "8"],
+    ["approx", "--family", "t2", "--alpha", "0.5", "--depth", "5", "--probes", "6", "--levels", "1,3"],
+    ["integral", "--family", "random", "--depth", "3", "--cases", "2"],
+    ["wold", "--family", "random", "--depth", "3", "--cases", "2"],
+    ["gram", "--family", "random_balanced", "--depth", "4"],
+    ["peel", "--family", "t2", "--alpha", "0.5", "--depth", "8"],
+], ids=lambda argv: argv[0])
+def test_forced_failure_exit_code(tmp_path, capsys, argv):
+    # Impossible tolerance: every checked cell must be marked failing. approx
+    # compares error <= bound + tol, so only a tolerance below -bound fails it.
     out = str(tmp_path / "r")
-    assert _run(["norms", "--family", "mad", "--depth", "8", "--tol", "-1", "--out", out]) == 1
-    assert _read_report(out)["verdict"] == "fail"
+    assert _run([*argv, "--tol=-1e300", "--out", out]) == 1
+    assert capsys.readouterr().out == f"{argv[0]}: fail ({os.path.join(out, 'report.json')})\n"
+    report = _read_report(out)
+    assert report["verdict"] == "fail"
+    if argv[0] == "gram":
+        assert report["regime"] == "orthogonal-factors"
+
+
+@pytest.mark.parametrize("argv", [
+    ["radius", "--family", "mad", "--depth", "5"],
+    ["norms", "--family", "t2", "--alpha", "0.5", "--depth", "5"],
+    ["gram", "--family", "t2_zero", "--depth", "4"],
+], ids=lambda argv: argv[0])
+def test_evidence_only_exits_zero(tmp_path, capsys, argv):
+    out = str(tmp_path / "r")
+    assert _run([*argv, "--out", out]) == 0
+    assert capsys.readouterr().out == f"{argv[0]}: evidence-only ({os.path.join(out, 'report.json')})\n"
+    assert _read_report(out)["verdict"] == "evidence-only"
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -15,16 +15,26 @@ SPEC.loader.exec_module(ladder)
 def test_one_tiny_rung_is_recorded(tmp_path, monkeypatch):
     # A rung that writes a report and one that exits 2, run twice so the
     # second invocation adds its runs to the file of the first; then a run
-    # its timeout kills.
+    # its timeout kills. Each invocation first runs its first rung once,
+    # unrecorded.
     ok, refused = "radius --family mad --depth 3", "radius --family mad --depth 0"
     monkeypatch.setattr(ladder, "LADDER", {"tiny": (ok, 120), "refused": (refused, 120)})
+    calls, run_once = [], ladder.run_once
+
+    def counted(src, argv, timeout):
+        calls.append(argv)
+        return run_once(src, argv, timeout)
+
+    monkeypatch.setattr(ladder, "run_once", counted)
     for _ in range(2):
         assert ladder.main(["--out-dir", str(tmp_path)]) == 0
+    assert calls == [ok.split(), ok.split(), refused.split()] * 2
     (path,) = glob.glob(str(tmp_path / "BENCH_scale_*.json"))
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     assert doc["host"]["rlimit_as_bytes"] == 3 * 10**9 and doc["host"]["blas_threads"] == 1
     assert "no allocator tunable" in doc["method"]
+    assert "the invocation's first rung runs once on each side, untimed and unrecorded" in doc["method"]
     assert doc["rungs"]["tiny"]["command"] == "python -m treeshift.cli " + ok
     runs = doc["rungs"]["tiny"]["runs"]
     assert [r["side"] for r in runs] == ["change", "change"]
