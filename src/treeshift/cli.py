@@ -155,7 +155,7 @@ def _build_shift(args) -> tuple[TruncatedShift, Optional[str], dict]:
         doc = echo = {"family": args.family, "depth": args.depth, "params": params}
     else:
         raise ValueError("need either --tree FILE or --family NAME")
-    return load_shift(doc), str(doc["family"]) if "family" in doc else None, echo
+    return load_shift(doc), (str(doc["family"]) if "family" in doc else None), echo
 
 
 def _unit_random_vector(tree, rng) -> TreeVector:
